@@ -14,12 +14,10 @@ import sys
 from fractions import Fraction
 
 from . import formats
-from .entropy import (check_entropic_bound, check_recursion, min_entropy,
-                      norm_bound_check)
+from .entropy import check_entropic_bound, check_recursion, min_entropy
 from .errors import FlabError, UnsupportedFormat
-from .furstenberg import (FurstenbergInstance, bound_table, is_furstenberg,
-                          search_extremal, trivial_construction)
-from .geometry import PointSet, qbinomial
+from .furstenberg import (FurstenbergInstance, bound_table, iroot,
+                          is_furstenberg, search_extremal)
 from .gf import field_build
 from .incidence import (FlatFamily, count_incidences, haemers_check,
                         kakeya_becks_census, poor_flat_census,
@@ -86,22 +84,13 @@ def _write(args, text: str) -> None:
 # subcommands
 
 
-def _integer_root(x: int, k: int) -> int | None:
-    if x < 0:
-        return None
-    r = round(x ** (1 / k)) if x else 0
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == x:
-            return cand
-    return None
-
-
 def _row_value(r) -> str | None:
     """Exact row value when representable as a rational, else None."""
     root = getattr(r, "root", 1)
-    num = _integer_root(r.rhs_num, root)
-    den = _integer_root(r.rhs_den, root)
-    if num is None or den is None:
+    if r.rhs_num < 0 or r.rhs_den < 0:
+        return None
+    num, den = iroot(r.rhs_num, root), iroot(r.rhs_den, root)
+    if num ** root != r.rhs_num or den ** root != r.rhs_den:
         return None
     return _frac_str(Fraction(num, den))
 

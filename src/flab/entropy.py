@@ -7,15 +7,14 @@ comparisons; no floating point is involved anywhere.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadRange, DimensionMismatch, EmptyInput
-from .geometry import (DEFAULT_BUDGET, Point, Subspace, enumerate_subspaces,
-                       reduce_mod_subspace)
+from .geometry import (DEFAULT_BUDGET, Point, Subspace, coset_histogram,
+                       enumerate_subspaces)
 
 
 @dataclass(frozen=True)
@@ -238,17 +237,10 @@ def norm_bound_check(F, n: int, values: Mapping[Sequence[int], int],
     values taken).  The hypothesis check scans all rank-1 directions.
     """
     absvals = {tuple(x): abs(v) for x, v in values.items() if v}
-    hypothesis_ok = True
-    failing = None
-    for direction in enumerate_subspaces(F, n, 1, budget=budget):
-        buckets: Counter[Point] = Counter()
-        for x, v in absvals.items():
-            buckets[reduce_mod_subspace(F, x, direction)] += v
-        heaviest = max(buckets.values(), default=0)
-        if heaviest < r:
-            hypothesis_ok = False
-            failing = direction
-            break
+    failing = next((d for d in enumerate_subspaces(F, n, 1, budget=budget)
+                    if max(coset_histogram(F, absvals.items(), d).values(),
+                           default=0) < r), None)
+    hypothesis_ok = failing is None
     power_sum = sum(v ** n for v in absvals.values())
     q = F.q
     lhs = (2 * q - 1) ** n * power_sum

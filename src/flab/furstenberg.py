@@ -1,15 +1,15 @@
 """Furstenberg-set verification, extremal search, bounds, constructions.
 
 A (k,m)-Furstenberg set meets a translate of every rank-k subspace in at
-least m points.  The verifier enumerates directions and coset counts; the
-exact search computes K(q,n,k,m) by size-increasing subset search.
+least m points.  The verifier takes the coset histogram of each direction;
+the exact search computes K(q,n,k,m) by size-increasing subset search on
+per-direction coset bitmasks of the whole space.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -18,8 +18,8 @@ from .errors import (BadEpsilon, BadRange, BadSize, BudgetExceeded,
                      IncompatibleFields)
 from .gf import ExtensionField, base_vector_iso
 from .geometry import (DEFAULT_BUDGET, Flat, Point, PointSet, Subspace,
-                       all_points, enumerate_subspaces, q_flat_count,
-                       qbinomial, reduce_mod_subspace)
+                       all_points, coset_histogram, enumerate_subspaces,
+                       qbinomial)
 
 
 @dataclass(frozen=True)
@@ -49,36 +49,38 @@ class WitnessFamily:
     coverage: Mapping[Subspace, int]
 
 
-def _direction_coverage(F, points: frozenset[Point], direction: Subspace):
-    """(best coset count, lex-least maximizing canonical shift)."""
-    counts: Counter[Point] = Counter()
-    for p in points:
-        counts[reduce_mod_subspace(F, p, direction)] += 1
-    if not counts:
-        return 0, None
-    best = max(counts.values())
-    shift = min(s for s, c in counts.items() if c == best)
-    return best, shift
+def coverage_over_directions(S: PointSet, directions: Iterable[Subspace],
+                             m: int):
+    """Furstenberg-style coverage over the given directions: (True,
+    WitnessFamily) or (False, first failing direction).  Each witness flat
+    is the lex-least coset of largest count."""
+    F = S.field
+    assignment: dict[Subspace, Flat] = {}
+    coverage: dict[Subspace, int] = {}
+    for direction in directions:
+        counts = coset_histogram(F, ((p, 1) for p in S.points), direction)
+        best = max(counts.values(), default=0)
+        if best < m:
+            return False, direction
+        shift = min((s for s, c in counts.items() if c == best), default=None)
+        assignment[direction] = Flat(direction, shift)
+        coverage[direction] = best
+    return True, WitnessFamily(assignment=assignment, coverage=coverage)
+
+
+def _charge_verification(F, n: int, k: int, budget: int) -> None:
+    work = qbinomial(n, k, F.q) * F.q ** (n - k)
+    if work > budget:
+        raise BudgetExceeded(f"verification work {work} exceeds {budget}")
 
 
 def is_furstenberg(S: PointSet, k: int, m: int,
                    budget: int = DEFAULT_BUDGET):
-    """Verify the Furstenberg property; returns (True, WitnessFamily) or
-    (False, first failing direction in enumeration order)."""
-    F = S.field
-    n = S.n
-    work = qbinomial(n, k, F.q) * F.q ** (n - k)
-    if work > budget:
-        raise BudgetExceeded(f"verification work {work} exceeds {budget}")
-    assignment: dict[Subspace, Flat] = {}
-    coverage: dict[Subspace, int] = {}
-    for direction in enumerate_subspaces(F, n, k, budget=budget):
-        best, shift = _direction_coverage(F, S.points, direction)
-        if best < m:
-            return False, direction
-        assignment[direction] = Flat(direction, shift)
-        coverage[direction] = best
-    return True, WitnessFamily(assignment=assignment, coverage=coverage)
+    """Verify the Furstenberg property over every rank-k direction, in
+    enumeration order; returns as coverage_over_directions."""
+    _charge_verification(S.field, S.n, k, budget)
+    return coverage_over_directions(
+        S, enumerate_subspaces(S.field, S.n, k, budget=budget), m)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +165,25 @@ class BoundReport:
             if isinstance(r, RationalRow):
                 best = max(best, -(-r.rhs_num // r.rhs_den))
             elif isinstance(r, RootExponentRow):
-                # smallest t with t^root * den >= num
-                t = 1
-                while t ** r.root * r.rhs_den < r.rhs_num:
-                    t += 1
-                best = max(best, t)
+                # smallest t with t^root >= ceil(num / den)
+                c = -(-r.rhs_num // r.rhs_den)
+                t = iroot(c, r.root)
+                best = max(best, t if t ** r.root >= c else t + 1)
         return best
+
+
+def iroot(x: int, k: int) -> int:
+    """Floor of the k-th root of x >= 0, by integer Newton iteration."""
+    if x < 0 or k < 1:
+        raise BadRange(f"no real {k}-th root of {x}")
+    if x == 0:
+        return 0
+    r = 1 << -(-x.bit_length() // k)    # 2^ceil(bits/k) > x^(1/k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def bound_table(instance: FurstenbergInstance,
@@ -270,7 +285,9 @@ def search_extremal(instance: FurstenbergInstance,
 
     Exact mode enumerates subsets by increasing size.  The Furstenberg
     property is translation invariant, so only subsets whose lexicographic
-    minimum is the origin are generated.
+    minimum is the origin are generated.  Bit i of a subset mask is point i
+    in lex order; a subset passes a direction iff it shares at least m bits
+    with one of the coset bitmasks built once per direction.
     """
     F, n, k, m = instance.field, instance.n, instance.k, instance.m
     q = F.q
@@ -278,34 +295,42 @@ def search_extremal(instance: FurstenbergInstance,
     lower = report.best_integer_lower()
     upper = m * q ** (n - k)
     if q ** n > EXACT_SEARCH_LIMIT:
-        construction = trivial_construction(instance)
+        construction = trivial_construction(instance, budget=budget)
         return SearchResult(exact=None, lower=lower, upper=len(construction),
                             witness=construction)
     if m == 1:
         # any single point meets a translate of every subspace
         S = PointSet.of(F, n, [(0,) * n])
         return SearchResult(exact=1, lower=lower, upper=1, witness=S)
+    _charge_verification(F, n, k, budget)
     pts = all_points(F, n)
-    origin = pts[0]
-    others = pts[1:]
+    bits = [1 << i for i in range(len(pts))]
+    tables = [tuple(coset_histogram(F, zip(pts, bits), d).values())
+              for d in enumerate_subspaces(F, n, k, budget=budget)]
     for size in range(max(lower, 2), upper + 1):
-        for combo in itertools.combinations(others, size - 1):
-            S = PointSet.of(F, n, (origin,) + combo)
-            ok, _ = is_furstenberg(S, k, m, budget=budget)
-            if ok:
+        for combo in itertools.combinations(bits[1:], size - 1):
+            mask = 1 + sum(combo)   # bit 0 is the origin
+            if all(any((mask & c).bit_count() >= m for c in cosets)
+                   for cosets in tables):
+                S = PointSet.of(F, n, (p for p, b in zip(pts, bits)
+                                       if mask & b))
                 return SearchResult(exact=size, lower=lower, upper=size,
                                     witness=S)
     # the trivial construction always verifies, so this is unreachable
     raise AssertionError("exhaustive search failed to find any witness")
 
 
-def trivial_construction(instance: FurstenbergInstance) -> PointSet:
+def trivial_construction(instance: FurstenbergInstance,
+                         budget: int = DEFAULT_BUDGET) -> PointSet:
     """First m q^{n-k} points in lex order; Furstenberg by pigeonholing."""
     F, n, k, m = instance.field, instance.n, instance.k, instance.m
     size = m * F.q ** (n - k)
     if size > F.q ** n:
         raise BadSize(f"{size} points exceed the ambient space")
-    return PointSet.of(F, n, all_points(F, n)[:size])
+    if size > budget:
+        raise BudgetExceeded(f"{size} points exceed budget {budget}")
+    lex = itertools.product(F.elements(), repeat=n)
+    return PointSet.of(F, n, itertools.islice(lex, size))
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +366,3 @@ def lifted_direction_subspaces(big: ExtensionField, r: int) -> list[Subspace]:
         out.append(Subspace.from_vectors(base, n, vecs))
     return out
 
-
-def coverage_over_directions(S: PointSet, directions: Sequence[Subspace],
-                             m: int):
-    """Restricted verifier: Furstenberg-style coverage over given directions."""
-    F = S.field
-    assignment: dict[Subspace, Flat] = {}
-    coverage: dict[Subspace, int] = {}
-    for direction in directions:
-        best, shift = _direction_coverage(F, S.points, direction)
-        if best < m:
-            return False, direction
-        assignment[direction] = Flat(direction, shift)
-        coverage[direction] = best
-    return True, WitnessFamily(assignment=assignment, coverage=coverage)

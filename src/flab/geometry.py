@@ -8,6 +8,7 @@ pivot coordinates.  All enumeration orders are deterministic.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -91,6 +92,16 @@ def reduce_mod_subspace(F, v: Sequence[int], sub: Subspace) -> Point:
         if c != 0:
             w = [F.sub(x, F.mul(c, y)) for x, y in zip(w, row)]
     return tuple(w)
+
+
+def coset_histogram(F, items: Iterable[tuple[Sequence[int], int]],
+                    direction: Subspace) -> Counter[Point]:
+    """Summed weight of the (point, weight) items per coset of direction,
+    keyed by canonical shift; weights 1 << i give each coset its bitmask."""
+    hist: Counter[Point] = Counter()
+    for p, w in items:
+        hist[reduce_mod_subspace(F, p, direction)] += w
+    return hist
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,9 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (BadDelta, BadRange, DimensionMismatch,
                      NotADirectionFamily)
 from .furstenberg import FurstenbergInstance, search_extremal
-from .geometry import (DEFAULT_BUDGET, Flat, Point, PointSet, Subspace,
+from .geometry import (DEFAULT_BUDGET, Flat, PointSet, coset_histogram,
                        enumerate_flats, enumerate_subspaces,
-                       flat_contains_flat, q_flat_count, qbinomial,
-                       reduce_mod_subspace)
+                       flat_contains_flat, qbinomial)
 
 
 @dataclass(frozen=True)
@@ -163,14 +162,9 @@ def kakeya_becks_census(S: PointSet, k: int, delta: Fraction,
     n, q = S.n, F.q
     if not 0 < delta < 1:
         raise BadDelta(f"delta = {delta} outside (0,1)")
-    m = None
-    for direction in enumerate_subspaces(F, n, k, budget=budget):
-        counts: Counter[Point] = Counter()
-        for p in S.points:
-            counts[reduce_mod_subspace(F, p, direction)] += 1
-        best = max(counts.values(), default=0)
-        m = best if m is None else min(m, best)
-    m = m or 0
+    unit = [(p, 1) for p in S.points]
+    m = min(max(coset_histogram(F, unit, d).values(), default=0)
+            for d in enumerate_subspaces(F, n, k, budget=budget))
     threshold = delta * m * Fraction(1, q) + 1
     census = 0
     for f in enumerate_flats(F, n, k - 1, budget=budget):

@@ -164,6 +164,26 @@ def test_exit_code_bad_instance(capsys):
     assert code == 2
 
 
+def test_bounds_huge_instance_is_exact(capsys):
+    # m^n = 251^200 overflows a float; the row values need exact roots
+    code, out, err = run(capsys, ["bounds", "--p", "251", "--n", "200",
+                                  "--k", "1", "--m", "251"])
+    assert code == 0, err
+    assert "source=thm_general_recursive" in out
+
+
+def test_search_trivial_construction_respects_budget(capsys):
+    # q^n = 32 is past the exact limit, so search returns the 32-point
+    # trivial construction, which a budget of 10 does not cover
+    argv = ["search", "--p", "2", "--n", "5", "--k", "1", "--m", "2"]
+    code, _, err = run(capsys, argv + ["--budget", "10"])
+    assert code == 2
+    assert "budget" in err
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "upper = 32" in out
+
+
 def test_deterministic_bytes(capsys):
     argv = ["bounds", "--p", "3", "--n", "3", "--k", "1", "--m", "3",
             "--format", "json"]

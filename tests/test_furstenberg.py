@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from flab.errors import BadEpsilon, BadRange, BadSize, IncompatibleFields
+from flab.errors import (BadEpsilon, BadRange, BadSize, BudgetExceeded,
+                         IncompatibleFields)
 from flab.furstenberg import (FurstenbergInstance, RationalRow,
                               RootExponentRow, SqrtDeficitRow, bound_table,
-                              coverage_over_directions, is_furstenberg,
+                              coverage_over_directions, iroot, is_furstenberg,
                               lift_construction, lifted_direction_subspaces,
                               search_extremal, trivial_construction)
 from flab.geometry import PointSet, Subspace, all_points
@@ -119,6 +120,94 @@ def test_search_large_space_returns_bounds(F3):
     assert res.lower <= res.upper == len(res.witness)
     ok, _ = is_furstenberg(res.witness, 1, 3)
     assert ok
+
+
+# The witness the exhaustive search returns for every instance with q in
+# {2, 3, 4}, q^n <= 16, as (p, e, n, k, m) -> its points in sorted order,
+# each written as its coordinate digits.  Frozen from the search that called
+# is_furstenberg on every candidate subset, so the size-then-combinations
+# enumeration order, and hence the witness, cannot drift.
+FROZEN_WITNESS = {
+    (2, 1, 2, 1, 1): "00",
+    (2, 1, 2, 1, 2): "00, 01, 10",
+    (2, 1, 3, 1, 1): "000",
+    (2, 1, 3, 1, 2): "000, 001, 010, 011, 100",
+    (2, 1, 3, 2, 1): "000",
+    (2, 1, 3, 2, 2): "000, 001, 010",
+    (2, 1, 3, 2, 3): "000, 001, 010, 011, 100",
+    (2, 1, 3, 2, 4): "000, 001, 010, 011, 100, 101, 110",
+    (2, 1, 4, 1, 1): "0000",
+    (2, 1, 4, 1, 2): "0000, 0001, 0010, 0100, 1000, 1111",
+    (2, 1, 4, 2, 1): "0000",
+    (2, 1, 4, 2, 2): "0000, 0001, 0010, 0011, 0100",
+    (2, 1, 4, 2, 3): "0000, 0001, 0010, 0011, 0100, 0101, 0110, 0111, 1000",
+    (2, 1, 4, 2, 4): (
+        "0000, 0001, 0010, 0011, 0100, 0101, 0110, 0111, 1000, 1001, 1010, "
+        "1011, 1100"),
+    (2, 1, 4, 3, 1): "0000",
+    (2, 1, 4, 3, 2): "0000, 0001, 0010",
+    (2, 1, 4, 3, 3): "0000, 0001, 0010, 0011, 0100",
+    (2, 1, 4, 3, 4): "0000, 0001, 0010, 0100, 1000, 1111",
+    (2, 1, 4, 3, 5): "0000, 0001, 0010, 0011, 0100, 0101, 0110, 0111, 1000",
+    (2, 1, 4, 3, 6): (
+        "0000, 0001, 0010, 0011, 0100, 0101, 1000, 1010, 1100, 1111"),
+    (2, 1, 4, 3, 7): (
+        "0000, 0001, 0010, 0011, 0100, 0101, 0110, 0111, 1000, 1001, 1010, "
+        "1011, 1100"),
+    (2, 1, 4, 3, 8): (
+        "0000, 0001, 0010, 0011, 0100, 0101, 0110, 0111, 1000, 1001, 1010, "
+        "1011, 1100, 1101, 1110"),
+    (3, 1, 2, 1, 1): "00",
+    (3, 1, 2, 1, 2): "00, 01, 02, 10",
+    (3, 1, 2, 1, 3): "00, 01, 02, 10, 11, 12, 20",
+    (2, 2, 2, 1, 1): "00",
+    (2, 2, 2, 1, 2): "00, 01, 10, 12",
+    (2, 2, 2, 1, 3): "00, 01, 02, 10, 11, 20, 33",
+    (2, 2, 2, 1, 4): "00, 01, 02, 03, 10, 11, 20, 23, 30, 32",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_WITNESS))
+def test_search_frozen_witnesses(key):
+    p, e, n, k, m = key
+    expected = [tuple(int(c) for c in w)
+                for w in FROZEN_WITNESS[key].split(", ")]
+    res = search_extremal(inst(field_build(p, e), n, k, m))
+    assert res.exact == len(expected)
+    assert res.witness.sorted() == expected
+
+
+def test_search_budget_is_checked_up_front(F2):
+    # work = qbinomial(4, 2, 2) * 2^2 = 35 * 4
+    with pytest.raises(BudgetExceeded,
+                       match="verification work 140 exceeds 10"):
+        search_extremal(inst(F2, 4, 2, 3), budget=10)
+
+
+def test_trivial_construction_budget(F2):
+    big = inst(F2, 5, 1, 2)                  # 2 * 2^4 = 32 points
+    assert len(trivial_construction(big, budget=32)) == 32
+    with pytest.raises(BudgetExceeded):
+        trivial_construction(big, budget=31)
+    with pytest.raises(BudgetExceeded):
+        search_extremal(big, budget=10)
+
+
+def test_iroot_brute_force():
+    for k in range(1, 6):
+        r = 0
+        for x in range(10 ** 4):
+            while (r + 1) ** k <= x:
+                r += 1
+            assert iroot(x, k) == r, (x, k)
+
+
+def test_iroot_huge_and_invalid():
+    assert iroot(251 ** 200, 1) == 251 ** 200
+    assert iroot(251 ** 200, 200) == 251
+    assert iroot(251 ** 200 - 1, 200) == 250
+    with pytest.raises(BadRange):
+        iroot(-1, 2)
 
 
 # -- bound table ------------------------------------------------------------

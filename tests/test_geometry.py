@@ -1,13 +1,14 @@
+import collections
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flab.errors import BadRange, BudgetExceeded, EmptyInput
-from flab.geometry import (Flat, PointSet, all_points, enumerate_flats,
-                           enumerate_subspaces, flat_points, q_flat_count,
-                           qbinomial, reduce_mod_subspace, rref, span,
-                           Subspace, subspace_intersection)
+from flab.geometry import (Flat, PointSet, all_points, coset_histogram,
+                           enumerate_flats, enumerate_subspaces, flat_points,
+                           q_flat_count, qbinomial, reduce_mod_subspace, rref,
+                           span, Subspace, subspace_intersection)
 from flab.gf import field_build
 
 
@@ -157,3 +158,41 @@ def test_qbinomial_symmetry_property(n, k, q):
     if k > n:
         return
     assert qbinomial(n, k, q) == qbinomial(n, n - k, q)
+
+
+# -- coset kernel -----------------------------------------------------------
+
+# small prime fields and tabled extension fields
+KERNEL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]
+
+
+@st.composite
+def coset_cases(draw):
+    F = field_build(*draw(st.sampled_from(KERNEL_FIELDS)))
+    n = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=0, max_value=n))
+    direction = draw(st.sampled_from(list(enumerate_subspaces(F, n, k))))
+    coord = st.integers(min_value=0, max_value=F.q - 1)
+    pts = draw(st.lists(st.tuples(*[coord] * n), unique=True, max_size=12))
+    weights = draw(st.lists(st.integers(min_value=-50, max_value=50),
+                            min_size=len(pts), max_size=len(pts)))
+    return F, direction, pts, weights
+
+
+@given(coset_cases())
+@settings(max_examples=150, deadline=None)
+def test_coset_histogram_matches_pointwise_reduction(case):
+    F, d, pts, weights = case
+    shifts = [reduce_mod_subspace(F, p, d) for p in pts]
+    # dict(), because Counter equality ignores keys whose weight is zero
+    unit = coset_histogram(F, ((p, 1) for p in pts), d)
+    assert dict(unit) == dict(collections.Counter(shifts))
+    summed: dict = {}
+    for s, w in zip(shifts, weights):
+        summed[s] = summed.get(s, 0) + w
+    assert dict(coset_histogram(F, zip(pts, weights), d)) == summed
+    ored: dict = {}
+    for i, s in enumerate(shifts):
+        ored[s] = ored.get(s, 0) | 1 << i
+    masks = coset_histogram(F, ((p, 1 << i) for i, p in enumerate(pts)), d)
+    assert dict(masks) == ored
