@@ -72,6 +72,13 @@ def emit_report(report: dict, fmt: str, rows_key: str | None = None) -> str:
     raise UnsupportedFormat(f"unknown format {fmt!r}")
 
 
+def _require(args, context: str, *names: str) -> None:
+    """Reject, as a user error, a run missing options this command needs."""
+    missing = [f"--{a}" for a in names if getattr(args, a) is None]
+    if missing:
+        raise FlabError(f"{context} needs {' '.join(missing)}")
+
+
 def _write(args, text: str) -> None:
     if args.output:
         with open(args.output, "w") as fh:
@@ -191,6 +198,7 @@ def _cmd_polycert(args) -> int:
             "mult_sum": audit.sum, "bound": audit.bound, "ok": audit.ok,
         }, args.format))
         return 0
+    _require(args, "polycert --targets", "degree")
     with open(args.targets) as fh:
         TF, n, targets = formats.parse_targets(fh.read())
     if TF != F or n != args.n:
@@ -213,7 +221,9 @@ def _cmd_polycert(args) -> int:
 def _cmd_incidence(args) -> int:
     with open(args.points) as fh:
         S = formats.parse_pointset(fh.read())
+    context = f"incidence --check {args.check}"
     if args.check in ("count", "haemers"):
+        _require(args, context, "flats")
         with open(args.flats) as fh:
             L = formats.parse_flat_family(fh.read())
         if args.check == "count":
@@ -227,6 +237,7 @@ def _cmd_incidence(args) -> int:
         }, args.format))
         return 0
     if args.check == "poor":
+        _require(args, context, "l")
         r = poor_flat_census(S, args.l, Fraction(args.delta),
                              budget=args.budget)
         _write(args, emit_report({
@@ -235,6 +246,7 @@ def _cmd_incidence(args) -> int:
         }, args.format))
         return 0
     if args.check == "becks":
+        _require(args, context, "k")
         r = kakeya_becks_census(S, args.k, Fraction(args.delta),
                                 budget=args.budget)
         _write(args, emit_report({
@@ -243,6 +255,7 @@ def _cmd_incidence(args) -> int:
         }, args.format))
         return 0
     if args.check == "subflats":
+        _require(args, context, "flats", "l")
         with open(args.flats) as fh:
             L = formats.parse_flat_family(fh.read())
         r = contained_subflats(L, args.l, budget=args.budget)
@@ -271,9 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
         p.add_argument("--output", "-o", default=None)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; results are "
-                       "thread-count independent")
         if field:
             p.add_argument("--p", type=int, required=True)
             p.add_argument("--e", type=int, default=1)
@@ -312,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polycert", help="polynomial certificates and audits")
     common(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--poly", default=None)
-    p.add_argument("--targets", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--poly", default=None)
+    source.add_argument("--targets", default=None)
     p.add_argument("--degree", type=int, default=None)
     p.set_defaults(fn=_cmd_polycert)
 

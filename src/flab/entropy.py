@@ -7,7 +7,6 @@ comparisons; no floating point is involved anywhere.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -66,16 +65,8 @@ class EntropyValue:
 
 
 @dataclass(frozen=True)
-class OntoLinearMap:
-    """Surjective linear map F_q^n -> F_q^{n-k}; kernel cached."""
-
-    matrix: tuple[Point, ...]
-    kernel: Subspace
-
-
-@dataclass(frozen=True)
 class EntropicWitness:
-    map: OntoLinearMap
+    kernel: Subspace
     shift_value: Point
     attained: EntropyValue
 
@@ -85,57 +76,33 @@ def min_entropy(dist: RationalDistribution) -> EntropyValue:
                         total=dist.total)
 
 
-def map_from_kernel(F, kernel: Subspace) -> OntoLinearMap:
-    """Canonical onto map whose kernel is the given subspace.
-
-    Rows are indexed by the non-pivot columns c of the kernel basis:
-    row_c = e_c - sum_i basis_i[c] e_{pivot_i}; the image coordinates are the
-    free coordinates of the canonical coset representative.
-    """
-    n = kernel.n
-    pivots = kernel.pivots()
-    rows = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        row = [0] * n
-        row[c] = 1
-        for b, piv in zip(kernel.basis, pivots):
-            if b[c]:
-                row[piv] = F.neg(b[c])
-        rows.append(tuple(row))
-    return OntoLinearMap(matrix=tuple(rows), kernel=kernel)
-
-
-def apply_map(F, m: OntoLinearMap, x: Sequence[int]) -> Point:
-    out = []
-    for row in m.matrix:
-        acc = 0
-        for r, v in zip(row, x):
-            if r and v:
-                acc = F.add(acc, F.mul(r, v))
-        out.append(acc)
-    return tuple(out)
-
-
 def pushforward(dist: RationalDistribution,
-                m: OntoLinearMap) -> RationalDistribution:
+                kernel: Subspace) -> RationalDistribution:
+    """Image of dist under the canonical projection with the given kernel.
+
+    Each coset of the kernel maps to the free (non-pivot) coordinates of its
+    canonical shift, so the image weights are the kernel's coset histogram.
+    """
     F = dist.field
-    if m.kernel.n != dist.n:
-        raise DimensionMismatch("map and distribution ambient dims differ")
-    weights: Counter[Point] = Counter()
-    for x, w in dist.weights.items():
-        weights[apply_map(F, m, x)] += w
-    return RationalDistribution(field=F, n=dist.n - m.kernel.k,
-                                weights=dict(weights), total=dist.total)
+    if kernel.n != dist.n:
+        raise DimensionMismatch("kernel and distribution ambient dims differ")
+    pivots = set(kernel.pivots())
+    free = [j for j in range(dist.n) if j not in pivots]
+    hist = coset_histogram(F, dist.weights.items(), kernel)
+    return RationalDistribution(
+        field=F, n=dist.n - kernel.k,
+        weights={tuple(shift[j] for j in free): w
+                 for shift, w in hist.items()},
+        total=dist.total)
 
 
 def best_projection(dist: RationalDistribution, k: int,
                     budget: int = DEFAULT_BUDGET) -> tuple[EntropicWitness, EntropyValue]:
-    """Exhaustive max of min-entropy over one map per rank-k kernel.
+    """Exhaustive max of min-entropy over the rank-k kernels.
 
-    The pushforward entropy depends on the kernel only, so one canonical
-    map per kernel suffices; ties broken by kernel enumeration order.
+    The entropy of an onto linear image depends on its kernel only (the
+    mode is the heaviest coset), so one canonical projection per kernel
+    suffices; ties broken by kernel enumeration order.
     """
     F = dist.field
     n = dist.n
@@ -143,13 +110,13 @@ def best_projection(dist: RationalDistribution, k: int,
         raise BadRange(f"k = {k} outside [1, {n})")
     best: EntropicWitness | None = None
     for kernel in enumerate_subspaces(F, n, k, budget=budget):
-        m = map_from_kernel(F, kernel)
-        pushed = pushforward(dist, m)
+        pushed = pushforward(dist, kernel)
         ev = min_entropy(pushed)
         if best is None or best.attained.max_weight > ev.max_weight:
             mode = min(y for y, w in pushed.weights.items()
                        if w == ev.max_weight)
-            best = EntropicWitness(map=m, shift_value=mode, attained=ev)
+            best = EntropicWitness(kernel=kernel, shift_value=mode,
+                                   attained=ev)
     assert best is not None
     return best, best.attained
 
@@ -204,7 +171,7 @@ def check_recursion(dist: RationalDistribution, k: int,
     for _ in range(k):
         wit, _ = best_projection(cur, 1, budget=budget)
         steps.append(wit)
-        cur = pushforward(cur, wit.map)
+        cur = pushforward(cur, wit.kernel)
     composed = min_entropy(cur)
     _, direct = best_projection(dist, k, budget=budget)
     fv = max(dist.weights.values())

@@ -21,10 +21,18 @@ def _coord_str(F, a: int) -> str:
     return " ".join(str(d) for d in F.coeffs(a))
 
 
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise UnsupportedFormat(f"expected an integer, got {tok!r}") from None
+
+
 def _coord_parse(F, tok: str) -> int:
-    digits = [int(t) for t in tok.split()]
-    if len(digits) != F.e:
-        raise UnsupportedFormat(f"expected {F.e} digits, got {tok!r}")
+    digits = [_int(t) for t in tok.split()]
+    if len(digits) != F.e or not all(0 <= d < F.p for d in digits):
+        raise UnsupportedFormat(
+            f"expected {F.e} digits in [0, {F.p}), got {tok!r}")
     return F.from_coeffs(digits)
 
 
@@ -75,7 +83,8 @@ def serialize_distribution(dist: RationalDistribution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_distribution(text: str) -> RationalDistribution:
+def _parse_weighted(text: str):
+    """Field, dimension and {point: integer} of a point-plus-weight file."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     F, n, body = _parse_header(lines)
     weights = {}
@@ -83,9 +92,12 @@ def parse_distribution(text: str) -> RationalDistribution:
         toks = ln.split("|")
         if len(toks) != n + 1:
             raise UnsupportedFormat(f"expected {n} coords + weight: {ln!r}")
-        pt = tuple(_coord_parse(F, t) for t in toks[:n])
-        weights[pt] = int(toks[n])
-    return RationalDistribution.of(F, n, weights)
+        weights[tuple(_coord_parse(F, t) for t in toks[:n])] = _int(toks[n])
+    return F, n, weights
+
+
+def parse_distribution(text: str) -> RationalDistribution:
+    return RationalDistribution.of(*_parse_weighted(text))
 
 
 def serialize_polynomial(P: Polynomial) -> str:
@@ -150,11 +162,4 @@ def serialize_targets(F, n: int, targets: dict) -> str:
 
 
 def parse_targets(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    F, n, body = _parse_header(lines)
-    targets = {}
-    for ln in body:
-        toks = ln.split("|")
-        pt = tuple(_coord_parse(F, t) for t in toks[:n])
-        targets[pt] = int(toks[n])
-    return F, n, targets
+    return _parse_weighted(text)

@@ -84,13 +84,28 @@ class Subspace:
         return all(x == 0 for x in reduce_mod_subspace(F, v, self))
 
 
-def reduce_mod_subspace(F, v: Sequence[int], sub: Subspace) -> Point:
-    """Canonical coset representative of v modulo sub (pivot coords zeroed)."""
+def _reducer(sub: Subspace) -> tuple:
+    """Per basis row of sub: its pivot and its nonzero off-pivot entries."""
+    return tuple((piv, tuple((j, y) for j, y in enumerate(row)
+                             if y and j != piv))
+                 for row, piv in zip(sub.basis, sub.pivots()))
+
+
+def reduce_mod_subspace(F, v: Sequence[int], sub: Subspace,
+                        rows: tuple | None = None) -> Point:
+    """Canonical coset representative of v modulo sub (pivot coords zeroed).
+
+    RREF rows vanish on the other pivots, so each row clears its own pivot
+    and touches only its nonzero free entries.  Callers that reduce many
+    points pass rows = _reducer(sub), built once.
+    """
     w = list(v)
-    for row, piv in zip(sub.basis, sub.pivots()):
+    for piv, entries in _reducer(sub) if rows is None else rows:
         c = w[piv]
-        if c != 0:
-            w = [F.sub(x, F.mul(c, y)) for x, y in zip(w, row)]
+        if c:
+            w[piv] = 0
+            for j, y in entries:
+                w[j] = F.sub(w[j], F.mul(c, y))
     return tuple(w)
 
 
@@ -99,8 +114,9 @@ def coset_histogram(F, items: Iterable[tuple[Sequence[int], int]],
     """Summed weight of the (point, weight) items per coset of direction,
     keyed by canonical shift; weights 1 << i give each coset its bitmask."""
     hist: Counter[Point] = Counter()
+    rows = _reducer(direction)
     for p, w in items:
-        hist[reduce_mod_subspace(F, p, direction)] += w
+        hist[reduce_mod_subspace(F, p, direction, rows)] += w
     return hist
 
 
@@ -118,17 +134,6 @@ class Flat:
     def contains(self, F, p: Sequence[int]) -> bool:
         diff = tuple(F.sub(a, b) for a, b in zip(p, self.shift))
         return self.direction.contains(F, diff)
-
-
-def flat_contains_flat(F, inner: Flat, outer: Flat) -> bool:
-    """inner ⊆ outer: direction containment plus shift congruence."""
-    if inner.direction.k > outer.direction.k:
-        return False
-    for row in inner.direction.basis:
-        if not outer.direction.contains(F, row):
-            return False
-    diff = tuple(F.sub(a, b) for a, b in zip(inner.shift, outer.shift))
-    return outer.direction.contains(F, diff)
 
 
 def subspace_intersection(F, a: Subspace, b: Subspace) -> Subspace:

@@ -299,19 +299,6 @@ def field_build(p: int, e: int):
 FieldSpec = PrimeField | ExtensionField
 
 
-def field_arith(spec, op: str, a: int, b: int | None = None) -> int:
-    """Uniform dispatch used by the CLI; library code calls methods directly."""
-    if op == "add":
-        return spec.add(a, b)
-    if op == "mul":
-        return spec.mul(a, b)
-    if op == "neg":
-        return spec.neg(a)
-    if op == "inv":
-        return spec.inv(a)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def base_vector_iso(spec_big: ExtensionField, v: Sequence[int],
                     base=None) -> tuple[int, ...]:
     """Flatten a vector over F_{q^k} to a vector over the base field F_q.

@@ -11,14 +11,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
-from .errors import (BadDelta, BadRange, DimensionMismatch,
+from .errors import (BadDelta, BadRange, BudgetExceeded, DimensionMismatch,
                      NotADirectionFamily)
 from .furstenberg import FurstenbergInstance, search_extremal
-from .geometry import (DEFAULT_BUDGET, Flat, PointSet, coset_histogram,
-                       enumerate_flats, enumerate_subspaces,
-                       flat_contains_flat, qbinomial)
+from .geometry import (DEFAULT_BUDGET, Flat, PointSet, Subspace,
+                       coset_histogram, enumerate_subspaces, flat_points,
+                       q_flat_count, qbinomial)
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,23 @@ class FlatFamily:
 
 
 def count_incidences(S: PointSet, L: FlatFamily) -> int:
-    """I(S, L) by coset-membership testing (no point expansion)."""
+    """I(S, L): one coset histogram of S per distinct flat direction, then
+    each flat's count is its shift's entry."""
     if S.field != L.field or S.n != L.n:
         raise DimensionMismatch("point set and flats in different ambients")
-    F = S.field
-    total = 0
-    for f in L.flats:
-        for p in S.points:
-            if f.contains(F, p):
-                total += 1
-    return total
+    unit = [(p, 1) for p in S.points]
+    hists = {d: coset_histogram(S.field, unit, d)
+             for d in {f.direction for f in L.flats}}
+    return sum(hists[f.direction][f.shift] for f in L.flats)
+
+
+def _flat_directions(F, n: int, l: int, budget: int) -> Iterator[Subspace]:
+    """The rank-l directions of a census that visits every l-flat, charged
+    up front as all q^(n-l)·binom(n,l)_q l-flats, like enumerate_flats."""
+    total = q_flat_count(F.q, n, l)
+    if total > budget:
+        raise BudgetExceeded(f"{total} flats exceed budget {budget}")
+    return enumerate_subspaces(F, n, l, budget=budget)
 
 
 def _ceil_isqrt(x: int) -> int:
@@ -103,11 +110,13 @@ def poor_flat_census(S: PointSet, l: int, delta: Fraction,
         raise BadDelta(f"delta = {delta} outside (0,1)")
     m = len(S)
     threshold = delta * m * Fraction(q ** l, q ** k) + 1
+    # threshold >= 1, so the q^(k-l) - len(hist) empty cosets are poor too
+    unit = [(p, 1) for p in S.points]
     poor = 0
-    for f in enumerate_flats(F, k, l, budget=budget):
-        cnt = sum(1 for p in S.points if f.contains(F, p))
-        if Fraction(cnt) < threshold:
-            poor += 1
+    for d in _flat_directions(F, k, l, budget):
+        hist = coset_histogram(F, unit, d)
+        poor += q ** (k - l) - len(hist) \
+            + sum(1 for c in hist.values() if c < threshold)
     bound = Fraction(q ** (k - l) * qbinomial(k, l, q), 1) \
         / (1 + m * Fraction(q ** l, q ** k) * (1 - delta) ** 2)
     return IncidenceReport(incidences=poor, lhs=Fraction(poor), rhs=bound,
@@ -132,10 +141,19 @@ def contained_subflats(Ffam: FlatFamily, l: int,
     if len(directions) != expected or any(c != 1 for c in directions.values()):
         raise NotADirectionFamily(
             f"need exactly one flat per rank-{k} direction")
+    # an l-flat lies in a family flat iff its direction E lies in the
+    # flat's direction (shift + e is in the flat for each basis row e of E)
+    # and it is one of the E-cosets the flat's points meet
+    l_directions = _flat_directions(F, n, l, budget)
+    points = {f: frozenset(flat_points(F, f, budget=budget))
+              for f in Ffam.flats}
     count = 0
-    for g in enumerate_flats(F, n, l, budget=budget):
-        if any(flat_contains_flat(F, g, f) for f in Ffam.flats):
-            count += 1
+    for E in l_directions:
+        inside = [(p, 1) for f in Ffam.flats
+                  if all(tuple(map(F.add, f.shift, e)) in points[f]
+                         for e in E.basis)
+                  for p in points[f]]
+        count += len(coset_histogram(F, inside, E))
     sub = FurstenbergInstance(field=F, n=n - l, k=k - l, m=q ** (k - l))
     if q ** (n - l) <= 16:
         kfac = search_extremal(sub, budget=budget).exact
@@ -167,10 +185,9 @@ def kakeya_becks_census(S: PointSet, k: int, delta: Fraction,
             for d in enumerate_subspaces(F, n, k, budget=budget))
     threshold = delta * m * Fraction(1, q) + 1
     census = 0
-    for f in enumerate_flats(F, n, k - 1, budget=budget):
-        cnt = sum(1 for p in S.points if f.contains(F, p))
-        if Fraction(cnt) >= threshold:
-            census += 1
+    for d in _flat_directions(F, n, k - 1, budget):
+        census += sum(1 for c in coset_histogram(F, unit, d).values()
+                      if c >= threshold)
     bound = Fraction(q ** (n - k + 1) * qbinomial(n, k - 1, q),
                      2 ** (n + 2 - k))
     hypothesis_met = Fraction(m) >= Fraction(2 ** (n + 3 - k) * q) \

@@ -201,14 +201,6 @@ def test_output_file_flag(capsys, tmp_path, three_point_file):
     assert json.loads(target.read_text())["ok"] is True
 
 
-def test_threads_flag_is_inert(capsys):
-    argv = ["search", "--p", "2", "--n", "2", "--k", "1", "--m", "2",
-            "--format", "json"]
-    _, out1, _ = run(capsys, argv)
-    _, out2, _ = run(capsys, argv + ["--threads", "8"])
-    assert out1 == out2
-
-
 def test_emit_report_csv_requires_rows():
     with pytest.raises(UnsupportedFormat):
         emit_report({"a": 1}, "csv")
@@ -220,3 +212,43 @@ def test_emit_report_text_fractions():
     from fractions import Fraction
     text = emit_report({"bound": Fraction(625, 16)}, "text")
     assert text == "bound = 625/16\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["incidence", "--points", "@s.pts", "--check", "poor"],
+    ["incidence", "--points", "@s.pts", "--check", "becks"],
+    ["incidence", "--points", "@s.pts", "--check", "count"],
+    ["polycert", "--p", "2", "--n", "2", "--targets", "@t.targets"],
+    ["polycert", "--p", "2", "--n", "2"],
+], ids=["poor-without-l", "becks-without-k", "count-without-flats",
+        "targets-without-degree", "neither-poly-nor-targets"])
+def test_missing_required_option_is_a_user_error(capsys, tmp_path,
+                                                 three_point_file, argv):
+    F2 = field_build(2, 1)
+    targets = tmp_path / "t.targets"
+    targets.write_text(formats.serialize_targets(F2, 2, {(0, 0): 1}))
+    files = {"@s.pts": three_point_file, "@t.targets": str(targets)}
+    code, out, err = run(capsys, [files.get(a, a) for a in argv])
+    assert code == 2, err
+    assert out == "" and "internal error" not in err
+    assert "--" in err
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    (["verify", "--k", "1", "--m", "1", "--points"], "s.pts",
+     "5 1 2\n7 | 1\n"),
+    (["verify", "--k", "1", "--m", "1", "--points"], "s.pts",
+     "5 1 2\n1 | x\n"),
+    (["entropy", "--dist"], "d.dist", "2 1 2\n0 | 1 | 1.5\n"),
+    (["polycert", "--p", "2", "--n", "2", "--degree", "1", "--targets"],
+     "t.targets", "2 1 2\n0 | 1 | 1\n1\n"),
+    (["polycert", "--p", "2", "--n", "2", "--degree", "1", "--targets"],
+     "t.targets", "2 1 2\n0 | 1 | two\n"),
+], ids=["digit-out-of-range", "non-integer-digit", "non-integer-weight",
+        "short-targets-line", "non-integer-target-weight"])
+def test_malformed_input_files_exit_2(capsys, tmp_path, argv, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, argv + [str(path)])
+    assert code == 2, err
+    assert out == "" and err.startswith("error:")

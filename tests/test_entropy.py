@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flab.entropy import (EntropyValue, QExponent, RationalDistribution,
-                          ab_constants, apply_map, best_projection,
+                          ab_constants, best_projection,
                           check_entropic_bound, check_recursion,
-                          map_from_kernel, min_entropy, norm_bound_check,
-                          pushforward)
+                          min_entropy, norm_bound_check, pushforward)
 from flab.errors import BadRange
-from flab.geometry import Subspace, all_points, enumerate_subspaces
+from flab.geometry import (Flat, Subspace, all_points, enumerate_subspaces,
+                           flat_points)
 from flab.gf import field_build
 
 
@@ -35,21 +35,10 @@ def test_min_entropy_full_uniform(F3):
     assert ev.equals_log(3, 2)
 
 
-def test_map_from_kernel_properties(F3):
-    for kernel in enumerate_subspaces(F3, 3, 1):
-        m = map_from_kernel(F3, kernel)
-        assert len(m.matrix) == 2
-        for b in kernel.basis:
-            assert apply_map(F3, m, b) == (0, 0)
-        # surjectivity: image has q^{n-k} distinct values
-        imgs = {apply_map(F3, m, x) for x in all_points(F3, 3)}
-        assert len(imgs) == 9
-
-
 def test_pushforward_uniform_stays_uniform(F3):
     d = uniform(F3, 2, all_points(F3, 2))
     kernel = next(iter(enumerate_subspaces(F3, 2, 1)))
-    pushed = pushforward(d, map_from_kernel(F3, kernel))
+    pushed = pushforward(d, kernel)
     assert set(pushed.weights.values()) == {3}
     assert pushed.total == d.total
 
@@ -57,30 +46,15 @@ def test_pushforward_uniform_stays_uniform(F3):
 def test_pushforward_kernel_aligned_mass(F2):
     kernel = Subspace.from_vectors(F2, 2, [(1, 1)])
     d = uniform(F2, 2, [(0, 0), (1, 1)])
-    pushed = pushforward(d, map_from_kernel(F2, kernel))
+    pushed = pushforward(d, kernel)
     assert min_entropy(pushed).equals_log(2, 0)
 
 
 def test_pushforward_fiber_sums(F2):
     kernel = Subspace.from_vectors(F2, 2, [(1, 1)])
     d = uniform(F2, 2, [(0, 0), (1, 0), (0, 1)])
-    pushed = pushforward(d, map_from_kernel(F2, kernel))
+    pushed = pushforward(d, kernel)
     assert sorted(pushed.weights.values()) == [1, 2]
-
-
-def test_kernel_invariance_f2_cubed(F2):
-    # entropy of a pushforward depends only on the kernel: compare the
-    # canonical map against row-scrambled variants with the same kernel
-    rng = random.Random(3)
-    d = RationalDistribution.of(
-        F2, 3, {p: rng.randint(1, 5) for p in all_points(F2, 3)})
-    for kernel in enumerate_subspaces(F2, 3, 1):
-        m = map_from_kernel(F2, kernel)
-        base = sorted(pushforward(d, m).weights.values())
-        # swap the two output coordinates: same kernel, different matrix
-        from flab.entropy import OntoLinearMap
-        m2 = OntoLinearMap(matrix=(m.matrix[1], m.matrix[0]), kernel=kernel)
-        assert sorted(pushforward(d, m2).weights.values()) == base
 
 
 def test_best_projection_uniform(F2):
@@ -104,7 +78,7 @@ def test_best_projection_product_distribution(F2):
     # the point-mass coordinate axis attains the optimum (ties broken by
     # enumeration order, so the returned kernel may be another optimizer)
     axis = Subspace.from_vectors(F2, 2, [(0, 1)])
-    pushed = pushforward(d, map_from_kernel(F2, axis))
+    pushed = pushforward(d, axis)
     assert min_entropy(pushed).max_weight == ev.max_weight
 
 
@@ -242,6 +216,44 @@ def test_pushforward_preserves_total(seed):
     d = RationalDistribution.of(
         F, 3, {p: rng.randint(1, 9) for p in all_points(F, 3)})
     for kernel in enumerate_subspaces(F, 3, 1):
-        pushed = pushforward(d, map_from_kernel(F, kernel))
+        pushed = pushforward(d, kernel)
         assert pushed.total == d.total
         assert sum(pushed.weights.values()) == d.total
+
+
+FIELDS = [field_build(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1))]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_pushforward_matches_coset_grouping(data):
+    # weight 1 << i on the i-th support point makes every pushed weight the
+    # bitmask of its fiber, so equal weight sets mean equal fibers
+    F = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(0, n))
+    kernel = data.draw(st.sampled_from(list(enumerate_subspaces(F, n, k))))
+    support = data.draw(st.lists(st.sampled_from(all_points(F, n)),
+                                 min_size=1, max_size=12, unique=True))
+    d = RationalDistribution.of(
+        F, n, {x: 1 << i for i, x in enumerate(support)})
+    pushed = pushforward(d, kernel)
+    fibers: dict = {}
+    for x, w in d.weights.items():
+        key = frozenset(flat_points(F, Flat.through(F, kernel, x)))
+        fibers[key] = fibers.get(key, 0) + w
+    assert sorted(pushed.weights.values()) == sorted(fibers.values())
+    assert pushed.n == n - k and pushed.total == d.total
+    assert all(len(y) == n - k and all(0 <= c < F.q for c in y)
+               for y in pushed.weights)
+
+
+@given(st.sampled_from(FIELDS), st.integers(1, 3), st.data())
+@settings(max_examples=20, deadline=None)
+def test_pushforward_is_onto(F, n, data):
+    # the uniform distribution pushes forward onto all q^(n-k) images
+    k = data.draw(st.integers(0, n))
+    kernel = data.draw(st.sampled_from(list(enumerate_subspaces(F, n, k))))
+    pushed = pushforward(uniform(F, n, all_points(F, n)), kernel)
+    assert set(pushed.weights) == set(all_points(F, n - k))
+    assert set(pushed.weights.values()) == {F.q ** k}

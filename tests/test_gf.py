@@ -3,9 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flab.errors import CompositeP, DivisionByZero, FieldTooLarge, IncompatibleFields
+from flab.errors import CompositeP, FieldTooLarge, IncompatibleFields
 from flab.gf import (ExtensionField, base_vector_iso, base_vector_iso_inv,
-                     field_arith, field_build, is_prime, parse_field,
+                     field_build, is_prime, parse_field,
                      serialize_field)
 from flab.geometry import Subspace
 
@@ -60,16 +60,6 @@ def test_f4_multiplication():
 def test_f5_example():
     F5 = field_build(5, 1)
     assert F5.mul(2, 3) == 1
-
-
-def test_field_arith_dispatch():
-    F5 = field_build(5, 1)
-    assert field_arith(F5, "add", 2, 4) == 1
-    assert field_arith(F5, "mul", 2, 3) == 1
-    assert field_arith(F5, "neg", 2) == 3
-    assert field_arith(F5, "inv", 2) == 3
-    with pytest.raises(DivisionByZero):
-        field_arith(F5, "inv", 0)
 
 
 @pytest.mark.parametrize("q", ALL_Q_UPTO_64)

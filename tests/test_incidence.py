@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flab.errors import (BadDelta, BadRange, DimensionMismatch,
-                         NotADirectionFamily)
-from flab.geometry import (Flat, PointSet, all_points, enumerate_flats,
-                           enumerate_subspaces, qbinomial, span)
+from flab import incidence
+from flab.errors import (BadDelta, BadRange, BudgetExceeded,
+                         DimensionMismatch, NotADirectionFamily)
+from flab.geometry import (Flat, PointSet, all_points, coset_histogram,
+                           enumerate_flats, enumerate_subspaces, flat_points,
+                           q_flat_count, qbinomial, span)
 from flab.gf import field_build
 from flab.incidence import (FlatFamily, count_incidences, haemers_check,
                             contained_subflats, heavy_flats_lower_bound,
@@ -253,3 +256,107 @@ def test_pure_incidence_specializes_heavy_flats():
     b = heavy_flats_lower_bound(Fraction(m, q ** k), Fraction(1), k, n, q)
     assert a == b
     assert a.rational_part == Fraction(9, 10) * 27
+
+
+# -- coset-kernel censuses against point-set oracles -------------------------
+
+FIELDS = [field_build(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1))]
+
+
+@st.composite
+def point_sets(draw, min_n=1):
+    F = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(min_n, 3))
+    pts = draw(st.lists(st.sampled_from(all_points(F, n)), max_size=20,
+                        unique=True))
+    return PointSet.of(F, n, pts)
+
+
+def _counts(S, rank):
+    """Points of S on every rank-`rank` flat, by intersecting point sets."""
+    return [len(S.points.intersection(flat_points(S.field, f)))
+            for f in enumerate_flats(S.field, S.n, rank)]
+
+
+@given(point_sets(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_count_incidences_matches_point_sets(S, data):
+    F, n = S.field, S.n
+    rank = data.draw(st.integers(0, n))
+    flats = data.draw(st.lists(st.sampled_from(list(
+        enumerate_flats(F, n, rank))), min_size=1, max_size=15))
+    L = FlatFamily.of(F, n, flats)
+    assert count_incidences(S, L) == sum(
+        len(S.points.intersection(flat_points(F, f))) for f in L.flats)
+
+
+@given(point_sets(min_n=2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_poor_census_matches_point_sets(S, data):
+    l = data.draw(st.integers(1, S.n - 1))
+    delta = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2),
+                                       Fraction(3, 4)]))
+    rep = poor_flat_census(S, l, delta)
+    assert rep.incidences == sum(1 for c in _counts(S, l)
+                                 if c < rep.extra["threshold"])
+
+
+@given(point_sets(min_n=2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_rich_census_matches_point_sets(S, data):
+    k = data.draw(st.integers(1, S.n))
+    rep = kakeya_becks_census(S, k, Fraction(1, 2))
+    assert rep.incidences == sum(1 for c in _counts(S, k - 1)
+                                 if c >= rep.extra["threshold"])
+
+
+@given(st.sampled_from([(F, 3) for F in FIELDS] + [(FIELDS[0], 4)]),
+       st.data())
+@settings(max_examples=25, deadline=None)
+def test_contained_subflats_matches_point_sets(Fn, data):
+    # the K factor needs 1 <= k - l < n - l, so k < n
+    # shifts come from one drawn seed, so a failure shrinks in few steps
+    F, n = Fn
+    k = data.draw(st.integers(2, n - 1))
+    l = data.draw(st.integers(1, k - 1))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    pts = all_points(F, n)
+    fam = FlatFamily.of(F, n, [Flat.through(F, d, rng.choice(pts))
+                               for d in enumerate_subspaces(F, n, k)])
+    pointsets = [frozenset(flat_points(F, f)) for f in fam.flats]
+    expected = sum(1 for g in enumerate_flats(F, n, l)
+                   if any(frozenset(flat_points(F, g)) <= P
+                          for P in pointsets))
+    assert contained_subflats(fam, l).incidences == expected
+
+
+def _no_scan(*args):
+    raise AssertionError("scanned before the budget check")
+
+
+def test_censuses_check_budget_before_scanning(F3, monkeypatch):
+    S = PointSet.of(F3, 3, all_points(F3, 3))
+    lines = q_flat_count(3, 3, 1)                       # 117
+    fam = _direction_family(F3, 3, 2, lambda i, s: s[0])
+    monkeypatch.setattr(incidence, "coset_histogram", _no_scan)
+    monkeypatch.setattr(incidence, "flat_points", _no_scan)
+    with pytest.raises(BudgetExceeded, match=f"{lines} flats exceed"):
+        poor_flat_census(S, 1, Fraction(1, 2), budget=lines - 1)
+    with pytest.raises(BudgetExceeded, match=f"{lines} flats exceed"):
+        contained_subflats(fam, 1, budget=lines - 1)
+
+
+def test_becks_checks_rich_budget_before_scanning(F3, monkeypatch):
+    # the m-loop over the 13 planes fits a budget of 116 and runs; the
+    # rich census over the 117 lines must stop before its first scan
+    S = PointSet.of(F3, 3, all_points(F3, 3))
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return coset_histogram(*args)
+    monkeypatch.setattr(incidence, "coset_histogram", counting)
+    with pytest.raises(BudgetExceeded, match="117 flats exceed budget 116"):
+        kakeya_becks_census(S, 2, Fraction(1, 2), budget=116)
+    assert len(calls) == qbinomial(3, 2, 3)
+    assert all(d.k == 2 for d in calls)
