@@ -72,6 +72,15 @@ def emit_report(report: dict, fmt: str, rows_key: str | None = None) -> str:
     raise UnsupportedFormat(f"unknown format {fmt!r}")
 
 
+def _fraction(text: str, flag: str) -> Fraction:
+    """The exact rational a flag spells, or a user error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise FlabError(f"{flag} must be an exact rational, got {text!r}") \
+            from None
+
+
 def _require(args, context: str, *names: str) -> None:
     """Reject, as a user error, a run missing options this command needs."""
     missing = [f"--{a}" for a in names if getattr(args, a) is None]
@@ -105,7 +114,7 @@ def _row_value(r) -> str | None:
 def _cmd_bounds(args) -> int:
     F = field_build(args.p, args.e)
     inst = FurstenbergInstance(field=F, n=args.n, k=args.k, m=args.m)
-    eps = Fraction(args.epsilon) if args.epsilon else None
+    eps = _fraction(args.epsilon, "--epsilon") if args.epsilon else None
     report = bound_table(inst, epsilon=eps)
     rows = [{
         "source": r.source,
@@ -238,7 +247,7 @@ def _cmd_incidence(args) -> int:
         return 0
     if args.check == "poor":
         _require(args, context, "l")
-        r = poor_flat_census(S, args.l, Fraction(args.delta),
+        r = poor_flat_census(S, args.l, _fraction(args.delta, "--delta"),
                              budget=args.budget)
         _write(args, emit_report({
             "poor_flats": r.incidences, "bound": r.rhs, "ok": r.ok,
@@ -247,7 +256,7 @@ def _cmd_incidence(args) -> int:
         return 0
     if args.check == "becks":
         _require(args, context, "k")
-        r = kakeya_becks_census(S, args.k, Fraction(args.delta),
+        r = kakeya_becks_census(S, args.k, _fraction(args.delta, "--delta"),
                                 budget=args.budget)
         _write(args, emit_report({
             "rich_flats": r.incidences, "bound": r.rhs, "ok": r.ok,

@@ -52,11 +52,20 @@ def _header_lines(F, n: int) -> list[str]:
 
 
 def _parse_header(lines: list[str]):
-    p, e, n = (int(t) for t in lines[0].split())
+    if not lines:
+        raise UnsupportedFormat("empty file: expected a 'p e n' header")
+    toks = lines[0].split()
+    if len(toks) != 3:
+        raise UnsupportedFormat(f"expected a 'p e n' header: {lines[0]!r}")
+    p, e, n = (_int(t) for t in toks)
+    if n < 1:
+        raise UnsupportedFormat(f"dimension n = {n} < 1")
     F = field_build(p, e)
     body = 1
     if e > 1:
-        given = tuple(int(t) for t in lines[1].split())
+        if len(lines) < 2:
+            raise UnsupportedFormat("missing the modulus line")
+        given = tuple(_int(t) for t in lines[1].split())
         if given != F.modulus:
             raise UnsupportedFormat("modulus differs from the canonical one")
         body = 2
@@ -72,7 +81,10 @@ def serialize_pointset(S: PointSet) -> str:
 def parse_pointset(text: str) -> PointSet:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     F, n, body = _parse_header(lines)
-    return PointSet.of(F, n, [_point_parse(F, ln) for ln in body])
+    pts = [_point_parse(F, ln) for ln in body]
+    if len(set(pts)) != len(pts):
+        raise UnsupportedFormat("duplicate point")
+    return PointSet.of(F, n, pts)
 
 
 def serialize_distribution(dist: RationalDistribution) -> str:
@@ -92,7 +104,10 @@ def _parse_weighted(text: str):
         toks = ln.split("|")
         if len(toks) != n + 1:
             raise UnsupportedFormat(f"expected {n} coords + weight: {ln!r}")
-        weights[tuple(_coord_parse(F, t) for t in toks[:n])] = _int(toks[n])
+        x = tuple(_coord_parse(F, t) for t in toks[:n])
+        if x in weights:
+            raise UnsupportedFormat(f"duplicate point: {ln!r}")
+        weights[x] = _int(toks[n])
     return F, n, weights
 
 
@@ -119,9 +134,11 @@ def parse_polynomial(F, n: int, text: str) -> Polynomial:
             coeff_s, expo_s = ln.split(":")
         except ValueError:
             raise UnsupportedFormat(f"bad term line {ln!r}")
-        expo = tuple(int(t) for t in expo_s.split())
-        if len(expo) != n:
-            raise UnsupportedFormat(f"expected {n} exponents: {ln!r}")
+        expo = tuple(_int(t) for t in expo_s.split())
+        if len(expo) != n or min(expo, default=0) < 0:
+            raise UnsupportedFormat(f"expected {n} exponents >= 0: {ln!r}")
+        if expo in terms:
+            raise UnsupportedFormat(f"duplicate monomial: {ln!r}")
         terms[expo] = _coord_parse(F, coeff_s.strip())
     return Polynomial.make(F, n, terms)
 
@@ -132,7 +149,10 @@ def serialize_flat(F, flat: Flat) -> str:
 
 
 def parse_flat(F, n: int, line: str) -> Flat:
-    rows_s, shift_s = line.split(";")
+    try:
+        rows_s, shift_s = line.split(";")
+    except ValueError:
+        raise UnsupportedFormat(f"expected 'rows ; shift': {line!r}") from None
     rows = [_point_parse(F, r) for r in rows_s.split(",")] \
         if rows_s.strip() else []
     direction = Subspace.from_vectors(F, n, rows)

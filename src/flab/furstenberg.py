@@ -78,6 +78,8 @@ def is_furstenberg(S: PointSet, k: int, m: int,
                    budget: int = DEFAULT_BUDGET):
     """Verify the Furstenberg property over every rank-k direction, in
     enumeration order; returns as coverage_over_directions."""
+    if m < 1:
+        raise BadRange(f"need m >= 1, got m={m}")
     _charge_verification(S.field, S.n, k, budget)
     return coverage_over_directions(
         S, enumerate_subspaces(S.field, S.n, k, budget=budget), m)

@@ -34,7 +34,9 @@ def qbinomial(n: int, k: int, q: int) -> int:
 def rref(F, rows: Iterable[Sequence[int]]) -> tuple[tuple[Point, ...], int]:
     """Reduced row echelon form over the field F; returns (rows, rank).
 
-    Zero rows are dropped from the result.
+    Zero rows are dropped from the result.  The pivot row is zero left of
+    its pivot column, so each elimination walks only its nonzero entries
+    from that column on.
     """
     mat = [list(r) for r in rows]
     if not mat:
@@ -46,14 +48,17 @@ def rref(F, rows: Iterable[Sequence[int]]) -> tuple[tuple[Point, ...], int]:
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = F.inv(mat[rank][col])
+        prow = mat[rank]
+        inv = F.inv(prow[col])
         if inv != 1:
-            mat[rank] = [F.mul(inv, x) for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                c = mat[r][col]
-                mat[r] = [F.sub(x, F.mul(c, y))
-                          for x, y in zip(mat[r], mat[rank])]
+            for j in range(col, ncols):
+                prow[j] = F.mul(inv, prow[j])
+        entries = [(j, prow[j]) for j in range(col, ncols) if prow[j]]
+        for r, row in enumerate(mat):
+            if r != rank and row[col] != 0:
+                c = row[col]
+                for j, y in entries:
+                    row[j] = F.sub(row[j], F.mul(c, y))
         rank += 1
         if rank == len(mat):
             break

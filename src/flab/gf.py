@@ -15,11 +15,6 @@ from .errors import CompositeP, DivisionByZero, FieldTooLarge, IncompatibleField
 
 MAX_FIELD_SIZE = 1 << 16
 
-# mul/inv tables are precomputed below this size; above it, arithmetic is
-# done on the fly (still exact, just slower)
-_TABLE_LIMIT = 512
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -132,10 +127,19 @@ class ExtensionField:
     constant coefficient).  When ``base`` is a prime field this matches the
     FieldSpec contract exactly; towers over non-prime bases carry the same
     interface and are used for the field-extension lifting argument.
+
+    Arithmetic runs on log/antilog tables over a primitive element g, built
+    once at construction: ``_log[a]`` is the discrete log of a != 0 and
+    ``_exp[i]`` is g^i for 0 <= i < 2(q-1), so the sum of two logs needs no
+    reduction.  ``_log[0]`` is ``2(q-1)`` and ``_exp`` is zero from there on,
+    so a product with a zero factor reads a zero without a branch.  Addition
+    is XOR of the encodings when p = 2; otherwise it goes through the Zech
+    table ``_zech[i] = log(1 + g^i)`` (periodic over two periods, and
+    ``2(q-1)`` where 1 + g^i = 0).
     """
 
     __slots__ = ("base", "degree", "p", "e", "q", "modulus",
-                 "_mul_table", "_inv_table")
+                 "_exp", "_log", "_zech", "_half")
 
     def __init__(self, base, degree: int, modulus: tuple[int, ...] | None = None):
         if degree < 2:
@@ -151,10 +155,7 @@ class ExtensionField:
         if modulus is None:
             modulus = _smallest_irreducible(base, degree)
         self.modulus = tuple(modulus)
-        self._mul_table = None
-        self._inv_table = None
-        if q <= _TABLE_LIMIT:
-            self._build_tables()
+        self._build_tables()
 
     # -- digit packing ------------------------------------------------------
 
@@ -179,20 +180,42 @@ class ExtensionField:
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        da, db = self.digits(a), self.digits(b)
-        return self.undigits([self.base.add(x, y) for x, y in zip(da, db)])
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def sub(self, a: int, b: int) -> int:
-        da, db = self.digits(a), self.digits(b)
-        return self.undigits([self.base.sub(x, y) for x, y in zip(da, db)])
+        if self.p == 2:
+            return a ^ b
+        if not b:
+            return a
+        log = self._log
+        if not a:
+            return self._exp[log[b] + self._half]
+        la = log[a]
+        return self._exp[la + self._zech[log[b] + self._half - la]]
 
     def neg(self, a: int) -> int:
-        return self.undigits([self.base.neg(x) for x in self.digits(a)])
+        # -1 = g^half, with half = (q-1)/2 for odd p and 0 for p = 2
+        return self._exp[self._log[a] + self._half]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
-        return self._mul_slow(a, b)
+        return self._exp[self._log[a] + self._log[b]]
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise DivisionByZero("inverse of 0")
+        return self._exp[self.q - 1 - self._log[a]]
+
+    def pow(self, a: int, k: int) -> int:
+        if a == 0:
+            return 1 if k == 0 else 0
+        return self._exp[self._log[a] * k % (self.q - 1)]
 
     def _mul_slow(self, a: int, b: int) -> int:
         da = _poly_trim(list(self.digits(a)))
@@ -201,23 +224,6 @@ class ExtensionField:
         prod = _poly_mod(self.base, prod, self.modulus)
         prod += [0] * (self.degree - len(prod))
         return self.undigits(prod)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("inverse of 0")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a: int, k: int) -> int:
-        r = 1
-        base = a
-        while k:
-            if k & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return r
 
     def from_int(self, c: int) -> int:
         return c % self.p
@@ -235,22 +241,94 @@ class ExtensionField:
               for i in range(self.degree)]
         return self.undigits(ds)
 
+    # -- table construction -------------------------------------------------
+
+    def _pow_slow(self, a: int, k: int) -> int:
+        r = 1
+        while k:
+            if k & 1:
+                r = self._mul_slow(r, a)
+            a = self._mul_slow(a, a)
+            k >>= 1
+        return r
+
+    def _is_primitive(self, g: int, primes: Sequence[int]) -> bool:
+        """g has order q - 1 (so the modulus is irreducible, too): g^(q-1)
+        is 1 and g^((q-1)/r) is not, for every prime r dividing q - 1."""
+        n = self.q - 1
+        return (self._pow_slow(g, n) == 1
+                and all(self._pow_slow(g, n // r) != 1 for r in primes))
+
+    def _times_x(self):
+        """a -> a * x on encodings: shift the digits up one place and fold
+        the top digit back in through the monic modulus."""
+        base, Q = self.base, self.base.q
+        top_w = Q ** (self.degree - 1)
+        low = [(Q ** i, base.neg(m))
+               for i, m in enumerate(self.modulus[:-1]) if m]
+
+        def times_x(a: int) -> int:
+            top, rest = divmod(a, top_w)
+            b = rest * Q
+            if top:
+                for w, m in low:
+                    d = b // w % Q
+                    b += (base.add(d, base.mul(top, m)) - d) * w
+            return b
+        return times_x
+
     def _build_tables(self) -> None:
+        """Log/antilog and Zech tables over the first primitive element g.
+
+        Multiplying by x is cheap but x need not be primitive.  Its powers
+        form the subgroup of order d = ord(x), the only one of that order,
+        so g^k = x^t for k = (q-1)/d and some t prime to d; hence x = g^L
+        with L = k t^-1 mod d, and g^j x^i = g^(j + iL).  The table fills
+        with one x-step per element and one slow product per j < k.
+        """
         q = self.q
-        tab = [0] * (q * q)
-        for a in range(q):
-            for b in range(a, q):
-                v = self._mul_slow(a, b)
-                tab[a * q + b] = v
-                tab[b * q + a] = v
-        self._mul_table = tab
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if tab[a * q + b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
+        n = q - 1
+        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        g = next((g for g in range(self.base.q, q)
+                  if self._is_primitive(g, primes)), None)
+        if g is None:
+            raise IncompatibleFields(f"modulus {self.modulus} is not "
+                                     "irreducible")
+        times_x = self._times_x()
+        xs = [1]
+        while len(xs) < n and (a := times_x(xs[-1])) != 1:
+            xs.append(a)
+        d = len(xs)
+        k = n // d
+        t = xs.index(self._pow_slow(g, k))
+        L = k * pow(t, -1, d)
+        cycle = [0] * n
+        s = 1
+        for j in range(k):
+            a, i = s, j
+            for _ in range(d):
+                cycle[i] = a
+                a = times_x(a)
+                i = (i + L) % n
+            s = self._mul_slow(s, g)
+        log = [0] * q
+        for i, a in enumerate(cycle):
+            log[a] = i
+        log[0] = 2 * n
+        self._exp = cycle + cycle + [0] * (2 * n + 1)
+        self._log = log
+        if self.p == 2:
+            self._half = 0
+            self._zech = None
+            return
+        self._half = n // 2
+        Q = self.base.q
+        zech = [0] * n
+        for i, a in enumerate(cycle):
+            # 1 + a changes only digit 0 of a; log[0] is the zero sentinel
+            d0 = a % Q
+            zech[i] = log[a - d0 + self.base.add(d0, 1)]
+        self._zech = zech + zech
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExtensionField)
@@ -287,6 +365,10 @@ def field_build(p: int, e: int):
     """Deterministic field constructor per the FieldSpec contract."""
     if e < 1:
         raise FieldTooLarge(f"extension degree {e} < 1")
+    # size checks first: trial division of a huge p, or p ** e for a huge
+    # e, would not finish
+    if p > MAX_FIELD_SIZE or e >= MAX_FIELD_SIZE.bit_length():
+        raise FieldTooLarge(f"q = {p}^{e} exceeds {MAX_FIELD_SIZE}")
     if not is_prime(p):
         raise CompositeP(f"p = {p} is not prime")
     if p ** e > MAX_FIELD_SIZE:

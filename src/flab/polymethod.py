@@ -97,18 +97,24 @@ def evaluate(P: Polynomial, point: Sequence[int]) -> int:
     return acc
 
 
+def _hasse_coefficient(a: Expo, i: Sequence[int], p: int) -> int:
+    """binom(a, i) = prod_j binom(a_j, i_j) mod p, the coefficient of x^{a-i}
+    in the i-th Hasse derivative of x^a; 0 unless a >= i entrywise."""
+    scalar = 1
+    for aj, ij in zip(a, i):
+        scalar = scalar * math.comb(aj, ij) % p
+        if scalar == 0:
+            break
+    return scalar
+
+
 def hasse_derivative(P: Polynomial, i: Sequence[int]) -> Polynomial:
     """The i-th Hasse derivative: x^a contributes binom(a,i) x^{a-i}."""
     F = P.field
     i = tuple(i)
-    p = F.p
     out: dict[Expo, int] = {}
     for a, c in P.terms.items():
-        if any(aj < ij for aj, ij in zip(a, i)):
-            continue
-        scalar = 1
-        for aj, ij in zip(a, i):
-            scalar = scalar * math.comb(aj, ij) % p
+        scalar = _hasse_coefficient(a, i, F.p)
         if scalar == 0:
             continue
         e = tuple(aj - ij for aj, ij in zip(a, i))
@@ -239,7 +245,6 @@ def find_vanishing_poly(F, n: int, targets: Mapping[Sequence[int], int],
     """
     monos = monomials_upto(n, d)
     col = {e: j for j, e in enumerate(monos)}
-    p = F.p
     rows: list[list[int]] = []
     for x in sorted(tuple(pt) for pt in targets):
         Nx = targets[tuple(x)]
@@ -247,11 +252,7 @@ def find_vanishing_poly(F, n: int, targets: Mapping[Sequence[int], int],
             for i in exponents_of_weight(n, w):
                 row = [0] * len(monos)
                 for a in monos:
-                    if any(aj < ij for aj, ij in zip(a, i)):
-                        continue
-                    scalar = 1
-                    for aj, ij in zip(a, i):
-                        scalar = scalar * math.comb(aj, ij) % p
+                    scalar = _hasse_coefficient(a, i, F.p)
                     if scalar == 0:
                         continue
                     v = F.from_int(scalar)

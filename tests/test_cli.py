@@ -244,11 +244,57 @@ def test_missing_required_option_is_a_user_error(capsys, tmp_path,
      "t.targets", "2 1 2\n0 | 1 | 1\n1\n"),
     (["polycert", "--p", "2", "--n", "2", "--degree", "1", "--targets"],
      "t.targets", "2 1 2\n0 | 1 | two\n"),
+    (["verify", "--k", "1", "--m", "1", "--points"], "s.pts", "x 1 2\n"),
+    (["verify", "--k", "1", "--m", "1", "--points"], "s.pts", ""),
+    (["verify", "--k", "1", "--m", "1", "--points"], "s.pts", "2 2 2\n"),
+    (["incidence", "--points", "@s.pts", "--check", "count", "--flats"],
+     "f.flats", "2 1 2\n0 1 | 1 0\n"),
+    (["polycert", "--p", "2", "--n", "2", "--poly"], "p.poly",
+     "1 : x 0\n"),
+    (["polycert", "--p", "2", "--n", "2", "--poly"], "p.poly",
+     "1 : -1 0\n"),
+    (["verify", "--k", "1", "--m", "1", "--points"], "s.pts",
+     "2 1 2\n0 | 1\n0 | 1\n"),
+    (["polycert", "--p", "2", "--n", "2", "--degree", "2", "--targets"],
+     "t.targets", "2 1 2\n0 | 1 | 1\n0 | 1 | 2\n"),
+    (["entropy", "--dist"], "d.dist", "2 1 2\n0 | 1 | 1\n0 | 1 | 3\n"),
+    (["polycert", "--p", "2", "--n", "2", "--poly"], "p.poly",
+     "1 : 1 0\n1 : 1 0\n"),
+    (["polycert", "--p", "5", "--n", "-1", "--degree", "0", "--targets"],
+     "t.targets", "5 1 -1\n"),
 ], ids=["digit-out-of-range", "non-integer-digit", "non-integer-weight",
-        "short-targets-line", "non-integer-target-weight"])
-def test_malformed_input_files_exit_2(capsys, tmp_path, argv, name, text):
+        "short-targets-line", "non-integer-target-weight",
+        "non-integer-header", "empty-file", "missing-modulus-line",
+        "flat-without-semicolon", "non-integer-exponent",
+        "negative-exponent", "duplicate-point", "duplicate-target",
+        "duplicate-distribution-point", "duplicate-monomial",
+        "negative-dimension"])
+def test_malformed_input_files_exit_2(capsys, tmp_path, three_point_file,
+                                      argv, name, text):
     path = tmp_path / name
     path.write_text(text)
+    argv = [three_point_file if a == "@s.pts" else a for a in argv]
     code, out, err = run(capsys, argv + [str(path)])
+    assert code == 2, err
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["incidence", "--points", "@s.pts", "--check", "poor", "--l", "1",
+     "--delta", "abc"],
+    ["bounds", "--p", "2", "--n", "2", "--k", "1", "--m", "2",
+     "--epsilon", "zz"],
+    ["bounds", "--p", "2", "--n", "2", "--k", "1", "--m", "2",
+     "--epsilon", "1/0"],
+    ["verify", "--points", "@s.pts", "--k", "1", "--m", "0"],
+    ["bounds", "--p", str(10 ** 30 + 57), "--n", "2", "--k", "1",
+     "--m", "2"],
+    ["bounds", "--p", "2", "--e", str(10 ** 12), "--n", "2", "--k", "1",
+     "--m", "2"],
+], ids=["delta-not-rational", "epsilon-not-rational", "epsilon-over-zero",
+        "m-below-1", "huge-p", "huge-e"])
+def test_bad_numeric_flags_exit_2(capsys, three_point_file, argv):
+    argv = [three_point_file if a == "@s.pts" else a for a in argv]
+    code, out, err = run(capsys, argv)
     assert code == 2, err
     assert out == "" and err.startswith("error:")

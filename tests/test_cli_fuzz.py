@@ -1,0 +1,91 @@
+"""Malformed files and flags never make the CLI exit 1 ("internal error").
+
+Every input is small (q <= 5, n <= 2, multiplicities and degrees below 8),
+so no case starts a large enumeration; the files mix random tokens with
+lines in the right shape, so some cases get past parsing.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from flab.cli import main
+
+HEADERS = ["2 1 2", "3 1 1", "5 1 2", "2 2 2\n1 1 1", "3 1 2", "2 1 1",
+           "", "x 1 2", "2 1", "2 1 2 7", "4 1 2", "2 2 2", "2 2 2\n1 0 1",
+           "5 0 2", "5 1 0", "5 1 -1", "2 17 1"]
+TOKENS = ["0", "1", "2", "4", "7", "-1", "x", "1.5", "|", ";", ",", ":",
+          "1 0", ""]
+DIGITS = ["0", "1", "2", "4", "-1", "x", "1 0", "0 1", ""]
+SMALL = ["-1", "0", "1", "2", "3", "7", "x"]
+FIELDS = [("2", "1"), ("3", "1"), ("5", "1"), ("2", "2"), ("4", "1"),
+          ("1", "1"), ("2", "0"), ("x", "1"), ("3", "-1")]
+RATIONALS = ["1/2", "2/3", "0", "1", "-1", "1/0", "abc", "zz", ""]
+
+coords = st.lists(st.sampled_from(DIGITS), min_size=1, max_size=3)
+point = coords.map(" | ".join)
+line = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=8).map(" ".join),
+    point,
+    st.tuples(point, st.sampled_from(SMALL)).map(" | ".join),
+    st.tuples(st.lists(point, max_size=2).map(" , ".join), point)
+    .map(" ; ".join),
+    st.tuples(st.sampled_from(DIGITS), st.lists(st.sampled_from(SMALL),
+                                                max_size=3).map(" ".join))
+    .map(" : ".join),
+)
+text = st.tuples(st.sampled_from(HEADERS), st.lists(line, max_size=6)).map(
+    lambda hb: "\n".join([hb[0]] + hb[1]) + "\n")
+flag = st.sampled_from(SMALL)
+
+
+@st.composite
+def invocations(draw):
+    """(argv with @a/@b placeholders, text of file a, text of file b)."""
+    cmd = draw(st.sampled_from(["verify", "entropy", "targets", "poly",
+                                "incidence", "bounds"]))
+    p, e = draw(st.sampled_from(FIELDS))
+    n = draw(st.sampled_from(["0", "1", "2", "-1", "x"]))
+    field = ["--p", p, "--e", e, "--n", n]
+    if cmd == "verify":
+        argv = ["verify", "--points", "@a", "--k", draw(flag),
+                "--m", draw(flag)]
+    elif cmd == "entropy":
+        argv = ["entropy", "--dist", "@a", "--k", draw(flag), "--check",
+                draw(st.sampled_from(["bound", "recursion", "none"]))]
+    elif cmd == "targets":
+        argv = ["polycert", *field, "--targets", "@a",
+                "--degree", draw(flag)]
+    elif cmd == "poly":
+        argv = ["polycert", *field, "--poly", "@a"]
+    elif cmd == "incidence":
+        argv = ["incidence", "--points", "@a", "--flats", "@b", "--check",
+                draw(st.sampled_from(["count", "haemers", "poor", "becks",
+                                      "subflats"])),
+                "--k", draw(flag), "--l", draw(flag),
+                "--delta", draw(st.sampled_from(RATIONALS))]
+    else:
+        argv = ["bounds", *field, "--k", draw(flag), "--m", draw(flag),
+                "--epsilon", draw(st.sampled_from(RATIONALS))]
+    if draw(st.booleans()):
+        argv += ["--budget", draw(st.sampled_from(["-1", "0", "50", "x"]))]
+    return argv, draw(text), draw(text)
+
+
+@given(invocations())
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_malformed_input_exits_0_or_2(case):
+    argv, a, b = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"@a": os.path.join(tmp, "a"), "@b": os.path.join(tmp, "b")}
+        for key, body in (("@a", a), ("@b", b)):
+            with open(paths[key], "w") as fh:
+                fh.write(body)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([paths.get(t, t) for t in argv])
+    assert code in (0, 2), (argv, a, b, err.getvalue())

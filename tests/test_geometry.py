@@ -196,3 +196,68 @@ def test_coset_histogram_matches_pointwise_reduction(case):
         ored[s] = ored.get(s, 0) | 1 << i
     masks = coset_histogram(F, ((p, 1 << i) for i, p in enumerate(pts)), d)
     assert dict(masks) == ored
+
+
+def _reference_rref(F, rows):
+    """Textbook Gauss-Jordan over all columns of every row, one field call
+    per entry: the elimination rref used before its row kernel."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return (), 0
+    ncols = len(mat[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = F.inv(mat[rank][col])
+        if inv != 1:
+            mat[rank] = [F.mul(inv, x) for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                c = mat[r][col]
+                mat[r] = [F.sub(x, F.mul(c, y))
+                          for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return tuple(tuple(r) for r in mat[:rank]), rank
+
+
+RREF_FIELDS = [field_build(5, 1), field_build(7, 1), field_build(2, 2),
+               field_build(3, 2)]
+
+
+@st.composite
+def rref_cases(draw):
+    """Matrices whose rows are zero, copies of a few base rows, or
+    combinations of two of them, so duplicate rows and rank deficiency
+    are common."""
+    F = draw(st.sampled_from(RREF_FIELDS))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    el = st.integers(min_value=0, max_value=F.q - 1)
+    base = draw(st.lists(st.lists(el, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        kind = draw(st.sampled_from(["zero", "copy", "combo", "random"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "copy":
+            rows.append(list(draw(st.sampled_from(base))))
+        elif kind == "combo":
+            u, v = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+            a, b = draw(el), draw(el)
+            rows.append([F.add(F.mul(a, x), F.mul(b, y))
+                         for x, y in zip(u, v)])
+        else:
+            rows.append(draw(st.lists(el, min_size=ncols, max_size=ncols)))
+    return F, rows
+
+
+@given(rref_cases())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_reference_gauss_jordan(case):
+    F, rows = case
+    assert rref(F, rows) == _reference_rref(F, rows)

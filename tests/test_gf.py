@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flab.errors import CompositeP, FieldTooLarge, IncompatibleFields
+from flab.errors import (CompositeP, DivisionByZero, FieldTooLarge,
+                         IncompatibleFields)
 from flab.gf import (ExtensionField, base_vector_iso, base_vector_iso_inv,
                      field_build, is_prime, parse_field,
                      serialize_field)
@@ -166,3 +167,76 @@ def test_field_serialization_round_trip():
 def test_is_prime_matches_trial_division(n):
     naive = n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
     assert is_prime(n) == naive
+
+
+# -- log/antilog kernels against independent references -----------------
+
+TABLE_FIELDS = [field_build(p, e) for p, e in [(2, 2), (2, 3), (3, 2), (5, 2),
+                                               (3, 3), (2, 8), (2, 10),
+                                               (3, 7)]]
+TABLE_FIELDS += [ExtensionField(field_build(2, 2), 2),
+                 ExtensionField(field_build(3, 2), 2)]
+
+
+def _digitwise(F, op, *xs):
+    """Digit-by-digit base-field arithmetic: the reference for add/sub/neg."""
+    return F.undigits([getattr(F.base, op)(*ds)
+                       for ds in zip(*(F.digits(x) for x in xs))])
+
+
+def _pow_reference(F, a, k):
+    r = 1
+    while k:
+        if k & 1:
+            r = F._mul_slow(r, a)
+        a = F._mul_slow(a, a)
+        k >>= 1
+    return r
+
+
+def _element(F):
+    # 0 and 1 are the edge cases of every table; draw them often
+    return st.one_of(st.sampled_from([0, 1, F.q - 1]),
+                     st.integers(min_value=0, max_value=F.q - 1))
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_table_arithmetic_matches_references(data):
+    F = data.draw(st.sampled_from(TABLE_FIELDS), label="F")
+    a = data.draw(_element(F), label="a")
+    b = data.draw(_element(F), label="b")
+    k = data.draw(st.integers(min_value=0, max_value=3 * F.q), label="k")
+    assert F.add(a, b) == _digitwise(F, "add", a, b)
+    assert F.sub(a, b) == _digitwise(F, "sub", a, b)
+    assert F.neg(a) == _digitwise(F, "neg", a)
+    assert F.mul(a, b) == F._mul_slow(a, b)
+    assert F.pow(a, k) == _pow_reference(F, a, k)
+    assert F.pow(a, 0) == 1
+    if a:
+        assert F._mul_slow(a, F.inv(a)) == 1
+    else:
+        with pytest.raises(DivisionByZero):
+            F.inv(a)
+
+
+@pytest.mark.parametrize("F", TABLE_FIELDS, ids=repr)
+def test_log_tables_are_a_bijection(F):
+    n = F.q - 1
+    assert sorted(F._exp[:n]) == list(range(1, F.q))
+    assert all(F._log[F._exp[i]] == i for i in range(n))
+    assert F._exp[n:2 * n] == F._exp[:n]
+
+
+@pytest.mark.parametrize("p, e", [(2, 16), (3, 10), (251, 2)])
+def test_largest_fields_build_and_multiply(p, e):
+    F = field_build(p, e)
+    for a, b in [(2, 3), (F.q - 1, F.q - 2), (12345, 54321)]:
+        assert F.mul(a, b) == F._mul_slow(a, b)
+        assert F._mul_slow(a, F.inv(a)) == 1
+        assert F.add(a, b) == _digitwise(F, "add", a, b)
+
+
+def test_reducible_modulus_is_rejected():
+    with pytest.raises(IncompatibleFields):
+        ExtensionField(field_build(2, 1), 2, (1, 0, 1))    # x^2 + 1
