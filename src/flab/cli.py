@@ -16,26 +16,20 @@ from fractions import Fraction
 from . import formats
 from .entropy import check_entropic_bound, check_recursion, min_entropy
 from .errors import FlabError, UnsupportedFormat
-from .furstenberg import (FurstenbergInstance, bound_table, iroot,
-                          is_furstenberg, search_extremal)
+from .furstenberg import (FurstenbergInstance, bound_table, is_furstenberg,
+                          search_extremal)
 from .gf import field_build
-from .incidence import (FlatFamily, count_incidences, haemers_check,
-                        kakeya_becks_census, poor_flat_census,
-                        contained_subflats)
+from .incidence import (contained_subflats, count_incidences, haemers_check,
+                        kakeya_becks_census, poor_flat_census)
 from .polymethod import (find_vanishing_poly, multiplicity,
                          NoSolutionCertificate, sz_mult_audit)
 
 DEFAULT_BUDGET = int(os.environ.get("FLAB_BUDGET", 10_000_000))
 
 
-def _frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _jsonable(v):
     if isinstance(v, Fraction):
-        return _frac_str(v)
+        return f"{v.numerator}/{v.denominator}"
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
@@ -100,17 +94,6 @@ def _write(args, text: str) -> None:
 # subcommands
 
 
-def _row_value(r) -> str | None:
-    """Exact row value when representable as a rational, else None."""
-    root = getattr(r, "root", 1)
-    if r.rhs_num < 0 or r.rhs_den < 0:
-        return None
-    num, den = iroot(r.rhs_num, root), iroot(r.rhs_den, root)
-    if num ** root != r.rhs_num or den ** root != r.rhs_den:
-        return None
-    return _frac_str(Fraction(num, den))
-
-
 def _cmd_bounds(args) -> int:
     F = field_build(args.p, args.e)
     inst = FurstenbergInstance(field=F, n=args.n, k=args.k, m=args.m)
@@ -121,7 +104,7 @@ def _cmd_bounds(args) -> int:
         "kind": r.kind,
         "rhs_numerator": r.rhs_num,
         "rhs_denominator": r.rhs_den,
-        "value": _row_value(r),
+        "value": r.value(),
         "exponent_note": r.exponent_note,
         "applicable": r.applicable,
     } for r in report.rows]

@@ -267,10 +267,6 @@ class QExponent:
             return 0
         return 1 if left > right else -1
 
-    def to_float(self) -> float:
-        import math
-        return float(self.alpha) + float(self.beta) * math.log(2, self.q)
-
 
 def _power_of_two_exponent(q: int) -> int | None:
     s = q.bit_length() - 1

@@ -87,12 +87,15 @@ def parse_pointset(text: str) -> PointSet:
     return PointSet.of(F, n, pts)
 
 
-def serialize_distribution(dist: RationalDistribution) -> str:
-    F = dist.field
-    lines = _header_lines(F, dist.n)
-    for p in sorted(dist.weights):
-        lines.append(f"{_point_str(F, p)} | {dist.weights[p]}")
+def _serialize_weighted(F, n: int, weights) -> str:
+    """A point-plus-weight file: point format plus a trailing integer."""
+    lines = _header_lines(F, n)
+    lines += [f"{_point_str(F, p)} | {weights[p]}" for p in sorted(weights)]
     return "\n".join(lines) + "\n"
+
+
+def serialize_distribution(dist: RationalDistribution) -> str:
+    return _serialize_weighted(dist.field, dist.n, dist.weights)
 
 
 def _parse_weighted(text: str):
@@ -173,12 +176,8 @@ def parse_flat_family(text: str):
 
 
 def serialize_targets(F, n: int, targets: dict) -> str:
-    """Multiplicity targets: point format plus trailing integer, like
-    distributions."""
-    lines = _header_lines(F, n)
-    for p in sorted(targets):
-        lines.append(f"{_point_str(F, p)} | {targets[p]}")
-    return "\n".join(lines) + "\n"
+    """Multiplicity targets, in the distribution format."""
+    return _serialize_weighted(F, n, targets)
 
 
 def parse_targets(text: str):

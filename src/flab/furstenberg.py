@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -33,7 +33,8 @@ class FurstenbergInstance:
         q = self.field.q
         if not 1 <= self.k < self.n:
             raise BadRange(f"need 1 <= k < n, got k={self.k}, n={self.n}")
-        if not 1 <= self.m <= q ** self.k:
+        # q^j >= 2^j > m for j = bit_length(m): no need for q^k past that
+        if not 1 <= self.m <= q ** min(self.k, self.m.bit_length()):
             raise BadRange(f"need 1 <= m <= q^k, got m={self.m}")
 
     @property
@@ -91,62 +92,42 @@ def is_furstenberg(S: PointSet, k: int, m: int,
 
 @dataclass(frozen=True)
 class BoundRow:
+    """One bound: t >= (or <=) (rhs_num/rhs_den)^(1/root) - sqrt(rad).
+
+    rhs_num and rhs_den are kept unreduced, as the bound table prints them.
+    Only lower rows carry a radicand.
+    """
+
     source: str
     kind: str                      # "lower" | "upper"
     rhs_num: int
     rhs_den: int
     exponent_note: str             # "" for plain rationals
     applicable: bool
-
-    def rhs_fraction(self) -> Fraction:
-        return Fraction(self.rhs_num, self.rhs_den)
+    root: int = 1
+    rad: Fraction = Fraction(0)
 
     def satisfied_by(self, t: int) -> bool:
         """Exact test of 't on the correct side of this row's value'.
 
-        Fractional-exponent rows compare t^k 2^{nk} >= m^n style cleared
-        forms; square-root rows use a conservative integer-sqrt bound.
+        sqrt(rad) is rounded up by sqrt_up, which only weakens a lower
+        bound: a False is a certain violation.
         """
-        raise NotImplementedError
+        lhs = (t + sqrt_up(self.rad)) ** self.root * self.rhs_den
+        return lhs >= self.rhs_num if self.kind == "lower" \
+            else lhs <= self.rhs_num
 
-
-@dataclass(frozen=True)
-class RationalRow(BoundRow):
-    def satisfied_by(self, t: int) -> bool:
-        if self.kind == "lower":
-            return t * self.rhs_den >= self.rhs_num
-        return t * self.rhs_den <= self.rhs_num
-
-
-@dataclass(frozen=True)
-class RootExponentRow(BoundRow):
-    """Lower bound of the shape t >= (rhs_num / rhs_den)^(1/root)."""
-
-    root: int = 1
-
-    def satisfied_by(self, t: int) -> bool:
-        return t ** self.root * self.rhs_den >= self.rhs_num
-
-
-@dataclass(frozen=True)
-class SqrtDeficitRow(BoundRow):
-    """Lower bound t >= base * (1 - a - sqrt(b)); conservative via ceil-sqrt.
-
-    rhs_num/rhs_den store base*(1-a); radicand fields carry base^2 * b so the
-    subtracted term is bounded above by ceil(isqrt(radicand_num/radicand_den)).
-    """
-
-    rad_num: int = 0
-    rad_den: int = 1
-
-    def satisfied_by(self, t: int) -> bool:
-        # t >= A - sqrt(B) with A = rhs_num/rhs_den, B = rad_num/rad_den.
-        # Using an upper bound on sqrt(B) only ever weakens the requirement,
-        # so a False here is a certain violation while a True may absorb
-        # up to one ulp of integer-sqrt slack.
-        sqrt_up = Fraction(math.isqrt(self.rad_num * self.rad_den) + 1,
-                           self.rad_den)
-        return t >= Fraction(self.rhs_num, self.rhs_den) - sqrt_up
+    def value(self) -> Fraction | None:
+        """The exact value, read off the row's own numbers: rhs_num >= 0,
+        rhs_num and rhs_den exact root-th powers and rad a rational square.
+        Otherwise None, as for every irrational value."""
+        num = iroot(max(self.rhs_num, 0), self.root)
+        den = iroot(self.rhs_den, self.root)
+        s = sqrt_up(self.rad)
+        if (num ** self.root, den ** self.root, s * s) \
+                != (self.rhs_num, self.rhs_den, self.rad):
+            return None
+        return Fraction(num, den) - s
 
 
 @dataclass(frozen=True)
@@ -157,20 +138,17 @@ class BoundReport:
     def lower_rows(self) -> list[BoundRow]:
         return [r for r in self.rows if r.kind == "lower" and r.applicable]
 
-    def upper_rows(self) -> list[BoundRow]:
-        return [r for r in self.rows if r.kind == "upper" and r.applicable]
-
     def best_integer_lower(self) -> int:
-        """Largest integer floor among applicable, numerically-known lowers."""
+        """Largest least integer t meeting an applicable lower row without
+        a radicand."""
         best = 1
         for r in self.lower_rows():
-            if isinstance(r, RationalRow):
-                best = max(best, -(-r.rhs_num // r.rhs_den))
-            elif isinstance(r, RootExponentRow):
-                # smallest t with t^root >= ceil(num / den)
-                c = -(-r.rhs_num // r.rhs_den)
-                t = iroot(c, r.root)
-                best = max(best, t if t ** r.root >= c else t + 1)
+            if r.rad:
+                continue
+            # smallest t with t^root >= ceil(num / den)
+            c = -(-r.rhs_num // r.rhs_den)
+            t = iroot(max(c, 0), r.root)
+            best = max(best, t if t ** r.root >= c else t + 1)
         return best
 
 
@@ -188,15 +166,42 @@ def iroot(x: int, k: int) -> int:
         r = s
 
 
+def sqrt_up(x: Fraction) -> Fraction:
+    """ceil(sqrt(a b))/b for x = a/b: exact on rational squares, otherwise
+    just above sqrt(x), so subtracting it keeps a lower bound valid."""
+    x = Fraction(x)
+    if x < 0:
+        raise BadRange(f"no real square root of {x}")
+    a, b = x.numerator, x.denominator
+    s = math.isqrt(a * b)
+    return Fraction(s if s * s == a * b else s + 1, b)
+
+
+DIGIT_CAP = 4300   # Python's default limit on int-to-str conversion
+
+
 def bound_table(instance: FurstenbergInstance,
-                epsilon: Fraction | None = None) -> BoundReport:
+                epsilon: Fraction | None = None,
+                printable: bool = True) -> BoundReport:
+    """Every bound formula at the instance, in exact rationals.
+
+    When printable, raises BadRange if a row holds a number of more than
+    DIGIT_CAP digits, so every table it returns prints.  The full-flat
+    lower row's numerator q^{(k+1)n} (q^k + q - 1 is prime to q) is
+    checked by bit length before any power is taken, every row once it
+    is built.
+    """
     q, n, k, m = instance.q, instance.n, instance.k, instance.m
     if epsilon is not None and not 0 < epsilon < 1:
         raise BadEpsilon(f"epsilon {epsilon} outside (0,1)")
+    # q^j >= 2^(j (bits(q) - 1)), and 2^14285 > 10^4300
+    if printable and (k + 1) * n * (q.bit_length() - 1) >= 14285:
+        raise BadRange(f"q^((k+1)n) = {q}^{(k + 1) * n} has more than "
+                       f"{DIGIT_CAP} digits")
     rows: list[BoundRow] = []
 
     # main lower bound for general k: K >= 2^{-n} m^{n/k}
-    rows.append(RootExponentRow(
+    rows.append(BoundRow(
         source="thm_general_recursive", kind="lower",
         rhs_num=m ** n, rhs_den=2 ** (n * k),
         exponent_note=f"(num/den)^(1/{k})", applicable=True, root=k))
@@ -206,7 +211,7 @@ def bound_table(instance: FurstenbergInstance,
         thresh = Fraction(2 ** (n + 7 - k) * q, 1) / epsilon ** 2
         appl = k >= 2 and Fraction(m) >= thresh
         val = (1 - epsilon) * m * q ** (n - k)
-        rows.append(RationalRow(
+        rows.append(BoundRow(
             source="thm_large_m", kind="lower",
             rhs_num=val.numerator, rhs_den=val.denominator,
             exponent_note="", applicable=appl))
@@ -217,52 +222,59 @@ def bound_table(instance: FurstenbergInstance,
     one_minus = Fraction(1) - Fraction(q ** n, q ** (2 * k))
     A = one_minus * base
     B = Fraction(q ** (n - k), m) * base * base
-    rows.append(SqrtDeficitRow(
+    rows.append(BoundRow(
         source="thm_pure_incidence", kind="lower",
         rhs_num=A.numerator, rhs_den=A.denominator,
-        exponent_note="minus sqrt(radicand)", applicable=appl13,
-        rad_num=B.numerator, rad_den=B.denominator))
+        exponent_note="minus sqrt(radicand)", applicable=appl13, rad=B))
 
     # divisible case: K >= 2^{-n/k} m^{n/k}
-    rows.append(RootExponentRow(
+    rows.append(BoundRow(
         source="thm_divisible", kind="lower",
         rhs_num=m ** n, rhs_den=2 ** n,
         exponent_note=f"(num/den)^(1/{k})", applicable=n % k == 0, root=k))
 
     # Kakeya base case: K(q,n,1,q) >= 2^{-n} q^n
-    rows.append(RationalRow(
+    rows.append(BoundRow(
         source="kakeya_poly_method", kind="lower",
         rhs_num=q ** n, rhs_den=2 ** n,
         exponent_note="", applicable=(k == 1 and m == q)))
 
     # full-flat lower bound: K(q,n,k,q^k) >= (q^{k+1}/(q^k+q-1))^n
     v = Fraction(q ** (k + 1), q ** k + q - 1) ** n
-    rows.append(RationalRow(
+    rows.append(BoundRow(
         source="full_flat_lower", kind="lower",
         rhs_num=v.numerator, rhs_den=v.denominator,
         exponent_note="", applicable=(m == q ** k)))
 
     # full-flat construction: K(q,n,k,q^k) <= (1-(q-3)/(2q^k))^{floor(n/(k+1))} q^n
     u = (Fraction(1) - Fraction(q - 3, 2 * q ** k)) ** (n // (k + 1)) * q ** n
-    rows.append(RationalRow(
+    rows.append(BoundRow(
         source="full_flat_construction", kind="upper",
         rhs_num=u.numerator, rhs_den=u.denominator,
         exponent_note="", applicable=(m == q ** k)))
 
     # algebraic-geometry bound: constant never made explicit, so the row is
     # present for completeness but never applicable numerically
-    rows.append(RootExponentRow(
+    rows.append(BoundRow(
         source="algebraic_geometry_method", kind="lower",
         rhs_num=m ** n, rhs_den=1,
         exponent_note=f"C (unspecified) * (num)^(1/{k})", applicable=False,
         root=k))
 
     # trivial pigeonhole construction: K <= m q^{n-k}
-    rows.append(RationalRow(
+    rows.append(BoundRow(
         source="trivial_pigeonhole", kind="upper",
         rhs_num=m * q ** (n - k), rhs_den=1,
         exponent_note="", applicable=True))
 
+    if printable:
+        limit = 10 ** DIGIT_CAP
+        for r in rows:
+            v = r.value() or Fraction(0)
+            if max(abs(r.rhs_num), r.rhs_den, abs(v.numerator),
+                   v.denominator) >= limit:
+                raise BadRange(f"{r.source} has a number of more than "
+                               f"{DIGIT_CAP} digits")
     return BoundReport(instance=instance, rows=tuple(rows))
 
 
@@ -293,8 +305,8 @@ def search_extremal(instance: FurstenbergInstance,
     """
     F, n, k, m = instance.field, instance.n, instance.k, instance.m
     q = F.q
-    report = bound_table(instance)
-    lower = report.best_integer_lower()
+    # search prints no row, so its table need not print
+    lower = bound_table(instance, printable=False).best_integer_lower()
     upper = m * q ** (n - k)
     if q ** n > EXACT_SEARCH_LIMIT:
         construction = trivial_construction(instance, budget=budget)

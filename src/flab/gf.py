@@ -9,7 +9,7 @@ are immutable after construction and safe to share.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import CompositeP, DivisionByZero, FieldTooLarge, IncompatibleFields
 
@@ -412,22 +412,3 @@ def base_vector_iso_inv(spec_big: ExtensionField, w: Sequence[int],
     return tuple(spec_big.undigits(w[i * k:(i + 1) * k])
                  for i in range(len(w) // k))
 
-
-def serialize_field(spec) -> str:
-    lines = [f"{spec.p} {spec.e}"]
-    if spec.e > 1:
-        if not isinstance(spec, ExtensionField) or spec.base.e != 1:
-            raise IncompatibleFields("only prime-base fields serialize")
-        lines.append(" ".join(str(c) for c in spec.modulus))
-    return "\n".join(lines) + "\n"
-
-
-def parse_field(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    p, e = (int(t) for t in lines[0].split())
-    spec = field_build(p, e)
-    if e > 1:
-        given = tuple(int(t) for t in lines[1].split())
-        if given != spec.modulus:
-            raise IncompatibleFields("modulus does not match the canonical one")
-    return spec

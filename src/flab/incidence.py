@@ -1,13 +1,13 @@
 """Point-flat incidence counting and the incidence-lemma census checks.
 
-All inequalities with square roots are decided with integer square roots on
-cleared radicands, so an "ok" verdict is conservative: it can only confirm
-the lemma, never falsely accuse it.
+Every square root on the bound side of an inequality is rounded up by
+furstenberg.sqrt_up (ceil(sqrt(ab))/b for a/b, exact on rational squares),
+so an "ok" verdict is conservative: it can only confirm the lemma, never
+falsely accuse it.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import (BadDelta, BadRange, BudgetExceeded, DimensionMismatch,
                      NotADirectionFamily)
-from .furstenberg import FurstenbergInstance, search_extremal
+from .furstenberg import FurstenbergInstance, search_extremal, sqrt_up
 from .geometry import (DEFAULT_BUDGET, Flat, PointSet, Subspace,
                        coset_histogram, enumerate_subspaces, flat_points,
                        q_flat_count, qbinomial)
@@ -67,18 +67,12 @@ def _flat_directions(F, n: int, l: int, budget: int) -> Iterator[Subspace]:
     return enumerate_subspaces(F, n, l, budget=budget)
 
 
-def _ceil_isqrt(x: int) -> int:
-    s = math.isqrt(x)
-    return s if s * s == x else s + 1
-
-
 @dataclass(frozen=True)
 class IncidenceReport:
     incidences: int
-    lhs: Fraction
     rhs: Fraction
-    radicand: int
     ok: bool
+    radicand: int = 0           # the Haemers square-root term's radicand
     extra: Mapping[str, object] | None = None
 
 
@@ -89,9 +83,9 @@ def haemers_check(S: PointSet, L: FlatFamily) -> IncidenceReport:
     I = count_incidences(S, L)
     term1 = Fraction(len(S) * len(L), q ** (n - k))
     radicand = q ** k * qbinomial(n - 1, k, q) * len(S) * len(L)
-    rhs = term1 + _ceil_isqrt(radicand)
-    return IncidenceReport(incidences=I, lhs=Fraction(I), rhs=rhs,
-                           radicand=radicand, ok=Fraction(I) <= rhs)
+    rhs = term1 + sqrt_up(radicand)
+    return IncidenceReport(incidences=I, rhs=rhs, ok=I <= rhs,
+                           radicand=radicand)
 
 
 def poor_flat_census(S: PointSet, l: int, delta: Fraction,
@@ -119,8 +113,7 @@ def poor_flat_census(S: PointSet, l: int, delta: Fraction,
             + sum(1 for c in hist.values() if c < threshold)
     bound = Fraction(q ** (k - l) * qbinomial(k, l, q), 1) \
         / (1 + m * Fraction(q ** l, q ** k) * (1 - delta) ** 2)
-    return IncidenceReport(incidences=poor, lhs=Fraction(poor), rhs=bound,
-                           radicand=0, ok=Fraction(poor) <= bound,
+    return IncidenceReport(incidences=poor, rhs=bound, ok=poor <= bound,
                            extra={"threshold": threshold, "m": m})
 
 
@@ -155,16 +148,11 @@ def contained_subflats(Ffam: FlatFamily, l: int,
                   for p in points[f]]
         count += len(coset_histogram(F, inside, E))
     sub = FurstenbergInstance(field=F, n=n - l, k=k - l, m=q ** (k - l))
-    if q ** (n - l) <= 16:
-        kfac = search_extremal(sub, budget=budget).exact
-    else:
-        res = search_extremal(sub, budget=budget)
-        kfac = res.lower
+    res = search_extremal(sub, budget=budget)
+    kfac = res.exact if res.exact is not None else res.lower
     bound = kfac * qbinomial(n, l, q)
-    return IncidenceReport(incidences=count, lhs=Fraction(count),
-                           rhs=Fraction(bound), radicand=0,
-                           ok=count >= bound,
-                           extra={"k_factor": kfac})
+    return IncidenceReport(incidences=count, rhs=Fraction(bound),
+                           ok=count >= bound, extra={"k_factor": kfac})
 
 
 def kakeya_becks_census(S: PointSet, k: int, delta: Fraction,
@@ -192,9 +180,7 @@ def kakeya_becks_census(S: PointSet, k: int, delta: Fraction,
                      2 ** (n + 2 - k))
     hypothesis_met = Fraction(m) >= Fraction(2 ** (n + 3 - k) * q) \
         / (1 - delta) ** 2
-    return IncidenceReport(incidences=census, lhs=Fraction(census),
-                           rhs=bound, radicand=0,
-                           ok=Fraction(census) > bound,
+    return IncidenceReport(incidences=census, rhs=bound, ok=census > bound,
                            extra={"m": m, "hypothesis_met": hypothesis_met,
                                   "threshold": threshold})
 
@@ -203,19 +189,18 @@ def kakeya_becks_census(S: PointSet, k: int, delta: Fraction,
 class HeavyFlatsBound:
     rational_part: Fraction     # delta kappa/(kappa+1) q^n
     radicand: Fraction          # delta (1-delta) / kappa
-    lower_value: Fraction       # rational_part - (ceil-sqrt of radicand) q^n
-    approx: float
+    lower_value: Fraction       # rational_part - sqrt_up(radicand) q^n
 
 
 def heavy_flats_lower_bound(delta: Fraction, gamma: Fraction, l: int,
                             n: int, q: int) -> HeavyFlatsBound:
     """RHS of the covering bound for flats that each hold delta q^l points.
 
-    lower_value uses an upper estimate of the square root, so it is a valid
-    lower bound for the exact expression (one-ulp-of-integer-sqrt slack).
+    lower_value rounds the square root up with sqrt_up, so it is a valid
+    lower bound for the exact expression, and equal to it when the radicand
+    is a rational square.
     """
-    delta = Fraction(delta)
-    gamma = Fraction(gamma)
+    delta, gamma = Fraction(delta), Fraction(gamma)
     if delta <= 0 or gamma <= 0:
         raise BadRange("delta and gamma must be positive")
     kappa = gamma * q ** l
@@ -223,13 +208,9 @@ def heavy_flats_lower_bound(delta: Fraction, gamma: Fraction, l: int,
     radicand = delta * (1 - delta) / kappa
     if radicand < 0:
         raise BadRange("delta > 1 makes the radicand negative")
-    # sqrt(a/b) <= (isqrt(a b)+1)/b
-    a, b = radicand.numerator, radicand.denominator
-    sqrt_up = Fraction(math.isqrt(a * b) + 1, b) if a else Fraction(0)
-    lower_value = rational_part - sqrt_up * q ** n
-    approx = float(rational_part) - math.sqrt(float(radicand)) * q ** n
+    lower_value = rational_part - sqrt_up(radicand) * q ** n
     return HeavyFlatsBound(rational_part=rational_part, radicand=radicand,
-                           lower_value=lower_value, approx=approx)
+                           lower_value=lower_value)
 
 
 def pure_incidence_bound(q: int, n: int, k: int, m: int) -> HeavyFlatsBound:

@@ -7,9 +7,6 @@ entropic and incidence checks.  Prints one line per group.
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
-
 from .entropy import RationalDistribution, check_entropic_bound
 from .furstenberg import FurstenbergInstance, is_furstenberg, search_extremal
 from .geometry import (PointSet, all_points, enumerate_flats,

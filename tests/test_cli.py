@@ -172,6 +172,29 @@ def test_bounds_huge_instance_is_exact(capsys):
     assert "source=thm_general_recursive" in out
 
 
+def test_bounds_pure_incidence_value_subtracts_the_root(capsys):
+    def value(argv):
+        code, out, err = run(capsys, ["bounds", "--format", "json"] + argv)
+        assert code == 0, err
+        return next(r["value"] for r in json.loads(out)["rows"]
+                    if r["source"] == "thm_pure_incidence")
+    # 48 - sqrt(1024) = 16; 3 - sqrt(24) is irrational
+    assert value(["--p", "2", "--e", "2", "--n", "3", "--k", "2",
+                  "--m", "16"]) == "16/1"
+    assert value(["--p", "2", "--n", "3", "--k", "2", "--m", "3"]) is None
+
+
+@pytest.mark.parametrize("n,k", [(5000, 2), (10 ** 9, 2),
+                                 (10 ** 9, 10 ** 9 - 1), (4700, 2)],
+                         ids=["n-5000", "n-1e9", "k-1e9", "n-4700"])
+def test_bounds_past_the_digit_cap_exit_2(capsys, n, k):
+    # a row number of more than 4300 digits cannot be printed
+    code, out, err = run(capsys, ["bounds", "--p", "3", "--n", str(n),
+                                  "--k", str(k), "--m", "5"])
+    assert code == 2 and out == ""
+    assert "4300 digits" in err
+
+
 def test_search_trivial_construction_respects_budget(capsys):
     # q^n = 32 is past the exact limit, so search returns the 32-point
     # trivial construction, which a budget of 10 does not cover

@@ -16,13 +16,16 @@ def test_pointset_round_trip_prime(F3):
     assert formats.parse_pointset(text) == S
 
 
-def test_pointset_round_trip_extension():
-    F4 = field_build(2, 2)
-    S = PointSet.of(F4, 2, [(0, 1), (2, 3)])
+@pytest.mark.parametrize("p,e,modulus", [(2, 2, "1 1 1"), (3, 2, "1 0 1"),
+                                          (2, 4, "1 0 0 1 1")],
+                         ids=["F4", "F9", "F16"])
+def test_pointset_round_trip_extension(p, e, modulus):
+    F = field_build(p, e)
+    S = PointSet.of(F, 2, [(0, 1), (2, 3), (F.q - 1, 1)])
     text = formats.serialize_pointset(S)
     lines = text.splitlines()
-    assert lines[0] == "2 2 2"
-    assert lines[1] == "1 1 1"             # canonical modulus as digits
+    assert lines[0] == f"{p} {e} 2"
+    assert lines[1] == modulus             # canonical modulus as digits
     assert formats.parse_pointset(text) == S
 
 

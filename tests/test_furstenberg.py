@@ -2,14 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flab.errors import (BadEpsilon, BadRange, BadSize, BudgetExceeded,
                          IncompatibleFields)
-from flab.furstenberg import (FurstenbergInstance, RationalRow,
-                              RootExponentRow, SqrtDeficitRow, bound_table,
+from flab.furstenberg import (BoundRow, FurstenbergInstance, bound_table,
                               coverage_over_directions, iroot, is_furstenberg,
                               lift_construction, lifted_direction_subspaces,
-                              search_extremal, trivial_construction)
+                              search_extremal, sqrt_up, trivial_construction)
 from flab.geometry import PointSet, Subspace, all_points
 from flab.gf import ExtensionField, field_build
 
@@ -290,7 +290,7 @@ def test_pure_incidence_row_gating(F2):
     report = bound_table(inst(F4, 3, 2, 16))   # 2k > n and q^{n-k} = 4 < 16
     row = next(r for r in report.rows if r.source == "thm_pure_incidence")
     assert row.applicable
-    assert isinstance(row, SqrtDeficitRow)
+    assert row.rad == 1024                  # q^{n-k}/m base^2 = 4/16 * 64^2
     # base(1 - q^{n-2k}) = 64 * (1 - 1/4) = 48
     assert Fraction(row.rhs_num, row.rhs_den) == 48
     report2 = bound_table(inst(F2, 3, 1, 2))
@@ -301,12 +301,77 @@ def test_pure_incidence_row_gating(F2):
 def test_sqrt_deficit_row_is_conservative():
     # t >= 10 - sqrt(2); the ceil-sqrt slack admits t = 8 but a False
     # verdict is always a genuine violation
-    row = SqrtDeficitRow(source="x", kind="lower", rhs_num=10, rhs_den=1,
-                         exponent_note="", applicable=True,
-                         rad_num=2, rad_den=1)
+    row = BoundRow(source="x", kind="lower", rhs_num=10, rhs_den=1,
+                   exponent_note="", applicable=True, rad=Fraction(2))
     assert row.satisfied_by(9)
     assert row.satisfied_by(8)          # one ulp of isqrt slack
     assert not row.satisfied_by(7)      # 7 < 10 - sqrt(2) for certain
+
+
+def test_pure_incidence_row_value_subtracts_the_root():
+    F4 = field_build(2, 2)
+    report = bound_table(inst(F4, 3, 2, 16))
+    row = next(r for r in report.rows if r.source == "thm_pure_incidence")
+    assert row.value() == 48 - 32           # sqrt(1024) = 32
+    assert row.satisfied_by(16) and not row.satisfied_by(15)
+    # radicand rows stay out: 39 = ceil((64/19)^3) from full_flat_lower
+    assert report.best_integer_lower() == 39
+    F2 = field_build(2, 1)
+    row = next(r for r in bound_table(inst(F2, 3, 2, 3)).rows
+               if r.source == "thm_pure_incidence")
+    assert row.rad == 24 and row.value() is None       # sqrt(24) irrational
+
+
+def test_row_value_is_exact_or_none():
+    def row(num, den, root=1, rad=Fraction(0), kind="lower"):
+        return BoundRow(source="x", kind=kind, rhs_num=num, rhs_den=den,
+                        exponent_note="", applicable=True, root=root, rad=rad)
+    assert row(64, 8).value() == 8
+    assert row(625 ** 2, 16 ** 2, root=2).value() == Fraction(625, 16)
+    assert row(2, 1, root=2).value() is None
+    assert row(-8, 1, root=3).value() is None
+    assert row(10, 1, rad=Fraction(9, 4)).value() == Fraction(17, 2)
+    assert row(10, 1, rad=Fraction(2)).value() is None
+    upper = row(5, 1, kind="upper")
+    assert upper.satisfied_by(5) and not upper.satisfied_by(6)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 30),
+       st.integers(min_value=1, max_value=10 ** 12))
+@settings(max_examples=300)
+def test_sqrt_up_is_the_least_ceiling_over_the_denominator(num, den):
+    x = Fraction(num, den)
+    a, b = x.numerator, x.denominator
+    c = sqrt_up(x) * b
+    assert c.denominator == 1
+    c = int(c)
+    assert c * c >= a * b and (c == 0 or (c - 1) ** 2 < a * b)
+
+
+def test_sqrt_up_small_cases():
+    assert [sqrt_up(Fraction(x)) for x in range(10)] \
+        == [0, 1, 2, 2, 2, 3, 3, 3, 3, 3]
+    assert sqrt_up(Fraction(9, 4)) == Fraction(3, 2)
+    assert sqrt_up(Fraction(1, 2)) == 1     # ceil(sqrt(2))/2
+    with pytest.raises(BadRange):
+        sqrt_up(Fraction(-1, 4))
+
+
+def test_bound_table_rejects_unprintable_rows():
+    F2, F3 = field_build(2, 1), field_build(3, 1)
+    # the full-flat numerator 2^(2n) has 4300 digits at n = 7142, 4301 at
+    # n = 7143 (the bit-length check), and 3^14100 is caught after building
+    assert len(bound_table(inst(F2, 7142, 1, 1)).rows) == 8
+    for F, n, k in ((F2, 7143, 1), (F3, 4700, 2), (F3, 10 ** 9, 2),
+                    (F3, 10 ** 9, 10 ** 9 - 1)):
+        with pytest.raises(BadRange):
+            bound_table(inst(F, n, k, 5))
+    with pytest.raises(BadRange):   # the large-m row's denominator 10^4300
+        bound_table(inst(F3, 3, 2, 5), epsilon=Fraction(1, 10 ** 4300))
+    # search prints no row: a two-point trivial construction still runs
+    assert len(bound_table(inst(F2, 200, 199, 1), printable=False).rows) == 8
+    res = search_extremal(inst(F2, 200, 199, 1))
+    assert (res.lower, res.upper) == (1, 2)
 
 
 # -- lifting ----------------------------------------------------------------

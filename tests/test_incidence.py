@@ -66,6 +66,8 @@ def test_haemers_full_plane_tight_first_term(F2):
     assert r.incidences == 12
     # first term |S||L| q^{k-n} = 4*6/2 = 12 is already met exactly
     assert r.ok and r.rhs >= 12
+    # radicand q^k binom(1,1)_q |S||L| = 48, rounded up to sqrt(49) = 7
+    assert r.radicand == 48 and r.rhs == 12 + 7
 
 
 def test_haemers_exhaustive_f2_plane(F2):
@@ -133,7 +135,7 @@ def test_poor_flat_census_exhaustive_f2_plane(F2):
                 mu = Fraction(len(spts), 2)
                 assert rep.incidences == sum(
                     1 for c in counts if c < delta * mu + 1)
-                assert rep.ok == (rep.lhs <= rep.rhs)
+                assert rep.ok == (rep.incidences <= rep.rhs)
                 unshifted = sum(1 for c in counts if c < delta * mu)
                 assert unshifted <= rep.rhs
 
@@ -236,9 +238,11 @@ def test_heavy_flats_delta_one_exact(F3):
     assert b.lower_value == b.rational_part == Fraction(3, 4) * 9
 
 
-def test_heavy_flats_lower_value_below_float(F3):
+def test_heavy_flats_lower_value_is_conservative(F3):
+    # the subtracted root is at least sqrt(radicand) q^n, so lower_value is
+    # at most the exact bound
     b = heavy_flats_lower_bound(Fraction(1, 2), Fraction(1, 3), 1, 3, 3)
-    assert float(b.lower_value) <= b.approx + 1e-9
+    assert ((b.rational_part - b.lower_value) / 3 ** 3) ** 2 >= b.radicand
 
 
 def test_heavy_flats_validation():
