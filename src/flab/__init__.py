@@ -6,12 +6,11 @@ incidence estimates, all in exact integer/rational arithmetic.
 """
 
 from .errors import FlabError
-from .gf import field_build, base_vector_iso, base_vector_iso_inv, ExtensionField, PrimeField
+from .gf import field_build, base_vector_iso, ExtensionField, PrimeField
 from .geometry import (Flat, PointSet, Subspace, enumerate_flats,
                        enumerate_subspaces, flat_points, qbinomial, rref, span)
 from .polymethod import (Polynomial, find_vanishing_poly, hasse_derivative,
-                         homogeneous_part, multiplicity, restrict_to_line,
-                         sz_mult_audit)
+                         multiplicity, sz_mult_audit)
 from .entropy import (RationalDistribution, ab_constants, best_projection,
                       check_entropic_bound, check_recursion, min_entropy,
                       norm_bound_check, pushforward)

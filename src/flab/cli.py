@@ -8,6 +8,8 @@ Exit codes: 0 success, 2 validation error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -48,10 +50,11 @@ def emit_report(report: dict, fmt: str, rows_key: str | None = None) -> str:
         if not isinstance(rows, list):
             raise UnsupportedFormat("this report has no tabular form")
         cols = list(rows[0].keys()) if rows else []
-        out = [",".join(cols)]
-        for r in rows:
-            out.append(",".join(str(_jsonable(r[c])) for c in cols))
-        return "\n".join(out) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([str(_jsonable(r[c])) for c in cols] for r in rows)
+        return buf.getvalue()
     if fmt == "text":
         out = []
         for k, v in report.items():

@@ -246,26 +246,16 @@ class QExponent:
         return QExponent.make(self.q, self.alpha * factor, self.beta * factor)
 
     def sign(self) -> int:
-        """Exact sign of alpha + beta log_q(2)."""
+        """Exact sign of alpha + beta log_q(2), that is of log_q(q^x 2^y)
+        for x = alpha L and y = beta L over the common denominator L."""
         a, b = self.alpha, self.beta
-        if a >= 0 and b >= 0:
-            return 0 if a == 0 and b == 0 else 1
-        if a <= 0 and b <= 0:
-            return -1
-        # mixed signs: compare q^{-a} with 2^{b} by clearing denominators
+        if a * b >= 0:
+            return (a + b > 0) - (a + b < 0)
         L = a.denominator * b.denominator
-        left = self.q ** int(-a * L) if a < 0 else 1
-        right = 2 ** int(b * L) if b > 0 else 1
-        if a < 0 and b > 0:  # -a > 0, b > 0: sign of b log 2 - (-a) log q
-            if right == left:
-                return 0
-            return 1 if right > left else -1
-        # a > 0, b < 0: positive iff q^{aL} > 2^{-bL}
-        left = self.q ** int(a * L)
-        right = 2 ** int(-b * L)
-        if left == right:
-            return 0
-        return 1 if left > right else -1
+        x, y = int(a * L), int(b * L)
+        up = self.q ** max(x, 0) * 2 ** max(y, 0)
+        down = self.q ** max(-x, 0) * 2 ** max(-y, 0)
+        return (up > down) - (up < down)
 
 
 def _power_of_two_exponent(q: int) -> int | None:

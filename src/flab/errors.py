@@ -37,10 +37,6 @@ class DimensionMismatch(FlabError):
     pass
 
 
-class ZeroDirection(FlabError):
-    pass
-
-
 class ZeroPolynomial(FlabError):
     pass
 

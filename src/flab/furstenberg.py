@@ -12,14 +12,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (BadEpsilon, BadRange, BadSize, BudgetExceeded,
                      IncompatibleFields)
 from .gf import ExtensionField, base_vector_iso
-from .geometry import (DEFAULT_BUDGET, Flat, Point, PointSet, Subspace,
-                       all_points, coset_histogram, enumerate_subspaces,
-                       qbinomial)
+from .geometry import (DEFAULT_BUDGET, Flat, PointSet, Subspace, all_points,
+                       check_flat_budget, coset_histogram,
+                       enumerate_subspaces)
 
 
 @dataclass(frozen=True)
@@ -69,19 +69,13 @@ def coverage_over_directions(S: PointSet, directions: Iterable[Subspace],
     return True, WitnessFamily(assignment=assignment, coverage=coverage)
 
 
-def _charge_verification(F, n: int, k: int, budget: int) -> None:
-    work = qbinomial(n, k, F.q) * F.q ** (n - k)
-    if work > budget:
-        raise BudgetExceeded(f"verification work {work} exceeds {budget}")
-
-
 def is_furstenberg(S: PointSet, k: int, m: int,
                    budget: int = DEFAULT_BUDGET):
     """Verify the Furstenberg property over every rank-k direction, in
     enumeration order; returns as coverage_over_directions."""
     if m < 1:
         raise BadRange(f"need m >= 1, got m={m}")
-    _charge_verification(S.field, S.n, k, budget)
+    check_flat_budget(S.field.q, S.n, k, budget)
     return coverage_over_directions(
         S, enumerate_subspaces(S.field, S.n, k, budget=budget), m)
 
@@ -316,7 +310,7 @@ def search_extremal(instance: FurstenbergInstance,
         # any single point meets a translate of every subspace
         S = PointSet.of(F, n, [(0,) * n])
         return SearchResult(exact=1, lower=lower, upper=1, witness=S)
-    _charge_verification(F, n, k, budget)
+    check_flat_budget(q, n, k, budget)
     pts = all_points(F, n)
     bits = [1 << i for i in range(len(pts))]
     tables = [tuple(coset_histogram(F, zip(pts, bits), d).values())
@@ -351,16 +345,12 @@ def trivial_construction(instance: FurstenbergInstance,
 # Field-extension lifting
 
 
-def lift_points(big: ExtensionField, S_big: Iterable[Sequence[int]]) -> list[Point]:
-    """Flatten each point of F_{q^k}^r to F_q^{rk} coordinate-wise."""
-    return [base_vector_iso(big, v) for v in S_big]
-
-
 def lift_construction(big: ExtensionField, S_big: PointSet) -> PointSet:
+    """Flatten each point of F_{q^k}^r to F_q^{rk} coordinate-wise."""
     if S_big.field != big:
         raise IncompatibleFields("point set is not over the given big field")
     return PointSet.of(big.base, S_big.n * big.degree,
-                       lift_points(big, S_big.points))
+                       (base_vector_iso(big, v) for v in S_big.points))
 
 
 def lifted_direction_subspaces(big: ExtensionField, r: int) -> list[Subspace]:

@@ -65,10 +65,6 @@ def rref(F, rows: Iterable[Sequence[int]]) -> tuple[tuple[Point, ...], int]:
     return tuple(tuple(r) for r in mat[:rank]), rank
 
 
-def pivot_columns(basis: Sequence[Point]) -> tuple[int, ...]:
-    return tuple(next(j for j, x in enumerate(row) if x != 0) for row in basis)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Rank-k subspace of F_q^n with an RREF basis (canonical)."""
@@ -83,7 +79,8 @@ class Subspace:
         return cls(n=n, k=r, basis=b)
 
     def pivots(self) -> tuple[int, ...]:
-        return pivot_columns(self.basis)
+        return tuple(next(j for j, x in enumerate(row) if x)
+                     for row in self.basis)
 
     def contains(self, F, v: Sequence[int]) -> bool:
         return all(x == 0 for x in reduce_mod_subspace(F, v, self))
@@ -141,24 +138,6 @@ class Flat:
         return self.direction.contains(F, diff)
 
 
-def subspace_intersection(F, a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via kernel of the stacked dual description.
-
-    Computed as the null space of the matrix whose rows span the duals;
-    equivalently: solve for coefficient vectors (x, y) with x·A = y·B.
-    """
-    n = a.n
-    if b.n != n:
-        raise DimensionMismatch("ambient dimensions differ")
-    # Zassenhaus-style: row reduce [A|A; B|0]; rows with zero left block give
-    # the intersection in the right block.
-    rows = [list(r) + list(r) for r in a.basis]
-    rows += [list(r) + [0] * n for r in b.basis]
-    red, _ = rref(F, rows)
-    inter = [r[n:] for r in red if all(x == 0 for x in r[:n])]
-    return Subspace.from_vectors(F, n, inter)
-
-
 def enumerate_subspaces(F, n: int, k: int,
                         budget: int = DEFAULT_BUDGET) -> Iterator[Subspace]:
     """All rank-k subspaces, one per RREF basis, deterministic order.
@@ -185,33 +164,30 @@ def enumerate_subspaces(F, n: int, k: int,
             yield Subspace(n=n, k=k, basis=tuple(tuple(r) for r in rows))
 
 
-def enumerate_cosets(F, sub: Subspace,
-                     budget: int = DEFAULT_BUDGET) -> Iterator[Point]:
-    """Canonical shifts of all cosets of sub (zeros in pivot columns)."""
-    n = sub.n
-    pivots = set(sub.pivots())
-    freecols = [j for j in range(n) if j not in pivots]
-    if F.q ** len(freecols) > budget:
-        raise BudgetExceeded("coset enumeration exceeds budget")
-    for vals in itertools.product(F.elements(), repeat=len(freecols)):
-        shift = [0] * n
-        for j, v in zip(freecols, vals):
-            shift[j] = v
-        yield tuple(shift)
-
-
 def enumerate_flats(F, n: int, k: int,
                     budget: int = DEFAULT_BUDGET) -> Iterator[Flat]:
-    total = q_flat_count(F.q, n, k)
-    if total > budget:
-        raise BudgetExceeded(f"{total} flats exceed budget {budget}")
+    """All k-flats: per subspace, its canonical shifts (zeros in the pivot
+    columns) in lexicographic order of the free coordinates."""
+    check_flat_budget(F.q, n, k, budget)
     for sub in enumerate_subspaces(F, n, k, budget=budget):
-        for shift in enumerate_cosets(F, sub, budget=budget):
-            yield Flat(sub, shift)
+        pivots = sub.pivots()
+        freecols = [j for j in range(n) if j not in pivots]
+        for vals in itertools.product(F.elements(), repeat=len(freecols)):
+            shift = [0] * n
+            for j, v in zip(freecols, vals):
+                shift[j] = v
+            yield Flat(sub, tuple(shift))
 
 
 def q_flat_count(q: int, n: int, k: int) -> int:
-    return q ** (n - k) * qbinomial(n, k, q)
+    return qbinomial(n, k, q) * q ** (n - k)   # raises on k before powering
+
+
+def check_flat_budget(q: int, n: int, k: int, budget: int) -> None:
+    """Charge a scan over every k-flat of F_q^n: q^(n-k)·binom(n,k)_q."""
+    total = q_flat_count(q, n, k)
+    if total > budget:
+        raise BudgetExceeded(f"{total} flats exceed budget {budget}")
 
 
 def span(F, points: Iterable[Sequence[int]]) -> Flat:

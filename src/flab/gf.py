@@ -124,8 +124,8 @@ class ExtensionField:
     """A degree-``degree`` extension of ``base``, as base[x]/(modulus).
 
     Elements are ints encoding base-``base.q`` digit vectors (low digit =
-    constant coefficient).  When ``base`` is a prime field this matches the
-    FieldSpec contract exactly; towers over non-prime bases carry the same
+    constant coefficient).  When ``base`` is a prime field this is the
+    module's encoding exactly; towers over non-prime bases carry the same
     interface and are used for the field-extension lifting argument.
 
     Arithmetic runs on log/antilog tables over a primitive element g, built
@@ -362,7 +362,7 @@ def _smallest_irreducible(base, degree: int) -> tuple[int, ...]:
 
 
 def field_build(p: int, e: int):
-    """Deterministic field constructor per the FieldSpec contract."""
+    """Deterministic F_p, or F_p[x] modulo the least monic irreducible."""
     if e < 1:
         raise FieldTooLarge(f"extension degree {e} < 1")
     # size checks first: trial division of a huge p, or p ** e for a huge
@@ -376,9 +376,6 @@ def field_build(p: int, e: int):
     if e == 1:
         return PrimeField(p)
     return ExtensionField(PrimeField(p), e)
-
-
-FieldSpec = PrimeField | ExtensionField
 
 
 def base_vector_iso(spec_big: ExtensionField, v: Sequence[int],
@@ -397,18 +394,3 @@ def base_vector_iso(spec_big: ExtensionField, v: Sequence[int],
     for a in v:
         out.extend(spec_big.digits(a))
     return tuple(out)
-
-
-def base_vector_iso_inv(spec_big: ExtensionField, w: Sequence[int],
-                        base=None) -> tuple[int, ...]:
-    if not isinstance(spec_big, ExtensionField):
-        raise IncompatibleFields("big field must be an extension field")
-    if base is not None and base != spec_big.base:
-        raise IncompatibleFields(
-            f"{base!r} is not the declared base of {spec_big!r}")
-    k = spec_big.degree
-    if len(w) % k != 0:
-        raise IncompatibleFields("vector length not a multiple of the degree")
-    return tuple(spec_big.undigits(w[i * k:(i + 1) * k])
-                 for i in range(len(w) // k))
-

@@ -11,14 +11,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .errors import (BadDelta, BadRange, BudgetExceeded, DimensionMismatch,
-                     NotADirectionFamily)
+from .errors import BadDelta, BadRange, DimensionMismatch, NotADirectionFamily
 from .furstenberg import FurstenbergInstance, search_extremal, sqrt_up
-from .geometry import (DEFAULT_BUDGET, Flat, PointSet, Subspace,
+from .geometry import (DEFAULT_BUDGET, Flat, PointSet, check_flat_budget,
                        coset_histogram, enumerate_subspaces, flat_points,
-                       q_flat_count, qbinomial)
+                       qbinomial)
 
 
 @dataclass(frozen=True)
@@ -56,15 +55,6 @@ def count_incidences(S: PointSet, L: FlatFamily) -> int:
     hists = {d: coset_histogram(S.field, unit, d)
              for d in {f.direction for f in L.flats}}
     return sum(hists[f.direction][f.shift] for f in L.flats)
-
-
-def _flat_directions(F, n: int, l: int, budget: int) -> Iterator[Subspace]:
-    """The rank-l directions of a census that visits every l-flat, charged
-    up front as all q^(n-l)·binom(n,l)_q l-flats, like enumerate_flats."""
-    total = q_flat_count(F.q, n, l)
-    if total > budget:
-        raise BudgetExceeded(f"{total} flats exceed budget {budget}")
-    return enumerate_subspaces(F, n, l, budget=budget)
 
 
 @dataclass(frozen=True)
@@ -107,7 +97,8 @@ def poor_flat_census(S: PointSet, l: int, delta: Fraction,
     # threshold >= 1, so the q^(k-l) - len(hist) empty cosets are poor too
     unit = [(p, 1) for p in S.points]
     poor = 0
-    for d in _flat_directions(F, k, l, budget):
+    check_flat_budget(q, k, l, budget)
+    for d in enumerate_subspaces(F, k, l, budget=budget):
         hist = coset_histogram(F, unit, d)
         poor += q ** (k - l) - len(hist) \
             + sum(1 for c in hist.values() if c < threshold)
@@ -137,11 +128,11 @@ def contained_subflats(Ffam: FlatFamily, l: int,
     # an l-flat lies in a family flat iff its direction E lies in the
     # flat's direction (shift + e is in the flat for each basis row e of E)
     # and it is one of the E-cosets the flat's points meet
-    l_directions = _flat_directions(F, n, l, budget)
+    check_flat_budget(q, n, l, budget)
     points = {f: frozenset(flat_points(F, f, budget=budget))
               for f in Ffam.flats}
     count = 0
-    for E in l_directions:
+    for E in enumerate_subspaces(F, n, l, budget=budget):
         inside = [(p, 1) for f in Ffam.flats
                   if all(tuple(map(F.add, f.shift, e)) in points[f]
                          for e in E.basis)
@@ -166,14 +157,18 @@ def kakeya_becks_census(S: PointSet, k: int, delta: Fraction,
     """
     F = S.field
     n, q = S.n, F.q
+    if not 1 <= k <= n:
+        raise BadRange(f"k = {k} outside [1, {n}]")
     if not 0 < delta < 1:
         raise BadDelta(f"delta = {delta} outside (0,1)")
     unit = [(p, 1) for p in S.points]
+    check_flat_budget(q, n, k, budget)
     m = min(max(coset_histogram(F, unit, d).values(), default=0)
             for d in enumerate_subspaces(F, n, k, budget=budget))
     threshold = delta * m * Fraction(1, q) + 1
     census = 0
-    for d in _flat_directions(F, n, k - 1, budget):
+    check_flat_budget(q, n, k - 1, budget)
+    for d in enumerate_subspaces(F, n, k - 1, budget=budget):
         census += sum(1 for c in coset_histogram(F, unit, d).values()
                       if c >= threshold)
     bound = Fraction(q ** (n - k + 1) * qbinomial(n, k - 1, q),
@@ -211,9 +206,3 @@ def heavy_flats_lower_bound(delta: Fraction, gamma: Fraction, l: int,
     lower_value = rational_part - sqrt_up(radicand) * q ** n
     return HeavyFlatsBound(rational_part=rational_part, radicand=radicand,
                            lower_value=lower_value)
-
-
-def pure_incidence_bound(q: int, n: int, k: int, m: int) -> HeavyFlatsBound:
-    """Specialization delta = m q^{-k}, gamma = 1, l = k of the heavy-flats
-    covering bound; matches the incidence-only Furstenberg lower bound."""
-    return heavy_flats_lower_bound(Fraction(m, q ** k), Fraction(1), k, n, q)

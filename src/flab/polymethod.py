@@ -1,8 +1,7 @@
 """Sparse multivariate polynomials over F_q with Hasse derivatives.
 
-Supports multiplicity queries, line restrictions, homogeneous parts, the
-Schwartz-Zippel multiplicity audit, and interpolation of polynomials that
-vanish with prescribed multiplicities.
+Supports multiplicity queries, the Schwartz-Zippel multiplicity audit, and
+interpolation of polynomials that vanish with prescribed multiplicities.
 """
 
 from __future__ import annotations
@@ -12,12 +11,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .errors import ZeroDirection, ZeroPolynomial
+from .errors import ZeroPolynomial
 from .geometry import rref
 
 Expo = tuple[int, ...]
-
-INFINITE = math.inf
 
 
 @dataclass(frozen=True)
@@ -50,25 +47,6 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.terms.items())))
-
-
-def poly_add(P: Polynomial, Q: Polynomial) -> Polynomial:
-    F = P.field
-    out = dict(P.terms)
-    for e, c in Q.terms.items():
-        s = F.add(out.get(e, 0), c)
-        if s == 0:
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return Polynomial(P.field, P.n, out)
-
-
-def poly_scale(P: Polynomial, c: int) -> Polynomial:
-    F = P.field
-    if c == 0:
-        return Polynomial(F, P.n, {})
-    return Polynomial(F, P.n, {e: F.mul(c, v) for e, v in P.terms.items()})
 
 
 def poly_mul(P: Polynomial, Q: Polynomial) -> Polynomial:
@@ -136,60 +114,20 @@ def exponents_of_weight(n: int, w: int) -> Iterator[Expo]:
             yield (first,) + rest
 
 
-def multiplicity(P: Polynomial, a: Sequence[int]):
+def multiplicity(P: Polynomial, a: Sequence[int]) -> int:
     """Largest N with all Hasse derivatives of weight < N vanishing at a.
 
-    Returns math.inf for the zero polynomial.  A nonzero polynomial always
-    has multiplicity at most its degree.
+    A nonzero polynomial always has multiplicity at most its degree; the
+    zero polynomial, which vanishes to every order, raises ZeroPolynomial.
     """
     if P.is_zero():
-        return INFINITE
+        raise ZeroPolynomial("the zero polynomial has no finite multiplicity")
     d = P.degree
     for w in range(d + 1):
         for i in exponents_of_weight(P.n, w):
             if evaluate(hasse_derivative(P, i), a) != 0:
                 return w
     raise AssertionError("nonzero polynomial with multiplicity beyond degree")
-
-
-def restrict_to_line(P: Polynomial, a: Sequence[int],
-                     b: Sequence[int]) -> Polynomial:
-    """The univariate composition t -> P(a + b t)."""
-    F = P.field
-    if all(x == 0 for x in b):
-        raise ZeroDirection("line direction must be nonzero")
-    # univariate dense coefficient lists, index = degree in t
-    out: dict[Expo, int] = {}
-    for e, c in P.terms.items():
-        factor = [c]
-        for aj, bj, kj in zip(a, b, e):
-            for _ in range(kj):
-                # multiply by (aj + bj t)
-                nxt = [0] * (len(factor) + 1)
-                for d, v in enumerate(factor):
-                    if v == 0:
-                        continue
-                    nxt[d] = F.add(nxt[d], F.mul(v, aj))
-                    nxt[d + 1] = F.add(nxt[d + 1], F.mul(v, bj))
-                factor = nxt
-        for d, v in enumerate(factor):
-            if v == 0:
-                continue
-            s = F.add(out.get((d,), 0), v)
-            if s == 0:
-                out.pop((d,), None)
-            else:
-                out[(d,)] = s
-    return Polynomial(F, 1, out)
-
-
-def homogeneous_part(P: Polynomial) -> Polynomial:
-    """Top-degree homogeneous component."""
-    if P.is_zero():
-        raise ZeroPolynomial("zero polynomial has no homogeneous part")
-    d = P.degree
-    return Polynomial(P.field, P.n,
-                      {e: c for e, c in P.terms.items() if sum(e) == d})
 
 
 @dataclass(frozen=True)

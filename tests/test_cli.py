@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -69,6 +70,46 @@ def test_verify_failure_reports_direction(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["ok"] is False
     assert doc["failing_direction"]
+
+
+@pytest.fixture
+def cube_file(tmp_path):
+    F2 = field_build(2, 1)
+    path = tmp_path / "cube.pts"
+    path.write_text(formats.serialize_pointset(
+        PointSet.of(F2, 3, all_points(F2, 3))))
+    return str(path)
+
+
+def test_verify_csv_rank_2_reads_back(capsys, cube_file):
+    # a rank-2 direction serializes as "1 | 0 | 0 , 0 | 1 | 0", which
+    # holds a comma, so the field must be quoted
+    code, out, _ = run(capsys, ["verify", "--points", cube_file,
+                                "--k", "2", "--m", "1", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["direction", "flat", "count"]
+    assert len(rows) == 1 + 7
+    assert all(len(r) == 3 for r in rows)
+    assert rows[1][0].count(",") == 1 and rows[1][2] == "4"
+
+
+def test_verify_csv_rank_1_is_unquoted(capsys, three_point_file):
+    code, out, _ = run(capsys, ["verify", "--points", three_point_file,
+                                "--k", "1", "--m", "2", "--format", "csv"])
+    assert code == 0
+    assert out == ("direction,flat,count\n"
+                   "0 | 1,0 | 1 ; 0 | 0,2\n"
+                   "1 | 0,1 | 0 ; 0 | 0,2\n"
+                   "1 | 1,1 | 1 ; 0 | 1,2\n")
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_becks_k_outside_1_to_n_exit_2(capsys, cube_file, k):
+    code, out, err = run(capsys, ["incidence", "--points", cube_file,
+                                  "--check", "becks", "--k", str(k)])
+    assert code == 2, err
+    assert out == "" and err == f"error: k = {k} outside [1, 3]\n"
 
 
 def test_search_exact_small(capsys):

@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flab.entropy import (EntropyValue, QExponent, RationalDistribution,
                           ab_constants, best_projection,
@@ -206,6 +207,25 @@ def test_qexponent_sign_mixed():
     assert QExponent.make(3, Fraction(1, 2), -2).sign() == -1
     assert QExponent.make(3, -1, 2).sign() > 0       # 2 log_3 2 = log_3 4 > 1
     assert QExponent.make(2, 0, 0).sign() == 0
+
+
+_ratio = st.fractions(min_value=-40, max_value=40, max_denominator=40)
+
+
+@given(st.sampled_from([2, 3, 4, 5, 7, 9, 11, 13, 16, 27]), _ratio, _ratio)
+@settings(max_examples=300)
+def test_qexponent_sign_matches_float_oracle(q, alpha, beta):
+    t = QExponent.make(q, alpha, beta)
+    real = float(alpha) + float(beta) * math.log(2) / math.log(q)
+    assume(abs(real) > 1e-9)
+    assert t.sign() == (1 if real > 0 else -1)
+
+
+@given(st.sampled_from([2, 3, 5, 8]), _ratio, _ratio)
+@settings(max_examples=100)
+def test_qexponent_scaled_by_minus_one_flips_sign(q, alpha, beta):
+    t = QExponent.make(q, alpha, beta)
+    assert t.scaled(Fraction(-1)).sign() == -t.sign()
 
 
 @given(st.integers(min_value=1, max_value=8))

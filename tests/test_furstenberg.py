@@ -180,7 +180,7 @@ def test_search_frozen_witnesses(key):
 def test_search_budget_is_checked_up_front(F2):
     # work = qbinomial(4, 2, 2) * 2^2 = 35 * 4
     with pytest.raises(BudgetExceeded,
-                       match="verification work 140 exceeds 10"):
+                       match="140 flats exceed budget 10"):
         search_extremal(inst(F2, 4, 2, 3), budget=10)
 
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flab.errors import BadRange, BudgetExceeded, EmptyInput
-from flab.geometry import (Flat, PointSet, all_points, coset_histogram,
-                           enumerate_flats, enumerate_subspaces, flat_points,
-                           q_flat_count, qbinomial, reduce_mod_subspace, rref,
-                           span, Subspace, subspace_intersection)
+from flab.geometry import (Flat, PointSet, all_points, check_flat_budget,
+                           coset_histogram, enumerate_flats,
+                           enumerate_subspaces, flat_points, q_flat_count,
+                           qbinomial, reduce_mod_subspace, rref, span,
+                           Subspace)
 from flab.gf import field_build
 
 
@@ -91,11 +92,20 @@ def test_flats_are_distinct_and_canonical(F2):
     for f in flats:
         for p in flat_points(F2, f):
             assert Flat.through(F2, f.direction, p) == f
+    # subspace order, then each subspace's shifts in lexicographic order
+    subs = list(enumerate_subspaces(F2, 3, 1))
+    assert [f.direction for f in flats] == [s for s in subs for _ in range(4)]
+    for i in range(0, len(flats), 4):
+        shifts = [f.shift for f in flats[i:i + 4]]
+        assert shifts == sorted(shifts)
 
 
 def test_budget_exceeded(F2):
     with pytest.raises(BudgetExceeded):
         list(enumerate_subspaces(F2, 10, 5, budget=10))
+    check_flat_budget(2, 3, 1, 28)              # 7 lines x 4 shifts
+    with pytest.raises(BudgetExceeded, match="28 flats exceed budget 27"):
+        check_flat_budget(2, 3, 1, 27)
 
 
 def test_span_single_point(F3):
@@ -132,13 +142,16 @@ def test_flat_points_cardinality(F3):
 
 
 def test_dim_span_formula_exhaustive_f2_cubed(F2):
-    # dim(span(A u B)) = dim A + dim B - dim(A n B) for subspaces
+    # dim(A + B) = dim A + dim B - dim(A n B), with A n B counted point by
+    # point: 2^dim(A+B) |A n B| = 2^(dim A + dim B)
     subs = [s for k in range(4) for s in enumerate_subspaces(F2, 3, k)]
+    pts = all_points(F2, 3)
     for a in subs:
         for b in subs:
             joined = Subspace.from_vectors(F2, 3, a.basis + b.basis)
-            inter = subspace_intersection(F2, a, b)
-            assert joined.k == a.k + b.k - inter.k
+            common = sum(1 for p in pts if a.contains(F2, p)
+                         and b.contains(F2, p))
+            assert 2 ** joined.k * common == 2 ** (a.k + b.k)
 
 
 def test_reduce_mod_subspace_canonicity(F2):

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from flab.errors import (CompositeP, DivisionByZero, FieldTooLarge,
                          IncompatibleFields)
-from flab.gf import (ExtensionField, base_vector_iso, base_vector_iso_inv,
-                     field_build, is_prime)
+from flab.gf import ExtensionField, base_vector_iso, field_build, is_prime
 from flab.geometry import Subspace
 
 
@@ -85,10 +84,10 @@ def test_field_axioms_exhaustive(q):
 def test_iso_trivial_identity():
     F4 = field_build(2, 2)
     F16_over_F4 = ExtensionField(F4, 2)
-    # r=1, k=1 is the identity in the prime tower; here check round trips
-    for v in itertools.product(F16_over_F4.elements(), repeat=1):
-        w = base_vector_iso(F16_over_F4, v)
-        assert base_vector_iso_inv(F16_over_F4, w) == v
+    # r=1 over the tower: F_16 maps one to one onto F_4^2
+    images = {base_vector_iso(F16_over_F4, (a,))
+              for a in F16_over_F4.elements()}
+    assert images == set(itertools.product(F4.elements(), repeat=2))
 
 
 def test_iso_coefficient_flattening():
@@ -104,9 +103,7 @@ def test_iso_linear_and_bijective():
     seen = set()
     vs = list(itertools.product(F4.elements(), repeat=2))
     for v in vs:
-        w = base_vector_iso(F4, v)
-        assert base_vector_iso_inv(F4, w) == v
-        seen.add(w)
+        seen.add(base_vector_iso(F4, v))
     assert len(seen) == 16
     for v in vs:
         for u in vs:

@@ -1,0 +1,44 @@
+"""Source hygiene: every name a flab module imports is used in that module.
+
+``__init__.py`` is exempt, since its imports are the package's exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import flab
+
+MODULES = sorted(p for p in Path(flab.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import outside ``__future__``."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                out[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                out[a.asname or a.name] = node.lineno
+    return out
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere, and string annotations such as "Subspace"."""
+    return {n.id if isinstance(n, ast.Name) else n.value
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Name) or isinstance(n, ast.Constant)
+            and isinstance(n.value, str) and n.value.isidentifier()}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = _used(tree)
+    unused = [f"{name} (line {line})"
+              for name, line in _imported(tree).items() if name not in used]
+    assert not unused, f"{path.name} imports but never uses: {unused}"

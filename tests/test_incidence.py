@@ -14,8 +14,7 @@ from flab.geometry import (Flat, PointSet, all_points, coset_histogram,
 from flab.gf import field_build
 from flab.incidence import (FlatFamily, count_incidences, haemers_check,
                             contained_subflats, heavy_flats_lower_bound,
-                            kakeya_becks_census, poor_flat_census,
-                            pure_incidence_bound)
+                            kakeya_becks_census, poor_flat_census)
 
 
 def all_lines(F, n):
@@ -254,14 +253,6 @@ def test_heavy_flats_validation():
         heavy_flats_lower_bound(Fraction(3, 2), Fraction(1), 1, 2, 3)
 
 
-def test_pure_incidence_specializes_heavy_flats():
-    q, n, k, m = 3, 3, 2, 9
-    a = pure_incidence_bound(q, n, k, m)
-    b = heavy_flats_lower_bound(Fraction(m, q ** k), Fraction(1), k, n, q)
-    assert a == b
-    assert a.rational_part == Fraction(9, 10) * 27
-
-
 # -- coset-kernel censuses against point-set oracles -------------------------
 
 FIELDS = [field_build(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1))]
@@ -364,3 +355,21 @@ def test_becks_checks_rich_budget_before_scanning(F3, monkeypatch):
         kakeya_becks_census(S, 2, Fraction(1, 2), budget=116)
     assert len(calls) == qbinomial(3, 2, 3)
     assert all(d.k == 2 for d in calls)
+
+
+def test_becks_charges_its_direction_scan_as_flats(F3, monkeypatch):
+    # the m-loop is a full verification scan over the 39 planes of F_3^3
+    S = PointSet.of(F3, 3, all_points(F3, 3))
+    planes = q_flat_count(3, 3, 2)
+    monkeypatch.setattr(incidence, "coset_histogram", _no_scan)
+    with pytest.raises(BudgetExceeded,
+                       match=f"{planes} flats exceed budget {planes - 1}"):
+        kakeya_becks_census(S, 2, Fraction(1, 2), budget=planes - 1)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_becks_checks_k_range_first(F2, monkeypatch, k):
+    S = PointSet.of(F2, 3, all_points(F2, 3))
+    monkeypatch.setattr(incidence, "coset_histogram", _no_scan)
+    with pytest.raises(BadRange, match=rf"k = {k} outside \[1, 3\]"):
+        kakeya_becks_census(S, k, Fraction(0), budget=0)

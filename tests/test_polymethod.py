@@ -5,14 +5,17 @@ import random
 import pytest
 
 from conftest import mult_oracle, random_poly
-from flab.errors import ZeroDirection, ZeroPolynomial
+from flab.errors import ZeroPolynomial
 from flab.geometry import all_points
 from flab.polymethod import (NoSolutionCertificate, Polynomial, evaluate,
                              exponents_of_weight, find_vanishing_poly,
-                             hasse_derivative, homogeneous_part, monomials_upto,
-                             multiplicity, poly_add, poly_mul, poly_scale,
-                             restrict_to_line, sz_mult_audit,
-                             vanishing_hypothesis_holds)
+                             hasse_derivative, monomials_upto, multiplicity,
+                             sz_mult_audit, vanishing_hypothesis_holds)
+
+
+def poly_scale(P: Polynomial, c: int) -> Polynomial:
+    return Polynomial.make(P.field, P.n,
+                           {e: P.field.mul(c, v) for e, v in P.terms.items()})
 
 
 def test_hasse_weight_zero_is_identity(F3):
@@ -93,7 +96,9 @@ def test_multiplicity_shifted_square(F5):
 
 
 def test_multiplicity_zero_poly_infinite(F2):
-    assert multiplicity(Polynomial.make(F2, 2, {}), (0, 0)) == math.inf
+    # the zero polynomial vanishes to every order: no finite int answers
+    with pytest.raises(ZeroPolynomial):
+        multiplicity(Polynomial.make(F2, 2, {}), (0, 0))
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 2), (3, 3)])
@@ -105,59 +110,6 @@ def test_multiplicity_agrees_with_shift_oracle(q, n):
         P = random_poly(rng, F, n, 4)
         a = tuple(rng.randrange(q) for _ in range(n))
         assert multiplicity(P, a) == mult_oracle(F, P, a)
-
-
-def test_restrict_linear(F3):
-    P = Polynomial.make(F3, 2, {(1, 0): 1, (0, 1): 2, (0, 0): 1})
-    R = restrict_to_line(P, (0, 0), (1, 2))
-    assert R.degree <= 1
-
-
-def test_restrict_product(F3):
-    P = Polynomial.make(F3, 2, {(1, 1): 1})
-    R = restrict_to_line(P, (0, 0), (1, 1))
-    assert dict(R.terms) == {(2,): 1}
-
-
-def test_restrict_zero_direction(F3):
-    P = Polynomial.make(F3, 2, {(1, 1): 1})
-    with pytest.raises(ZeroDirection):
-        restrict_to_line(P, (0, 0), (0, 0))
-
-
-def test_restrict_degenerate_multiplicity(F3):
-    # x1 x2 restricted to the x1-axis is identically zero
-    P = Polynomial.make(F3, 2, {(1, 1): 1})
-    R = restrict_to_line(P, (0, 0), (1, 0))
-    assert R.is_zero()
-    assert multiplicity(R, (0,)) == math.inf
-
-
-@pytest.mark.parametrize("q", [2, 3, 5])
-def test_multiplicity_transfers_to_line(q):
-    from flab.gf import field_build
-    F = field_build(q, 1)
-    rng = random.Random(q)
-    for _ in range(30):
-        P = random_poly(rng, F, 2, 3)
-        a = tuple(rng.randrange(q) for _ in range(2))
-        b = (1, rng.randrange(q))
-        R = restrict_to_line(P, a, b)
-        for t0 in F.elements():
-            pt = tuple(F.add(x, F.mul(y, t0)) for x, y in zip(a, b))
-            assert multiplicity(R, (t0,)) >= min(multiplicity(P, pt), 10 ** 9)
-
-
-def test_homogeneous_part(F3):
-    assert homogeneous_part(
-        Polynomial.make(F3, 1, {(2,): 1, (1,): 1, (0,): 1})
-    ) == Polynomial.make(F3, 1, {(2,): 1})
-    P = Polynomial.make(F3, 2, {(2, 1): 1, (1, 1): 1, (0, 1): 1})
-    assert dict(homogeneous_part(P).terms) == {(2, 1): 1}
-    hom = Polynomial.make(F3, 2, {(2, 0): 1, (1, 1): 2})
-    assert homogeneous_part(hom) == hom
-    with pytest.raises(ZeroPolynomial):
-        homogeneous_part(Polynomial.make(F3, 2, {}))
 
 
 def test_sz_audit_constant(F3):
