@@ -8,6 +8,7 @@ pivot coordinates.  All enumeration orders are deterministic.
 from __future__ import annotations
 
 import itertools
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -34,14 +35,19 @@ def qbinomial(n: int, k: int, q: int) -> int:
 def rref(F, rows: Iterable[Sequence[int]]) -> tuple[tuple[Point, ...], int]:
     """Reduced row echelon form over the field F; returns (rows, rank).
 
-    Zero rows are dropped from the result.  The pivot row is zero left of
-    its pivot column, so each elimination walks only its nonzero entries
-    from that column on.
+    Zero rows are dropped from the result.  Over a prime field the rows are
+    packed into ints (see _rref_packed).  Otherwise the pivot row is zero
+    left of its pivot column, so each elimination walks only its nonzero
+    entries from that column on.
     """
     mat = [list(r) for r in rows]
     if not mat:
         return (), 0
     ncols = len(mat[0])
+    if F.e == 1:
+        code = _slot_code(F.p, min(len(mat), ncols))
+        if code is not None:
+            return _rref_packed(F.p, mat, code)
     rank = 0
     for col in range(ncols):
         piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
@@ -63,6 +69,67 @@ def rref(F, rows: Iterable[Sequence[int]]) -> tuple[tuple[Point, ...], int]:
         if rank == len(mat):
             break
     return tuple(tuple(r) for r in mat[:rank]), rank
+
+
+def _slot_code(p: int, updates: int) -> str | None:
+    """Smallest struct code among B, H, I, Q whose standard size holds an
+    F_p entry after `updates` unreduced row updates, or None if none does.
+
+    An entry starts below p and each update adds at most (p-1)^2.  Prime
+    fields stop at p < 2^16, so (p-1)^2 < 2^32 and the 64-bit 'Q' slot
+    holds up to 2^32 updates: None needs a matrix with 2^32 rows and as
+    many columns, which no memory holds.
+    """
+    bound = (p - 1) + updates * (p - 1) ** 2
+    return next((code for code in "BHIQ"
+                 if bound >> 8 * struct.calcsize("<" + code) == 0), None)
+
+
+def _rref_packed(p: int, mat: list[list[int]],
+                 code: str) -> tuple[tuple[Point, ...], int]:
+    """rref over F_p with delayed reduction (Dumas, Giorgi and Pernet,
+    FFLAS-FFPACK, 2008), each row one int with a fixed-width slot per column.
+
+    Entries are in [0, p).  A row update is one bignum multiply-add,
+    row += (p - c) * prow, which leaves every slot nonnegative and, by the
+    bound of _slot_code, inside its width.  Slots are reduced mod p only
+    when read (pivot test and c), once per pivot row (unpacked, scaled by
+    the pivot's inverse and repacked, so prow's slots are below p), and at
+    the end.
+    """
+    nrows, ncols = len(mat), len(mat[0])
+    layout = struct.Struct(f"<{ncols}{code}")   # slot j at bit j * width
+    width = 8 * struct.calcsize("<" + code)
+    mask = (1 << width) - 1
+
+    def pack(row: list[int]) -> int:
+        return int.from_bytes(layout.pack(*row), "little")
+
+    def unpack(x: int) -> list[int]:
+        return [v % p for v in layout.unpack(x.to_bytes(layout.size,
+                                                        "little"))]
+
+    packed = [pack(r) for r in mat]
+    rank = 0
+    for col in range(ncols):
+        shift = col * width
+        piv = next((r for r in range(rank, nrows)
+                    if (packed[r] >> shift & mask) % p), None)
+        if piv is None:
+            continue
+        packed[rank], packed[piv] = packed[piv], packed[rank]
+        row = unpack(packed[rank])
+        inv = pow(row[col], p - 2, p)
+        prow = packed[rank] = pack([v * inv % p for v in row])
+        for r in range(nrows):
+            if r != rank:
+                c = (packed[r] >> shift & mask) % p
+                if c:
+                    packed[r] += (p - c) * prow
+        rank += 1
+        if rank == nrows:
+            break
+    return tuple(tuple(unpack(x)) for x in packed[:rank]), rank
 
 
 @dataclass(frozen=True)

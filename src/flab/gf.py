@@ -343,20 +343,51 @@ class ExtensionField:
         return f"F_{self.q}"
 
 
+def _poly_powmod(K, a: list[int], k: int, mod: Sequence[int]) -> list[int]:
+    """a^k modulo the monic mod, for k >= 1 and a reduced: left-to-right
+    binary powering."""
+    r = a
+    for bit in bin(k)[3:]:
+        r = _poly_mod(K, _poly_mul(K, r, r), mod)
+        if bit == "1":
+            r = _poly_mod(K, _poly_mul(K, r, a), mod)
+    return r
+
+
+def _coprime(K, a: Sequence[int], b: Sequence[int]) -> bool:
+    """gcd(a, b) is a nonzero constant (Euclid, a nonzero)."""
+    a, b = list(a), _poly_trim(list(b))
+    while b:
+        inv = K.inv(b[-1])
+        a, b = b, _poly_mod(K, a, [K.mul(inv, c) for c in b])
+    return len(a) == 1
+
+
+def _is_irreducible(K, f: Sequence[int]) -> bool:
+    """Rabin's test ("Probabilistic algorithms in finite fields", 1980):
+    monic f of degree e over F_Q is irreducible iff x^(Q^e) = x mod f and
+    gcd(x^(Q^(e/r)) - x, f) = 1 for every prime r dividing e."""
+    e = len(f) - 1
+    x = _poly_mod(K, [0, 1], f)
+    frob = [x]                  # frob[k] = x^(Q^k) mod f
+    for _ in range(e):
+        frob.append(_poly_powmod(K, frob[-1], K.q, f))
+    if frob[e] != x:
+        return False
+    return all(_coprime(K, f, [K.sub(u, v) for u, v in
+                               itertools.zip_longest(frob[e // r], x,
+                                                     fillvalue=0)])
+               for r in range(2, e + 1) if e % r == 0 and is_prime(r))
+
+
 def _smallest_irreducible(base, degree: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of the given degree.
 
-    Coefficient tuples are compared low-degree-first.  Irreducibility is
-    decided by trial division against every monic polynomial of degree
-    up to degree/2 (tiny search spaces at desk scale).
+    Coefficient tuples are compared low-degree-first.  A zero constant term
+    means the factor x; every other candidate goes through Rabin's test.
     """
-    divisors: list[list[int]] = []
-    for d in range(1, degree // 2 + 1):
-        for low in itertools.product(base.elements(), repeat=d):
-            divisors.append(list(low) + [1])
     for cand_low in itertools.product(base.elements(), repeat=degree):
-        cand = list(cand_low) + [1]
-        if all(_poly_mod(base, cand, div) for div in divisors):
+        if cand_low[0] and _is_irreducible(base, list(cand_low) + [1]):
             return tuple(cand_low) + (1,)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 

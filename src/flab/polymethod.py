@@ -104,6 +104,33 @@ def hasse_derivative(P: Polynomial, i: Sequence[int]) -> Polynomial:
     return Polynomial(F, P.n, out)
 
 
+def _power_table(F, x: Sequence[int], d: int) -> list[list[int]]:
+    """Per coordinate x_j of the point, the powers x_j^0, ..., x_j^d."""
+    table = []
+    for xj in x:
+        pw = [1]
+        for _ in range(d):
+            pw.append(F.mul(pw[-1], xj))
+        table.append(pw)
+    return table
+
+
+def _hasse_values(F, monos: Sequence[Expo], i: Expo,
+                  powers: Sequence[Sequence[int]]) -> list[int]:
+    """D^i(x^a) at the point of the power table, for every monomial a in
+    monos: binom(a, i) mod p times x^(a-i), read off the table."""
+    out = []
+    for a in monos:
+        v = _hasse_coefficient(a, i, F.p)
+        if v:
+            v = F.from_int(v)
+            for pw, aj, ij in zip(powers, a, i):
+                if aj != ij:
+                    v = F.mul(v, pw[aj - ij])
+        out.append(v)
+    return out
+
+
 def exponents_of_weight(n: int, w: int) -> Iterator[Expo]:
     """All length-n exponent tuples summing to w, lexicographic order."""
     if n == 1:
@@ -122,10 +149,16 @@ def multiplicity(P: Polynomial, a: Sequence[int]) -> int:
     """
     if P.is_zero():
         raise ZeroPolynomial("the zero polynomial has no finite multiplicity")
-    d = P.degree
-    for w in range(d + 1):
+    F = P.field
+    monos, coeffs = list(P.terms), list(P.terms.values())
+    powers = _power_table(F, a, P.degree)
+    for w in range(P.degree + 1):
         for i in exponents_of_weight(P.n, w):
-            if evaluate(hasse_derivative(P, i), a) != 0:
+            acc = 0
+            for c, v in zip(coeffs, _hasse_values(F, monos, i, powers)):
+                if v:
+                    acc = F.add(acc, F.mul(c, v))
+            if acc != 0:
                 return w
     raise AssertionError("nonzero polynomial with multiplicity beyond degree")
 
@@ -182,22 +215,12 @@ def find_vanishing_poly(F, n: int, targets: Mapping[Sequence[int], int],
     system has full column rank.
     """
     monos = monomials_upto(n, d)
-    col = {e: j for j, e in enumerate(monos)}
     rows: list[list[int]] = []
     for x in sorted(tuple(pt) for pt in targets):
-        Nx = targets[tuple(x)]
-        for w in range(Nx):
+        powers = _power_table(F, x, d)
+        for w in range(targets[x]):
             for i in exponents_of_weight(n, w):
-                row = [0] * len(monos)
-                for a in monos:
-                    scalar = _hasse_coefficient(a, i, F.p)
-                    if scalar == 0:
-                        continue
-                    v = F.from_int(scalar)
-                    for xj, kj in zip(x, (aj - ij for aj, ij in zip(a, i))):
-                        if kj:
-                            v = F.mul(v, F.pow(xj, kj))
-                    row[col[a]] = v
+                row = _hasse_values(F, monos, i, powers)
                 if any(row):
                     rows.append(row)
     reduced, rank = rref(F, rows)

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flab.entropy import (EntropyValue, QExponent, RationalDistribution,
-                          ab_constants, best_projection,
-                          check_entropic_bound, check_recursion,
-                          min_entropy, norm_bound_check, pushforward)
+from flab.entropy import (QExponent, RationalDistribution, ab_constants,
+                          best_projection, check_entropic_bound,
+                          check_recursion, min_entropy, norm_bound_check,
+                          pushforward)
 from flab.errors import BadRange
 from flab.geometry import (Flat, Subspace, all_points, enumerate_subspaces,
                            flat_points)

@@ -3,8 +3,8 @@ import pytest
 from flab import formats
 from flab.entropy import RationalDistribution
 from flab.errors import UnsupportedFormat
-from flab.geometry import Flat, PointSet, Subspace, all_points, enumerate_flats
-from flab.gf import ExtensionField, field_build
+from flab.geometry import Flat, PointSet, Subspace, enumerate_flats
+from flab.gf import field_build
 from flab.incidence import FlatFamily
 from flab.polymethod import Polynomial
 

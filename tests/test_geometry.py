@@ -1,16 +1,18 @@
 import collections
-import itertools
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flab.errors import BadRange, BudgetExceeded, EmptyInput
-from flab.geometry import (Flat, PointSet, all_points, check_flat_budget,
+from flab.geometry import (Flat, all_points, check_flat_budget,
                            coset_histogram, enumerate_flats,
                            enumerate_subspaces, flat_points, q_flat_count,
                            qbinomial, reduce_mod_subspace, rref, span,
-                           Subspace)
-from flab.gf import field_build
+                           Subspace, _slot_code)
+from flab.gf import PrimeField, field_build
+from flab.polymethod import (Polynomial, evaluate, hasse_derivative,
+                             monomials_upto)
 
 
 def test_rref_identity(F2):
@@ -238,7 +240,11 @@ def _reference_rref(F, rows):
     return tuple(tuple(r) for r in mat[:rank]), rank
 
 
-RREF_FIELDS = [field_build(5, 1), field_build(7, 1), field_build(2, 2),
+# the prime fields draw every slot width of the packed path, which grows
+# with min(rows, cols): F_2 8 bits; F_251 16 bits at 1 and 32 from 2;
+# F_65521 32 bits at 1 and 64 from 2
+RREF_FIELDS = [field_build(2, 1), field_build(5, 1), field_build(7, 1),
+               field_build(251, 1), field_build(65521, 1), field_build(2, 2),
                field_build(3, 2)]
 
 
@@ -248,12 +254,12 @@ def rref_cases(draw):
     combinations of two of them, so duplicate rows and rank deficiency
     are common."""
     F = draw(st.sampled_from(RREF_FIELDS))
-    ncols = draw(st.integers(min_value=1, max_value=6))
+    ncols = draw(st.integers(min_value=1, max_value=30))
     el = st.integers(min_value=0, max_value=F.q - 1)
     base = draw(st.lists(st.lists(el, min_size=ncols, max_size=ncols),
                          min_size=1, max_size=4))
     rows = []
-    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
         kind = draw(st.sampled_from(["zero", "copy", "combo", "random"]))
         if kind == "zero":
             rows.append([0] * ncols)
@@ -270,7 +276,47 @@ def rref_cases(draw):
 
 
 @given(rref_cases())
+@example((field_build(65521, 1), [[65520, 0, 65520, 1]]))
+@example((field_build(65521, 1), [[0], [65520], [3]]))
 @settings(max_examples=300, deadline=None)
 def test_rref_matches_reference_gauss_jordan(case):
     F, rows = case
     assert rref(F, rows) == _reference_rref(F, rows)
+
+
+def test_rref_interpolation_system_matches_reference():
+    """The Hasse-derivative system of an interpolation at 40 random points
+    of F_13^2 with multiplicity 2 and degree 15: 120 rows, 136 columns, so
+    each row takes up to 120 unreduced updates in 16-bit slots."""
+    F = field_build(13, 1)
+    rng = random.Random(13)
+    points = sorted(rng.sample(all_points(F, 2), 40))
+    monos = monomials_upto(2, 15)
+    derivs = {i: [hasse_derivative(Polynomial.make(F, 2, {a: 1}), i)
+                  for a in monos]
+              for i in [(0, 0), (0, 1), (1, 0)]}
+    rows = [[evaluate(D, x) for D in ds] for x in points
+            for ds in derivs.values()]
+    reduced, rank = rref(F, rows)
+    assert (reduced, rank) == _reference_rref(F, rows)
+    assert rank == len(rows)
+
+
+def test_slot_widths():
+    assert [_slot_code(2, k) for k in (1, 254, 255)] == ["B", "B", "H"]
+    assert [_slot_code(251, k) for k in (1, 2)] == ["H", "I"]
+    assert [_slot_code(65521, k) for k in (1, 2, 1 << 32)] == ["I", "Q", "Q"]
+    assert _slot_code(65521, 1 << 33) is None
+
+
+def test_rref_falls_back_when_no_slot_fits():
+    """A prime too large for any slot width takes the per-entry loop: a
+    field object outside field_build's size limit, with p = 2^61 - 1."""
+    F = PrimeField.__new__(PrimeField)
+    F.p = F.q = (1 << 61) - 1
+    F.e = 1
+    rng = random.Random(61)
+    rows = [[rng.randrange(F.p) for _ in range(6)] for _ in range(5)]
+    rows.append([F.add(x, y) for x, y in zip(rows[0], rows[1])])
+    assert rref(F, rows) == _reference_rref(F, rows)
+    assert rref(F, rows)[1] == 5

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from flab.errors import (CompositeP, DivisionByZero, FieldTooLarge,
                          IncompatibleFields)
-from flab.gf import ExtensionField, base_vector_iso, field_build, is_prime
+from flab.gf import (ExtensionField, _poly_mod, _smallest_irreducible,
+                     base_vector_iso, field_build, is_prime)
 from flab.geometry import Subspace
 
 
@@ -34,6 +35,46 @@ def test_known_moduli():
     assert field_build(2, 1).modulus == ()
     assert field_build(2, 2).modulus == (1, 1, 1)      # x^2 + x + 1
     assert field_build(3, 2).modulus == (1, 0, 1)      # x^2 + 1
+
+
+def _trial_division_irreducible(base, degree):
+    """The modulus search by trial division: the least candidate, low
+    degree first, that no monic polynomial of degree up to degree/2
+    divides."""
+    divisors = [list(low) + [1] for d in range(1, degree // 2 + 1)
+                for low in itertools.product(base.elements(), repeat=d)]
+    for low in itertools.product(base.elements(), repeat=degree):
+        cand = list(low) + [1]
+        if all(_poly_mod(base, cand, div) for div in divisors):
+            return tuple(cand)
+    raise AssertionError("no irreducible polynomial found")
+
+
+SMALL_EXTENSIONS = [(p, e) for p in range(2, 55) if is_prime(p)
+                    for e in range(2, 12) if p ** e <= 3000]
+
+
+@pytest.mark.parametrize("p,e", SMALL_EXTENSIONS)
+def test_rabin_modulus_matches_trial_division(p, e):
+    base = field_build(p, 1)
+    assert _smallest_irreducible(base, e) == \
+        _trial_division_irreducible(base, e)
+
+
+@pytest.mark.parametrize("q,e", [(4, 2), (4, 3), (4, 5), (8, 2), (8, 3),
+                                 (9, 2), (9, 3)])
+def test_rabin_modulus_matches_trial_division_over_towers(q, e):
+    base = _spec_for_q(q)
+    assert _smallest_irreducible(base, e) == \
+        _trial_division_irreducible(base, e)
+
+
+def test_largest_moduli_frozen():
+    # frozen from the trial-division search
+    assert _smallest_irreducible(field_build(2, 1), 16) == (
+        1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)
+    assert _smallest_irreducible(field_build(3, 1), 10) == (
+        1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)
 
 
 def test_build_is_deterministic():

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a flab module imports is used in that module.
+"""Source hygiene: every name a flab or test module imports is used in that
+module.
 
 ``__init__.py`` is exempt, since its imports are the package's exports.
 """
@@ -10,8 +11,8 @@ import pytest
 
 import flab
 
-MODULES = sorted(p for p in Path(flab.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(p for d in (Path(flab.__file__).parent, Path(__file__).parent)
+                 for p in d.glob("*.py") if p.name != "__init__.py")
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

@@ -10,7 +10,8 @@ from flab.geometry import all_points
 from flab.polymethod import (NoSolutionCertificate, Polynomial, evaluate,
                              exponents_of_weight, find_vanishing_poly,
                              hasse_derivative, monomials_upto, multiplicity,
-                             sz_mult_audit, vanishing_hypothesis_holds)
+                             poly_mul, sz_mult_audit,
+                             vanishing_hypothesis_holds)
 
 
 def poly_scale(P: Polynomial, c: int) -> Polynomial:
@@ -110,6 +111,34 @@ def test_multiplicity_agrees_with_shift_oracle(q, n):
         P = random_poly(rng, F, n, 4)
         a = tuple(rng.randrange(q) for _ in range(n))
         assert multiplicity(P, a) == mult_oracle(F, P, a)
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
+def test_extension_field_multiplicities_match_shift_oracle(p, e):
+    """F_4, F_8 and F_9: multiplicities read off the per-point power tables
+    agree with the binomial expansion of P(y + a), for random polynomials
+    and for a found interpolant at its targets."""
+    from flab.gf import field_build
+    F = field_build(p, e)
+    rng = random.Random(10 * F.q)
+    for n in (1, 2, 3):
+        for _ in range(40):
+            P = random_poly(rng, F, n, 2 * F.q)
+            a = tuple(rng.randrange(F.q) for _ in range(n))
+            assert multiplicity(P, a) == mult_oracle(F, P, a)
+            # times (x_1 - a_1)^2, which vanishes to order 2 at a
+            line = Polynomial.make(F, n, {(1,) + (0,) * (n - 1): 1,
+                                          (0,) * n: F.neg(a[0])})
+            Q = poly_mul(P, poly_mul(line, line))
+            assert multiplicity(Q, a) == mult_oracle(F, Q, a) >= 2
+    targets = {(rng.randrange(F.q), rng.randrange(F.q)): N
+               for N in (1, 2, 2, 3)}
+    d = next(d for d in itertools.count()
+             if vanishing_hypothesis_holds(targets, 2, d))
+    P = find_vanishing_poly(F, 2, targets, d)
+    assert isinstance(P, Polynomial) and not P.is_zero()
+    for x, N in targets.items():
+        assert multiplicity(P, x) == mult_oracle(F, P, x) >= N
 
 
 def test_sz_audit_constant(F3):
