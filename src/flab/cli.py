@@ -1,7 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: verify, search, bounds, entropy, polycert, incidence, selftest.
-Output is deterministic byte-for-byte for identical inputs and flags.
+Each handler returns its report dict; ``main`` renders it once and writes it
+to ``--output`` or stdout.  Output is deterministic byte-for-byte for
+identical inputs and flags.
 Exit codes: 0 success, 2 validation error, 1 internal error.
 """
 
@@ -20,13 +22,12 @@ from .entropy import check_entropic_bound, check_recursion, min_entropy
 from .errors import FlabError, UnsupportedFormat
 from .furstenberg import (FurstenbergInstance, bound_table, is_furstenberg,
                           search_extremal)
+from .geometry import DEFAULT_BUDGET
 from .gf import field_build
 from .incidence import (contained_subflats, count_incidences, haemers_check,
                         kakeya_becks_census, poor_flat_census)
 from .polymethod import (find_vanishing_poly, multiplicity,
                          NoSolutionCertificate, sz_mult_audit)
-
-DEFAULT_BUDGET = int(os.environ.get("FLAB_BUDGET", 10_000_000))
 
 
 def _jsonable(v):
@@ -41,15 +42,21 @@ def _jsonable(v):
     return v
 
 
-def emit_report(report: dict, fmt: str, rows_key: str | None = None) -> str:
-    """Render a report dict; rows_key names a list-of-dicts table for CSV."""
+def _is_table(v) -> bool:
+    """A nonempty list of dicts: the one shape text and CSV render as rows."""
+    return isinstance(v, list) and bool(v) and isinstance(v[0], dict)
+
+
+def emit_report(report: dict, fmt: str) -> str:
+    """Render a report dict; CSV renders its one table (list of dicts)."""
     if fmt == "json":
         return json.dumps(_jsonable(report), indent=2, sort_keys=False) + "\n"
     if fmt == "csv":
-        rows = report.get(rows_key or "rows")
-        if not isinstance(rows, list):
+        tables = [v for v in report.values() if _is_table(v)]
+        if len(tables) != 1:
             raise UnsupportedFormat("this report has no tabular form")
-        cols = list(rows[0].keys()) if rows else []
+        rows = tables[0]
+        cols = list(rows[0].keys())
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(cols)
@@ -58,7 +65,7 @@ def emit_report(report: dict, fmt: str, rows_key: str | None = None) -> str:
     if fmt == "text":
         out = []
         for k, v in report.items():
-            if isinstance(v, list) and v and isinstance(v[0], dict):
+            if _is_table(v):
                 out.append(f"{k}:")
                 for r in v:
                     out.append("  " + "  ".join(f"{a}={_jsonable(b)}"
@@ -85,23 +92,14 @@ def _require(args, context: str, *names: str) -> None:
         raise FlabError(f"{context} needs {' '.join(missing)}")
 
 
-def _write(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report dict
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> dict:
     F = field_build(args.p, args.e)
     inst = FurstenbergInstance(field=F, n=args.n, k=args.k, m=args.m)
     eps = _fraction(args.epsilon, "--epsilon") if args.epsilon else None
-    report = bound_table(inst, epsilon=eps)
     rows = [{
         "source": r.source,
         "kind": r.kind,
@@ -110,38 +108,28 @@ def _cmd_bounds(args) -> int:
         "value": r.value(),
         "exponent_note": r.exponent_note,
         "applicable": r.applicable,
-    } for r in report.rows]
-    _write(args, emit_report({
-        "q": F.q, "n": args.n, "k": args.k, "m": args.m, "rows": rows,
-    }, args.format))
-    return 0
+    } for r in bound_table(inst, epsilon=eps).rows]
+    return {"q": F.q, "n": args.n, "k": args.k, "m": args.m, "rows": rows}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     with open(args.points) as fh:
         S = formats.parse_pointset(fh.read())
     ok, payload = is_furstenberg(S, args.k, args.m, budget=args.budget)
-    if ok:
-        wit = [{
-            "direction": formats.serialize_flat(
-                S.field, payload.assignment[d]).split(";")[0].strip(),
-            "flat": formats.serialize_flat(S.field, payload.assignment[d]),
-            "count": payload.coverage[d],
-        } for d in sorted(payload.assignment,
-                          key=lambda d: d.basis)]
-        _write(args, emit_report({"ok": True, "size": len(S),
-                                  "witnesses": wit},
-                                 args.format, rows_key="witnesses"))
-        return 0
-    _write(args, emit_report({
-        "ok": False, "size": len(S),
-        "failing_direction": " , ".join(
-            formats._point_str(S.field, r) for r in payload.basis),
-    }, args.format))
-    return 0
+    if not ok:
+        return {"ok": False, "size": len(S),
+                "failing_direction": " , ".join(
+                    formats._point_str(S.field, r) for r in payload.basis)}
+    wit = [{
+        "direction": formats.serialize_flat(
+            S.field, payload.assignment[d]).split(";")[0].strip(),
+        "flat": formats.serialize_flat(S.field, payload.assignment[d]),
+        "count": payload.coverage[d],
+    } for d in sorted(payload.assignment, key=lambda d: d.basis)]
+    return {"ok": True, "size": len(S), "witnesses": wit}
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> dict:
     F = field_build(args.p, args.e)
     inst = FurstenbergInstance(field=F, n=args.n, k=args.k, m=args.m)
     res = search_extremal(inst, budget=args.budget)
@@ -152,11 +140,10 @@ def _cmd_search(args) -> int:
     if res.witness is not None:
         report["witness"] = [formats._point_str(F, p)
                              for p in res.witness.sorted()]
-    _write(args, emit_report(report, args.format))
-    return 0
+    return report
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> dict:
     with open(args.dist) as fh:
         dist = formats.parse_distribution(fh.read())
     ev = min_entropy(dist)
@@ -178,42 +165,33 @@ def _cmd_entropy(args) -> int:
             "composed_le_direct": r.composed_le_direct,
             "composed_ok": r.composed_ok, "direct_ok": r.direct_ok,
         })
-    _write(args, emit_report(report, args.format))
-    return 0
+    return report
 
 
-def _cmd_polycert(args) -> int:
+def _cmd_polycert(args) -> dict:
     F = field_build(args.p, args.e)
     if args.poly:
         with open(args.poly) as fh:
             P = formats.parse_polynomial(F, args.n, fh.read())
-        audit = sz_mult_audit(P, list(F.elements()))
-        _write(args, emit_report({
-            "degree": P.degree, "terms": len(P.terms),
-            "mult_sum": audit.sum, "bound": audit.bound, "ok": audit.ok,
-        }, args.format))
-        return 0
+        audit = sz_mult_audit(P, list(F.elements()), budget=args.budget)
+        return {"degree": P.degree, "terms": len(P.terms),
+                "mult_sum": audit.sum, "bound": audit.bound, "ok": audit.ok}
     _require(args, "polycert --targets", "degree")
     with open(args.targets) as fh:
         TF, n, targets = formats.parse_targets(fh.read())
     if TF != F or n != args.n:
         raise FlabError("targets file field/dimension mismatch")
-    result = find_vanishing_poly(F, n, targets, args.degree)
+    result = find_vanishing_poly(F, n, targets, args.degree,
+                                 budget=args.budget)
     if isinstance(result, NoSolutionCertificate):
-        _write(args, emit_report({
-            "found": False, "equations": result.equations,
-            "unknowns": result.unknowns, "rank": result.rank,
-        }, args.format))
-        return 0
+        return {"found": False, "equations": result.equations,
+                "unknowns": result.unknowns, "rank": result.rank}
     verified = all(multiplicity(result, x) >= N for x, N in targets.items())
-    _write(args, emit_report({
-        "found": True, "degree": result.degree, "verified": verified,
-        "polynomial": formats.serialize_polynomial(result).rstrip("\n"),
-    }, args.format))
-    return 0
+    return {"found": True, "degree": result.degree, "verified": verified,
+            "polynomial": formats.serialize_polynomial(result).rstrip("\n")}
 
 
-def _cmd_incidence(args) -> int:
+def _cmd_incidence(args) -> dict:
     with open(args.points) as fh:
         S = formats.parse_pointset(fh.read())
     context = f"incidence --check {args.check}"
@@ -222,50 +200,28 @@ def _cmd_incidence(args) -> int:
         with open(args.flats) as fh:
             L = formats.parse_flat_family(fh.read())
         if args.check == "count":
-            _write(args, emit_report(
-                {"incidences": count_incidences(S, L)}, args.format))
-            return 0
+            return {"incidences": count_incidences(S, L)}
         r = haemers_check(S, L)
-        _write(args, emit_report({
-            "incidences": r.incidences, "rhs": r.rhs,
-            "radicand": r.radicand, "ok": r.ok,
-        }, args.format))
-        return 0
+        return {"incidences": r.incidences, "rhs": r.rhs,
+                "radicand": r.radicand, "ok": r.ok}
     if args.check == "poor":
         _require(args, context, "l")
         r = poor_flat_census(S, args.l, _fraction(args.delta, "--delta"),
                              budget=args.budget)
-        _write(args, emit_report({
-            "poor_flats": r.incidences, "bound": r.rhs, "ok": r.ok,
-            "threshold": r.extra["threshold"],
-        }, args.format))
-        return 0
+        return {"poor_flats": r.incidences, "bound": r.rhs, "ok": r.ok,
+                "threshold": r.extra["threshold"]}
     if args.check == "becks":
         _require(args, context, "k")
         r = kakeya_becks_census(S, args.k, _fraction(args.delta, "--delta"),
                                 budget=args.budget)
-        _write(args, emit_report({
-            "rich_flats": r.incidences, "bound": r.rhs, "ok": r.ok,
-            "m": r.extra["m"], "hypothesis_met": r.extra["hypothesis_met"],
-        }, args.format))
-        return 0
-    if args.check == "subflats":
-        _require(args, context, "flats", "l")
-        with open(args.flats) as fh:
-            L = formats.parse_flat_family(fh.read())
-        r = contained_subflats(L, args.l, budget=args.budget)
-        _write(args, emit_report({
-            "contained": r.incidences, "bound": r.rhs, "ok": r.ok,
-            "k_factor": r.extra["k_factor"],
-        }, args.format))
-        return 0
-    raise FlabError(f"unknown incidence check {args.check!r}")
-
-
-def _cmd_selftest(args) -> int:
-    from .selftest import run_selftest
-    ok = run_selftest(sys.stdout)
-    return 0 if ok else 1
+        return {"rich_flats": r.incidences, "bound": r.rhs, "ok": r.ok,
+                "m": r.extra["m"], "hypothesis_met": r.extra["hypothesis_met"]}
+    _require(args, context, "flats", "l")
+    with open(args.flats) as fh:
+        L = formats.parse_flat_family(fh.read())
+    r = contained_subflats(L, args.l, budget=args.budget)
+    return {"contained": r.incidences, "bound": r.rhs, "ok": r.ok,
+            "k_factor": r.extra["k_factor"]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,58 +229,61 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Exact finite-geometry lab: "
                                  "Furstenberg sets, entropy, incidences.")
     sub = ap.add_subparsers(dest="command", required=True)
+    # a string default goes through type=int, so a malformed FLAB_BUDGET
+    # is a usage error naming --budget
+    budget = os.environ.get("FLAB_BUDGET", str(DEFAULT_BUDGET))
 
-    def common(p, field=True):
+    def command(name, summary, fn, field=True, budgeted=True):
+        """A subcommand with the report flags, plus --budget and the field
+        flags when its handler reads them."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--format", choices=["json", "csv", "text"],
                        default="text")
         p.add_argument("--output", "-o", default=None)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        if budgeted:
+            p.add_argument("--budget", type=int, default=budget)
         if field:
             p.add_argument("--p", type=int, required=True)
             p.add_argument("--e", type=int, default=1)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("bounds", help="evaluate every bound formula")
-    common(p)
+    p = command("bounds", "evaluate every bound formula", _cmd_bounds,
+                budgeted=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--epsilon", default=None,
                    help="exact rational, e.g. 1/10")
-    p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("verify", help="verify the Furstenberg property")
-    common(p, field=False)
+    p = command("verify", "verify the Furstenberg property", _cmd_verify,
+                field=False)
     p.add_argument("--points", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("search", help="exact extremal search K(q,n,k,m)")
-    common(p)
+    p = command("search", "exact extremal search K(q,n,k,m)", _cmd_search)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(fn=_cmd_search)
 
-    p = sub.add_parser("entropy", help="min-entropy projections and checks")
-    common(p, field=False)
+    p = command("entropy", "min-entropy projections and checks",
+                _cmd_entropy, field=False)
     p.add_argument("--dist", required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--check", choices=["bound", "recursion", "none"],
                    default="bound")
-    p.set_defaults(fn=_cmd_entropy)
 
-    p = sub.add_parser("polycert", help="polynomial certificates and audits")
-    common(p)
+    p = command("polycert", "polynomial certificates and audits",
+                _cmd_polycert)
     p.add_argument("--n", type=int, required=True)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--poly", default=None)
     source.add_argument("--targets", default=None)
     p.add_argument("--degree", type=int, default=None)
-    p.set_defaults(fn=_cmd_polycert)
 
-    p = sub.add_parser("incidence", help="incidence counts and censuses")
-    common(p, field=False)
+    p = command("incidence", "incidence counts and censuses", _cmd_incidence,
+                field=False)
     p.add_argument("--points", required=True)
     p.add_argument("--flats", default=None)
     p.add_argument("--check", required=True,
@@ -332,12 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--delta", default="1/2")
-    p.set_defaults(fn=_cmd_incidence)
 
-    p = sub.add_parser("selftest", help="run the invariant battery")
-    common(p, field=False)
-    p.set_defaults(fn=_cmd_selftest)
-
+    sub.add_parser("selftest", help="run the invariant battery")
     return ap
 
 
@@ -348,11 +303,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except FlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if args.command == "selftest":
+            # the battery streams its lines as it goes
+            from .selftest import run_selftest
+            return 0 if run_selftest(sys.stdout) else 1
+        text = emit_report(args.fn(args), args.format)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
+    except (FlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

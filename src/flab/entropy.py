@@ -49,9 +49,6 @@ class EntropyValue:
     max_weight: int
     total: int
 
-    def prob(self) -> Fraction:
-        return Fraction(self.max_weight, self.total)
-
     # higher entropy <=> smaller mode probability
     def __le__(self, other: "EntropyValue") -> bool:
         return self.max_weight * other.total >= other.max_weight * self.total
@@ -60,7 +57,7 @@ class EntropyValue:
         return self.max_weight * other.total > other.max_weight * self.total
 
     def equals_log(self, q: int, k: int) -> bool:
-        """True iff the entropy equals exactly k (an integer), i.e. prob = q^-k."""
+        """True iff the entropy is the integer k: max_weight/total = q^-k."""
         return self.max_weight * q ** k == self.total
 
 
@@ -156,7 +153,6 @@ class RecursionReport:
     composed_le_direct: bool
     composed_ok: bool
     direct_ok: bool
-    steps: tuple[EntropicWitness, ...]
 
 
 def check_recursion(dist: RationalDistribution, k: int,
@@ -167,10 +163,8 @@ def check_recursion(dist: RationalDistribution, k: int,
     if not 1 <= k < n:
         raise BadRange(f"k = {k} outside [1, {n})")
     cur = dist
-    steps = []
     for _ in range(k):
         wit, _ = best_projection(cur, 1, budget=budget)
-        steps.append(wit)
         cur = pushforward(cur, wit.kernel)
     composed = min_entropy(cur)
     _, direct = best_projection(dist, k, budget=budget)
@@ -182,8 +176,7 @@ def check_recursion(dist: RationalDistribution, k: int,
     return RecursionReport(composed=composed, direct=direct,
                            composed_le_direct=composed <= direct,
                            composed_ok=c_lhs <= c_rhs,
-                           direct_ok=d_lhs <= d_rhs,
-                           steps=tuple(steps))
+                           direct_ok=d_lhs <= d_rhs)
 
 
 @dataclass(frozen=True)

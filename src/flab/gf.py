@@ -243,21 +243,18 @@ class ExtensionField:
 
     # -- table construction -------------------------------------------------
 
-    def _pow_slow(self, a: int, k: int) -> int:
-        r = 1
-        while k:
-            if k & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            k >>= 1
-        return r
+    def _power(self, a: int, k: int) -> list[int]:
+        """The digits of a^k, k >= 1, by powering a's digit list modulo the
+        modulus: no tables needed."""
+        return _poly_powmod(self.base, _poly_trim(list(self.digits(a))), k,
+                            self.modulus)
 
     def _is_primitive(self, g: int, primes: Sequence[int]) -> bool:
         """g has order q - 1 (so the modulus is irreducible, too): g^(q-1)
         is 1 and g^((q-1)/r) is not, for every prime r dividing q - 1."""
         n = self.q - 1
-        return (self._pow_slow(g, n) == 1
-                and all(self._pow_slow(g, n // r) != 1 for r in primes))
+        return (self._power(g, n) == [1]
+                and all(self._power(g, n // r) != [1] for r in primes))
 
     def _times_x(self):
         """a -> a * x on encodings: shift the digits up one place and fold
@@ -300,7 +297,7 @@ class ExtensionField:
             xs.append(a)
         d = len(xs)
         k = n // d
-        t = xs.index(self._pow_slow(g, k))
+        t = xs.index(self.undigits(self._power(g, k)))
         L = k * pow(t, -1, d)
         cycle = [0] * n
         s = 1
@@ -409,8 +406,8 @@ def field_build(p: int, e: int):
     return ExtensionField(PrimeField(p), e)
 
 
-def base_vector_iso(spec_big: ExtensionField, v: Sequence[int],
-                    base=None) -> tuple[int, ...]:
+def base_vector_iso(spec_big: ExtensionField,
+                    v: Sequence[int]) -> tuple[int, ...]:
     """Flatten a vector over F_{q^k} to a vector over the base field F_q.
 
     The map is a bijection and F_q-linear (addition is digitwise; scaling by
@@ -418,9 +415,6 @@ def base_vector_iso(spec_big: ExtensionField, v: Sequence[int],
     """
     if not isinstance(spec_big, ExtensionField):
         raise IncompatibleFields("big field must be an extension field")
-    if base is not None and base != spec_big.base:
-        raise IncompatibleFields(
-            f"{base!r} is not the declared base of {spec_big!r}")
     out: list[int] = []
     for a in v:
         out.extend(spec_big.digits(a))

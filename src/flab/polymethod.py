@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .errors import ZeroPolynomial
-from .geometry import rref
+from .errors import BudgetExceeded, ZeroPolynomial
+from .geometry import DEFAULT_BUDGET, rref
 
 Expo = tuple[int, ...]
 
@@ -170,15 +170,28 @@ class SzAudit:
     ok: bool
 
 
-def sz_mult_audit(P: Polynomial, U: Sequence[int]) -> SzAudit:
-    """Sum of multiplicities over U^n versus the degree bound d |U|^{n-1}."""
+def sz_mult_audit(P: Polynomial, U: Sequence[int],
+                  budget: int = DEFAULT_BUDGET) -> SzAudit:
+    """Sum of multiplicities over U^n versus the degree bound d |U|^{n-1}.
+
+    Charges |U|^n points times C(d+n, n) Hasse derivatives against budget.
+    """
     if P.is_zero():
         raise ZeroPolynomial("audit requires a nonzero polynomial")
+    work = len(U) ** P.n * _monomial_count(P.n, P.degree)
+    if work > budget:
+        raise BudgetExceeded(f"audit of {work} point-derivative pairs "
+                             f"exceeds budget {budget}")
     total = 0
     for a in itertools.product(U, repeat=P.n):
         total += multiplicity(P, a)
     bound = P.degree * len(U) ** (P.n - 1)
     return SzAudit(sum=total, bound=bound, ok=total <= bound)
+
+
+def _monomial_count(n: int, d: int) -> int:
+    """Number of exponent tuples of weight <= d, C(d+n, n); 0 when d < 0."""
+    return math.comb(d + n, n) if d >= 0 else 0
 
 
 def monomials_upto(n: int, d: int) -> list[Expo]:
@@ -192,8 +205,8 @@ def monomials_upto(n: int, d: int) -> list[Expo]:
 def vanishing_hypothesis_holds(targets: Mapping[Expo, int], n: int,
                                d: int) -> bool:
     """Dimension-count hypothesis guaranteeing a nonzero interpolant."""
-    lhs = sum(math.comb(N + n - 1, n) for N in targets.values())
-    return lhs < math.comb(d + n, n)
+    lhs = sum(_monomial_count(n, N - 1) for N in targets.values())
+    return lhs < _monomial_count(n, d)
 
 
 @dataclass(frozen=True)
@@ -206,14 +219,20 @@ class NoSolutionCertificate:
 
 
 def find_vanishing_poly(F, n: int, targets: Mapping[Sequence[int], int],
-                        d: int):
+                        d: int, budget: int = DEFAULT_BUDGET):
     """Nonzero polynomial of degree <= d vanishing with given multiplicities.
 
     Solves the homogeneous linear system of Hasse-derivative vanishing
     conditions; returns the canonical kernel element (first free coefficient
     set to 1 under graded lex order) or a NoSolutionCertificate when the
-    system has full column rank.
+    system has full column rank.  Charges equations times unknowns,
+    sum_x C(N_x+n-1, n) * C(d+n, n), against budget before building any row.
     """
+    work = (sum(_monomial_count(n, N - 1) for N in targets.values())
+            * _monomial_count(n, d))
+    if work > budget:
+        raise BudgetExceeded(f"interpolation system of {work} entries "
+                             f"exceeds budget {budget}")
     monos = monomials_upto(n, d)
     rows: list[list[int]] = []
     for x in sorted(tuple(pt) for pt in targets):

@@ -1,10 +1,13 @@
+import argparse
+import ast
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
-from flab import formats
-from flab.cli import emit_report, main
+from flab import cli, formats
+from flab.cli import build_parser, emit_report, main
 from flab.errors import UnsupportedFormat
 from flab.geometry import PointSet, all_points
 from flab.gf import field_build
@@ -184,6 +187,91 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--format", "json"), ("--output", "@x"), ("--budget", "10")])
+def test_selftest_takes_no_report_flags(capsys, tmp_path, flag, value):
+    # the battery streams to stdout, so an output file would stay unwritten
+    target = tmp_path / "x"
+    code, out, err = run(capsys, ["selftest", flag,
+                                  str(target) if value == "@x" else value])
+    assert code == 2 and out == "" and flag in err
+    assert not target.exists()
+
+
+def test_bounds_takes_no_budget(capsys):
+    code, _, err = run(capsys, ["bounds", "--p", "2", "--n", "2", "--k", "1",
+                                "--m", "2", "--budget", "10"])
+    assert code == 2 and "--budget" in err
+
+
+def _args_read(fn: ast.FunctionDef) -> set[str]:
+    return {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == "args"}
+
+
+SUBPARSERS = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(SUBPARSERS))
+def test_every_flag_is_read(command):
+    # a flag that neither the handler nor main reads is a flag the user
+    # can set to no effect
+    funcs = {f.name: f for f in ast.parse(Path(cli.__file__).read_text()).body
+             if isinstance(f, ast.FunctionDef)}
+    parser = SUBPARSERS[command]
+    read = _args_read(funcs["main"])
+    if parser.get_default("fn") is not None:
+        read |= _args_read(funcs[parser.get_default("fn").__name__])
+    dests = {a.dest for a in parser._actions} - {"help"}
+    assert dests <= read, f"{command} never reads {sorted(dests - read)}"
+    assert "command" in read
+
+
+def _search_argv(budget_flag=()):
+    # q^n = 32 is past the exact limit: search charges the 32-point
+    # trivial construction against the budget
+    return ["search", "--p", "2", "--n", "5", "--k", "1", "--m", "2",
+            *budget_flag]
+
+
+def test_flab_budget_sets_the_default(capsys, monkeypatch):
+    monkeypatch.setenv("FLAB_BUDGET", "10")
+    code, _, err = run(capsys, _search_argv())
+    assert code == 2 and "budget 10" in err
+    code, out, _ = run(capsys, _search_argv(["--budget", "100"]))
+    assert code == 0 and "upper = 32" in out
+
+
+def test_malformed_flab_budget_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("FLAB_BUDGET", "abc")
+    code, out, err = run(capsys, _search_argv())
+    assert code == 2 and out == ""
+    assert "argument --budget: invalid int value: 'abc'" in err
+    assert "internal error" not in err
+    # a command without --budget never reads it
+    code, out, _ = run(capsys, ["bounds", "--p", "2", "--n", "2", "--k", "1",
+                                "--m", "2"])
+    assert code == 0 and "trivial_pigeonhole" in out
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--degree", "100000", "--targets"], "5 1 2\n0 | 0 | 1\n"),
+    (["--poly"], "1 : 100000 0\n"),
+], ids=["interpolation", "audit"])
+def test_polycert_charges_the_default_budget(capsys, tmp_path, monkeypatch,
+                                             argv, text):
+    # degree 10^5 in two variables has C(100002, 2) ~ 5e9 monomials: the
+    # charge must refuse it before a single row or point is built
+    monkeypatch.delenv("FLAB_BUDGET", raising=False)
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run(capsys, ["polycert", "--p", "5", "--n", "2",
+                                  *argv, str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exceeds budget 10000000" in err
 
 
 def test_exit_code_validation_error(capsys, tmp_path):

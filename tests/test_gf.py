@@ -158,12 +158,9 @@ def test_iso_linear_and_bijective():
                 F2.mul(c, a) for a in base_vector_iso(F4, v))
 
 
-def test_iso_base_mismatch():
-    F2 = field_build(2, 1)
-    F3 = field_build(3, 1)
-    F4 = ExtensionField(F2, 2)
+def test_iso_needs_an_extension_field():
     with pytest.raises(IncompatibleFields):
-        base_vector_iso(F4, (1,), base=F3)
+        base_vector_iso(field_build(3, 1), (1,))
 
 
 def test_lines_lift_to_rank_k_subspaces():

@@ -43,3 +43,27 @@ def test_every_import_is_used(path):
     unused = [f"{name} (line {line})"
               for name, line in _imported(tree).items() if name not in used]
     assert not unused, f"{path.name} imports but never uses: {unused}"
+
+
+def _writes_stdout(node: ast.AST) -> bool:
+    """The subtree names sys.stdout or prints without a file argument."""
+    for n in ast.walk(node):
+        if (isinstance(n, ast.Attribute) and n.attr == "stdout"
+                and isinstance(n.value, ast.Name) and n.value.id == "sys"):
+            return True
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "print"
+                and not any(k.arg == "file" for k in n.keywords)):
+            return True
+    return False
+
+
+def test_only_cli_main_writes_stdout():
+    # one writer keeps every report, and nothing else, on stdout
+    writers = set()
+    for path in Path(flab.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            writers |= {f"{path.stem}.{getattr(m, 'name', '<module>')}"
+                        for m in members if _writes_stdout(m)}
+    assert writers == {"cli.main"}

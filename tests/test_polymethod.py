@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import mult_oracle, random_poly
-from flab.errors import ZeroPolynomial
+from flab.errors import BudgetExceeded, ZeroPolynomial
 from flab.geometry import all_points
 from flab.polymethod import (NoSolutionCertificate, Polynomial, evaluate,
                              exponents_of_weight, find_vanishing_poly,
@@ -158,6 +158,14 @@ def test_sz_audit_frobenius_tight(F5):
     assert audit.sum == 5 and audit.bound == 5 and audit.ok
 
 
+def test_sz_audit_charges_points_times_derivatives(F3):
+    # 3^2 points, each with the C(2+2, 2) = 6 derivatives of weight <= 2
+    P = Polynomial.make(F3, 2, {(1, 1): 1})
+    assert sz_mult_audit(P, [0, 1, 2], budget=54).sum == 6
+    with pytest.raises(BudgetExceeded):
+        sz_mult_audit(P, [0, 1, 2], budget=53)
+
+
 def test_sz_audit_rejects_zero(F2):
     with pytest.raises(ZeroPolynomial):
         sz_mult_audit(Polynomial.make(F2, 1, {}), [0, 1])
@@ -184,6 +192,15 @@ def test_find_vanishing_boundary_certificate(F2):
     res = find_vanishing_poly(F2, 2, targets, 2)
     assert isinstance(res, NoSolutionCertificate)
     assert res.unknowns == 6 and res.rank == 6
+
+
+def test_find_vanishing_charges_the_system_size(F2):
+    # the charge is the full system, equations times unknowns
+    targets = {(0, 0): 3}
+    res = find_vanishing_poly(F2, 2, targets, 2, budget=36)
+    assert res.equations * res.unknowns == 36
+    with pytest.raises(BudgetExceeded):
+        find_vanishing_poly(F2, 2, targets, 2, budget=35)
 
 
 def test_find_vanishing_mixed_multiplicities(F3):
