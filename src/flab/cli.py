@@ -85,11 +85,23 @@ def _fraction(text: str, flag: str) -> Fraction:
             from None
 
 
-def _require(args, context: str, *names: str) -> None:
-    """Reject, as a user error, a run missing options this command needs."""
-    missing = [f"--{a}" for a in names if getattr(args, a) is None]
+class _Given(argparse.Action):
+    """Store the value and note the option as given on the command line."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
+def _mode(args, context: str, needs=(), reads=()) -> None:
+    """Reject, as a user error, a run of a mode that lacks an option it
+    needs or is given one it does not read."""
+    missing = [f"--{a}" for a in needs if getattr(args, a) is None]
     if missing:
         raise FlabError(f"{context} needs {' '.join(missing)}")
+    unread = sorted(f"--{a}" for a in args.given - {*needs, *reads})
+    if unread:
+        raise FlabError(f"{context} does not read {' '.join(unread)}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +164,9 @@ def _cmd_entropy(args) -> dict:
         "max_weight": ev.max_weight,
         "entropy": f"H = log_q({ev.total}/{ev.max_weight})",
     }
-    if args.check == "bound":
+    if args.check == "none":
+        _mode(args, "entropy --check none")
+    elif args.check == "bound":
         r = check_entropic_bound(dist, args.k, budget=args.budget)
         report.update({"k": args.k, "ok": r.ok, "lhs": r.lhs, "rhs": r.rhs,
                        "margin": r.margin})
@@ -171,12 +185,13 @@ def _cmd_entropy(args) -> dict:
 def _cmd_polycert(args) -> dict:
     F = field_build(args.p, args.e)
     if args.poly:
+        _mode(args, "polycert --poly", reads=["budget"])
         with open(args.poly) as fh:
             P = formats.parse_polynomial(F, args.n, fh.read())
         audit = sz_mult_audit(P, list(F.elements()), budget=args.budget)
         return {"degree": P.degree, "terms": len(P.terms),
                 "mult_sum": audit.sum, "bound": audit.bound, "ok": audit.ok}
-    _require(args, "polycert --targets", "degree")
+    _mode(args, "polycert --targets", ["degree"], ["budget"])
     with open(args.targets) as fh:
         TF, n, targets = formats.parse_targets(fh.read())
     if TF != F or n != args.n:
@@ -196,7 +211,7 @@ def _cmd_incidence(args) -> dict:
         S = formats.parse_pointset(fh.read())
     context = f"incidence --check {args.check}"
     if args.check in ("count", "haemers"):
-        _require(args, context, "flats")
+        _mode(args, context, ["flats"])
         with open(args.flats) as fh:
             L = formats.parse_flat_family(fh.read())
         if args.check == "count":
@@ -205,18 +220,18 @@ def _cmd_incidence(args) -> dict:
         return {"incidences": r.incidences, "rhs": r.rhs,
                 "radicand": r.radicand, "ok": r.ok}
     if args.check == "poor":
-        _require(args, context, "l")
+        _mode(args, context, ["l"], ["delta", "budget"])
         r = poor_flat_census(S, args.l, _fraction(args.delta, "--delta"),
                              budget=args.budget)
         return {"poor_flats": r.incidences, "bound": r.rhs, "ok": r.ok,
                 "threshold": r.extra["threshold"]}
     if args.check == "becks":
-        _require(args, context, "k")
+        _mode(args, context, ["k"], ["delta", "budget"])
         r = kakeya_becks_census(S, args.k, _fraction(args.delta, "--delta"),
                                 budget=args.budget)
         return {"rich_flats": r.incidences, "bound": r.rhs, "ok": r.ok,
                 "m": r.extra["m"], "hypothesis_met": r.extra["hypothesis_met"]}
-    _require(args, context, "flats", "l")
+    _mode(args, context, ["flats", "l"], ["budget"])
     with open(args.flats) as fh:
         L = formats.parse_flat_family(fh.read())
     r = contained_subflats(L, args.l, budget=args.budget)
@@ -241,11 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
         p.add_argument("--output", "-o", default=None)
         if budgeted:
-            p.add_argument("--budget", type=int, default=budget)
+            p.add_argument("--budget", type=int, default=budget,
+                           action=_Given)
         if field:
             p.add_argument("--p", type=int, required=True)
             p.add_argument("--e", type=int, default=1)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, given=frozenset())
         return p
 
     p = command("bounds", "evaluate every bound formula", _cmd_bounds,
@@ -270,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("entropy", "min-entropy projections and checks",
                 _cmd_entropy, field=False)
     p.add_argument("--dist", required=True)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=int, default=1, action=_Given)
     p.add_argument("--check", choices=["bound", "recursion", "none"],
                    default="bound")
 
@@ -280,17 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--poly", default=None)
     source.add_argument("--targets", default=None)
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=int, default=None, action=_Given)
 
     p = command("incidence", "incidence counts and censuses", _cmd_incidence,
                 field=False)
     p.add_argument("--points", required=True)
-    p.add_argument("--flats", default=None)
+    p.add_argument("--flats", default=None, action=_Given)
     p.add_argument("--check", required=True,
                    choices=["count", "haemers", "poor", "becks", "subflats"])
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--delta", default="1/2")
+    p.add_argument("--k", type=int, default=None, action=_Given)
+    p.add_argument("--l", type=int, default=None, action=_Given)
+    p.add_argument("--delta", default="1/2", action=_Given)
 
     sub.add_parser("selftest", help="run the invariant battery")
     return ap

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BadRange, DimensionMismatch, EmptyInput
 from .geometry import (DEFAULT_BUDGET, Point, Subspace, coset_histogram,
-                       enumerate_subspaces)
+                       scan_directions)
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,6 @@ class EntropyValue:
         return self.max_weight * q ** k == self.total
 
 
-@dataclass(frozen=True)
-class EntropicWitness:
-    kernel: Subspace
-    shift_value: Point
-    attained: EntropyValue
-
-
 def min_entropy(dist: RationalDistribution) -> EntropyValue:
     return EntropyValue(max_weight=max(dist.weights.values()),
                         total=dist.total)
@@ -94,34 +87,26 @@ def pushforward(dist: RationalDistribution,
 
 
 def best_projection(dist: RationalDistribution, k: int,
-                    budget: int = DEFAULT_BUDGET) -> tuple[EntropicWitness, EntropyValue]:
-    """Exhaustive max of min-entropy over the rank-k kernels.
+                    budget: int = DEFAULT_BUDGET) -> tuple[Subspace, EntropyValue]:
+    """Exhaustive max of min-entropy over the rank-k kernels: the kernel
+    whose heaviest coset is lightest, and that entropy.
 
     The entropy of an onto linear image depends on its kernel only (the
-    mode is the heaviest coset), so one canonical projection per kernel
-    suffices; ties broken by kernel enumeration order.
+    mode is the heaviest coset); ties broken by kernel enumeration order.
     """
-    F = dist.field
     n = dist.n
     if not 1 <= k < n:
         raise BadRange(f"k = {k} outside [1, {n})")
-    best: EntropicWitness | None = None
-    for kernel in enumerate_subspaces(F, n, k, budget=budget):
-        pushed = pushforward(dist, kernel)
-        ev = min_entropy(pushed)
-        if best is None or best.attained.max_weight > ev.max_weight:
-            mode = min(y for y, w in pushed.weights.items()
-                       if w == ev.max_weight)
-            best = EntropicWitness(kernel=kernel, shift_value=mode,
-                                   attained=ev)
-    assert best is not None
-    return best, best.attained
+    kernel, hist = min(scan_directions(dist.field, n, k,
+                                       list(dist.weights.items()), budget),
+                       key=lambda pair: max(pair[1].values()))
+    return kernel, EntropyValue(max_weight=max(hist.values()),
+                                total=dist.total)
 
 
 @dataclass(frozen=True)
 class EntropicBoundReport:
     ok: bool
-    witness: EntropicWitness
     lhs: int            # g^n q^{nk}
     rhs: int            # f(v)^{n-k} S^k (2q-1)^{nk}
     margin: int         # rhs - lhs
@@ -138,12 +123,12 @@ def entropic_inequality_sides(q: int, n: int, k: int, g: int, fv: int,
 def check_entropic_bound(dist: RationalDistribution, k: int,
                          budget: int = DEFAULT_BUDGET) -> EntropicBoundReport:
     F = dist.field
-    witness, attained = best_projection(dist, k, budget=budget)
+    _, attained = best_projection(dist, k, budget=budget)
     fv = max(dist.weights.values())
     lhs, rhs = entropic_inequality_sides(F.q, dist.n, k,
                                          attained.max_weight, fv, dist.total)
-    return EntropicBoundReport(ok=lhs <= rhs, witness=witness,
-                               lhs=lhs, rhs=rhs, margin=rhs - lhs)
+    return EntropicBoundReport(ok=lhs <= rhs, lhs=lhs, rhs=rhs,
+                               margin=rhs - lhs)
 
 
 @dataclass(frozen=True)
@@ -164,8 +149,8 @@ def check_recursion(dist: RationalDistribution, k: int,
         raise BadRange(f"k = {k} outside [1, {n})")
     cur = dist
     for _ in range(k):
-        wit, _ = best_projection(cur, 1, budget=budget)
-        cur = pushforward(cur, wit.kernel)
+        kernel, _ = best_projection(cur, 1, budget=budget)
+        cur = pushforward(cur, kernel)
     composed = min_entropy(cur)
     _, direct = best_projection(dist, k, budget=budget)
     fv = max(dist.weights.values())
@@ -197,9 +182,9 @@ def norm_bound_check(F, n: int, values: Mapping[Sequence[int], int],
     values taken).  The hypothesis check scans all rank-1 directions.
     """
     absvals = {tuple(x): abs(v) for x, v in values.items() if v}
-    failing = next((d for d in enumerate_subspaces(F, n, 1, budget=budget)
-                    if max(coset_histogram(F, absvals.items(), d).values(),
-                           default=0) < r), None)
+    failing = next((d for d, hist in scan_directions(
+                        F, n, 1, list(absvals.items()), budget)
+                    if max(hist.values(), default=0) < r), None)
     hypothesis_ok = failing is None
     power_sum = sum(v ** n for v in absvals.values())
     q = F.q

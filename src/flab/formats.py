@@ -129,6 +129,8 @@ def serialize_polynomial(P: Polynomial) -> str:
 
 
 def parse_polynomial(F, n: int, text: str) -> Polynomial:
+    if n < 1:
+        raise UnsupportedFormat(f"dimension n = {n} < 1")
     terms = {}
     for ln in text.splitlines():
         if not ln.strip():

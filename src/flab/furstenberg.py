@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import (BadEpsilon, BadRange, BadSize, BudgetExceeded,
-                     IncompatibleFields)
+from .errors import BadEpsilon, BadRange, BadSize, IncompatibleFields
 from .gf import ExtensionField, base_vector_iso
-from .geometry import (DEFAULT_BUDGET, Flat, PointSet, Subspace, all_points,
-                       check_flat_budget, coset_histogram,
-                       enumerate_subspaces)
+from .geometry import (CAP_BITS, DEFAULT_BUDGET, DIGIT_CAP, Flat, Point,
+                       PointSet, Subspace, all_points, charge,
+                       enumerate_subspaces, scan_directions)
 
 
 @dataclass(frozen=True)
@@ -50,16 +49,15 @@ class WitnessFamily:
     coverage: Mapping[Subspace, int]
 
 
-def coverage_over_directions(S: PointSet, directions: Iterable[Subspace],
-                             m: int):
-    """Furstenberg-style coverage over the given directions: (True,
-    WitnessFamily) or (False, first failing direction).  Each witness flat
-    is the lex-least coset of largest count."""
-    F = S.field
+def coverage_over_directions(
+        scan: Iterable[tuple[Subspace, Mapping[Point, int]]], m: int):
+    """Furstenberg-style coverage over the (direction, coset histogram)
+    pairs of a scan: (True, WitnessFamily) or (False, first failing
+    direction).  Each witness flat is the lex-least coset of largest
+    count."""
     assignment: dict[Subspace, Flat] = {}
     coverage: dict[Subspace, int] = {}
-    for direction in directions:
-        counts = coset_histogram(F, ((p, 1) for p in S.points), direction)
+    for direction, counts in scan:
         best = max(counts.values(), default=0)
         if best < m:
             return False, direction
@@ -75,9 +73,8 @@ def is_furstenberg(S: PointSet, k: int, m: int,
     enumeration order; returns as coverage_over_directions."""
     if m < 1:
         raise BadRange(f"need m >= 1, got m={m}")
-    check_flat_budget(S.field.q, S.n, k, budget)
-    return coverage_over_directions(
-        S, enumerate_subspaces(S.field, S.n, k, budget=budget), m)
+    return coverage_over_directions(scan_directions(
+        S.field, S.n, k, [(p, 1) for p in S.points], budget), m)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +168,6 @@ def sqrt_up(x: Fraction) -> Fraction:
     return Fraction(s if s * s == a * b else s + 1, b)
 
 
-DIGIT_CAP = 4300   # Python's default limit on int-to-str conversion
-
-
 def bound_table(instance: FurstenbergInstance,
                 epsilon: Fraction | None = None,
                 printable: bool = True) -> BoundReport:
@@ -188,8 +182,8 @@ def bound_table(instance: FurstenbergInstance,
     q, n, k, m = instance.q, instance.n, instance.k, instance.m
     if epsilon is not None and not 0 < epsilon < 1:
         raise BadEpsilon(f"epsilon {epsilon} outside (0,1)")
-    # q^j >= 2^(j (bits(q) - 1)), and 2^14285 > 10^4300
-    if printable and (k + 1) * n * (q.bit_length() - 1) >= 14285:
+    # q^j >= 2^(j (bits(q) - 1))
+    if printable and (k + 1) * n * (q.bit_length() - 1) >= CAP_BITS:
         raise BadRange(f"q^((k+1)n) = {q}^{(k + 1) * n} has more than "
                        f"{DIGIT_CAP} digits")
     rows: list[BoundRow] = []
@@ -295,27 +289,27 @@ def search_extremal(instance: FurstenbergInstance,
     property is translation invariant, so only subsets whose lexicographic
     minimum is the origin are generated.  Bit i of a subset mask is point i
     in lex order; a subset passes a direction iff it shares at least m bits
-    with one of the coset bitmasks built once per direction.
+    with one of the coset bitmasks built once per direction.  The bound
+    table's largest number, q^((k+1)n), is charged in bits before it is
+    built.
     """
     F, n, k, m = instance.field, instance.n, instance.k, instance.m
     q = F.q
+    # q^j >= 2^j > EXACT_SEARCH_LIMIT for j = its bit length
+    exact = q ** min(n, EXACT_SEARCH_LIMIT.bit_length()) <= EXACT_SEARCH_LIMIT
+    if exact:
+        pts = all_points(F, n)
+        bits = [1 << i for i in range(len(pts))]
+        tables = [tuple(hist.values()) for _, hist
+                  in scan_directions(F, n, k, list(zip(pts, bits)), budget)]
+    charge((k + 1) * n * (q - 1).bit_length(), "bound-table bits", budget)
     # search prints no row, so its table need not print
     lower = bound_table(instance, printable=False).best_integer_lower()
-    upper = m * q ** (n - k)
-    if q ** n > EXACT_SEARCH_LIMIT:
+    if not exact:
         construction = trivial_construction(instance, budget=budget)
         return SearchResult(exact=None, lower=lower, upper=len(construction),
                             witness=construction)
-    if m == 1:
-        # any single point meets a translate of every subspace
-        S = PointSet.of(F, n, [(0,) * n])
-        return SearchResult(exact=1, lower=lower, upper=1, witness=S)
-    check_flat_budget(q, n, k, budget)
-    pts = all_points(F, n)
-    bits = [1 << i for i in range(len(pts))]
-    tables = [tuple(coset_histogram(F, zip(pts, bits), d).values())
-              for d in enumerate_subspaces(F, n, k, budget=budget)]
-    for size in range(max(lower, 2), upper + 1):
+    for size in range(lower, m * q ** (n - k) + 1):
         for combo in itertools.combinations(bits[1:], size - 1):
             mask = 1 + sum(combo)   # bit 0 is the origin
             if all(any((mask & c).bit_count() >= m for c in cosets)
@@ -335,8 +329,7 @@ def trivial_construction(instance: FurstenbergInstance,
     size = m * F.q ** (n - k)
     if size > F.q ** n:
         raise BadSize(f"{size} points exceed the ambient space")
-    if size > budget:
-        raise BudgetExceeded(f"{size} points exceed budget {budget}")
+    charge(size, "construction points", budget)
     lex = itertools.product(F.elements(), repeat=n)
     return PointSet.of(F, n, itertools.islice(lex, size))
 

@@ -11,19 +11,39 @@ import itertools
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BadRange, BudgetExceeded, DimensionMismatch, EmptyInput
 
 DEFAULT_BUDGET = 10_000_000
+DIGIT_CAP = 4300   # Python's default limit on int-to-str conversion
+CAP_BITS = 14285   # 2^14285 > 10^4300: an int of fewer bits prints
 
 Point = tuple[int, ...]
 
 
+def charge(work: int | tuple[int, Callable[[], int]], what: str,
+           budget: int) -> None:
+    """The one budget check: BudgetExceeded("{work} {what} exceed budget
+    {budget}") when work > budget; a work of CAP_BITS bits or more is shown
+    as "2^b or more".  A count too large to compute comes as (bits, count),
+    2^bits <= count(); count is not called once 2^bits is past both the
+    budget and CAP_BITS."""
+    if isinstance(work, tuple):
+        bits, count = work
+        work = count() if bits < max(budget.bit_length(), CAP_BITS) else None
+    if work is None or work > budget:
+        if work is not None:
+            bits = work.bit_length() - 1
+        shown = work if bits < CAP_BITS else f"2^{bits} or more"
+        raise BudgetExceeded(f"{shown} {what} exceed budget {budget}")
+
+
 def qbinomial(n: int, k: int, q: int) -> int:
-    """Gaussian binomial coefficient, exact product formula."""
+    """Gaussian binomial coefficient, exact product over min(k, n-k) terms."""
     if k < 0 or k > n:
         raise BadRange(f"k = {k} outside [0, {n}]")
+    k = min(k, n - k)
     num = 1
     den = 1
     for i in range(k):
@@ -189,6 +209,21 @@ def coset_histogram(F, items: Iterable[tuple[Sequence[int], int]],
     return hist
 
 
+def scan_directions(F, n: int, k: int,
+                    items: Sequence[tuple[Sequence[int], int]],
+                    budget: int) -> Iterator[tuple[Subspace, Counter[Point]]]:
+    """Each rank-k direction of F_q^n, in enumeration order, with the
+    coset_histogram of the (point, weight) items.
+
+    The q^(n-k) binom(n,k)_q flats are charged when this is called, before
+    the first histogram; binom(n,k)_q >= q^(k(n-k)) bounds their bits.
+    """
+    charge(((k + 1) * (n - k) * (F.q.bit_length() - 1),
+            lambda: q_flat_count(F.q, n, k)), "flats", budget)
+    return ((d, coset_histogram(F, items, d))
+            for d in enumerate_subspaces(F, n, k, budget=budget))
+
+
 @dataclass(frozen=True)
 class Flat:
     """k-flat: translate of a rank-k subspace, canonical shift."""
@@ -213,9 +248,8 @@ def enumerate_subspaces(F, n: int, k: int,
     """
     if k < 0 or k > n:
         raise BadRange(f"k = {k} outside [0, {n}]")
-    total = qbinomial(n, k, F.q)
-    if total > budget:
-        raise BudgetExceeded(f"{total} subspaces exceed budget {budget}")
+    charge((k * (n - k) * (F.q.bit_length() - 1),
+            lambda: qbinomial(n, k, F.q)), "subspaces", budget)
     if k == 0:
         yield Subspace(n=n, k=0, basis=())
         return
@@ -235,8 +269,7 @@ def enumerate_flats(F, n: int, k: int,
                     budget: int = DEFAULT_BUDGET) -> Iterator[Flat]:
     """All k-flats: per subspace, its canonical shifts (zeros in the pivot
     columns) in lexicographic order of the free coordinates."""
-    check_flat_budget(F.q, n, k, budget)
-    for sub in enumerate_subspaces(F, n, k, budget=budget):
+    for sub, _ in scan_directions(F, n, k, (), budget):
         pivots = sub.pivots()
         freecols = [j for j in range(n) if j not in pivots]
         for vals in itertools.product(F.elements(), repeat=len(freecols)):
@@ -248,13 +281,6 @@ def enumerate_flats(F, n: int, k: int,
 
 def q_flat_count(q: int, n: int, k: int) -> int:
     return qbinomial(n, k, q) * q ** (n - k)   # raises on k before powering
-
-
-def check_flat_budget(q: int, n: int, k: int, budget: int) -> None:
-    """Charge a scan over every k-flat of F_q^n: q^(n-k)·binom(n,k)_q."""
-    total = q_flat_count(q, n, k)
-    if total > budget:
-        raise BudgetExceeded(f"{total} flats exceed budget {budget}")
 
 
 def span(F, points: Iterable[Sequence[int]]) -> Flat:
@@ -271,8 +297,7 @@ def span(F, points: Iterable[Sequence[int]]) -> Flat:
 def flat_points(F, flat: Flat, budget: int = DEFAULT_BUDGET) -> list[Point]:
     """All q^k points of the flat, deterministic order."""
     k = flat.direction.k
-    if F.q ** k > budget:
-        raise BudgetExceeded("flat point expansion exceeds budget")
+    charge(F.q ** k, "flat points", budget)
     out = []
     for coeffs in itertools.product(F.elements(), repeat=k):
         p = list(flat.shift)

@@ -15,9 +15,8 @@ from typing import Iterable, Mapping
 
 from .errors import BadDelta, BadRange, DimensionMismatch, NotADirectionFamily
 from .furstenberg import FurstenbergInstance, search_extremal, sqrt_up
-from .geometry import (DEFAULT_BUDGET, Flat, PointSet, check_flat_budget,
-                       coset_histogram, enumerate_subspaces, flat_points,
-                       qbinomial)
+from .geometry import (DEFAULT_BUDGET, Flat, PointSet, coset_histogram,
+                       flat_points, qbinomial, scan_directions)
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,8 @@ def haemers_check(S: PointSet, L: FlatFamily) -> IncidenceReport:
     F = S.field
     q, n, k = F.q, S.n, L.rank
     I = count_incidences(S, L)
-    term1 = Fraction(len(S) * len(L), q ** (n - k))
+    # without points or flats, n is a bare header value: skip q^(n-k)
+    term1 = Fraction(len(S) * len(L), q ** (n - k)) if S and L else 0
     radicand = q ** k * qbinomial(n - 1, k, q) * len(S) * len(L)
     rhs = term1 + sqrt_up(radicand)
     return IncidenceReport(incidences=I, rhs=rhs, ok=I <= rhs,
@@ -92,16 +92,13 @@ def poor_flat_census(S: PointSet, l: int, delta: Fraction,
         raise BadRange(f"l = {l} outside [1, {k - 1}]")
     if not 0 < delta < 1:
         raise BadDelta(f"delta = {delta} outside (0,1)")
+    scan = scan_directions(F, k, l, [(p, 1) for p in S.points], budget)
     m = len(S)
     threshold = delta * m * Fraction(q ** l, q ** k) + 1
     # threshold >= 1, so the q^(k-l) - len(hist) empty cosets are poor too
-    unit = [(p, 1) for p in S.points]
-    poor = 0
-    check_flat_budget(q, k, l, budget)
-    for d in enumerate_subspaces(F, k, l, budget=budget):
-        hist = coset_histogram(F, unit, d)
-        poor += q ** (k - l) - len(hist) \
-            + sum(1 for c in hist.values() if c < threshold)
+    poor = sum(q ** (k - l) - len(hist)
+               + sum(1 for c in hist.values() if c < threshold)
+               for _, hist in scan)
     bound = Fraction(q ** (k - l) * qbinomial(k, l, q), 1) \
         / (1 + m * Fraction(q ** l, q ** k) * (1 - delta) ** 2)
     return IncidenceReport(incidences=poor, rhs=bound, ok=poor <= bound,
@@ -127,12 +124,13 @@ def contained_subflats(Ffam: FlatFamily, l: int,
             f"need exactly one flat per rank-{k} direction")
     # an l-flat lies in a family flat iff its direction E lies in the
     # flat's direction (shift + e is in the flat for each basis row e of E)
-    # and it is one of the E-cosets the flat's points meet
-    check_flat_budget(q, n, l, budget)
+    # and it is one of the E-cosets the flat's points meet (a scan of no
+    # items charges the l-flats and yields each E)
+    scan = scan_directions(F, n, l, (), budget)
     points = {f: frozenset(flat_points(F, f, budget=budget))
               for f in Ffam.flats}
     count = 0
-    for E in enumerate_subspaces(F, n, l, budget=budget):
+    for E, _ in scan:
         inside = [(p, 1) for f in Ffam.flats
                   if all(tuple(map(F.add, f.shift, e)) in points[f]
                          for e in E.basis)
@@ -162,15 +160,11 @@ def kakeya_becks_census(S: PointSet, k: int, delta: Fraction,
     if not 0 < delta < 1:
         raise BadDelta(f"delta = {delta} outside (0,1)")
     unit = [(p, 1) for p in S.points]
-    check_flat_budget(q, n, k, budget)
-    m = min(max(coset_histogram(F, unit, d).values(), default=0)
-            for d in enumerate_subspaces(F, n, k, budget=budget))
+    m = min(max(hist.values(), default=0)
+            for _, hist in scan_directions(F, n, k, unit, budget))
     threshold = delta * m * Fraction(1, q) + 1
-    census = 0
-    check_flat_budget(q, n, k - 1, budget)
-    for d in enumerate_subspaces(F, n, k - 1, budget=budget):
-        census += sum(1 for c in coset_histogram(F, unit, d).values()
-                      if c >= threshold)
+    census = sum(1 for _, hist in scan_directions(F, n, k - 1, unit, budget)
+                 for c in hist.values() if c >= threshold)
     bound = Fraction(q ** (n - k + 1) * qbinomial(n, k - 1, q),
                      2 ** (n + 2 - k))
     hypothesis_met = Fraction(m) >= Fraction(2 ** (n + 3 - k) * q) \

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .errors import BudgetExceeded, ZeroPolynomial
-from .geometry import DEFAULT_BUDGET, rref
+from .errors import ZeroPolynomial
+from .geometry import DEFAULT_BUDGET, charge, rref
 
 Expo = tuple[int, ...]
 
@@ -132,13 +132,11 @@ def _hasse_values(F, monos: Sequence[Expo], i: Expo,
 
 
 def exponents_of_weight(n: int, w: int) -> Iterator[Expo]:
-    """All length-n exponent tuples summing to w, lexicographic order."""
-    if n == 1:
-        yield (w,)
-        return
-    for first in range(w + 1):
-        for rest in exponents_of_weight(n - 1, w - first):
-            yield (first,) + rest
+    """All length-n exponent tuples summing to w, lexicographic order: the
+    gaps between n - 1 bars placed among w + n - 1 slots, the bar positions
+    taken in lexicographic order."""
+    for bars in itertools.combinations(range(w + n - 1), n - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, w + n - 1)))
 
 
 def multiplicity(P: Polynomial, a: Sequence[int]) -> int:
@@ -178,10 +176,8 @@ def sz_mult_audit(P: Polynomial, U: Sequence[int],
     """
     if P.is_zero():
         raise ZeroPolynomial("audit requires a nonzero polynomial")
-    work = len(U) ** P.n * _monomial_count(P.n, P.degree)
-    if work > budget:
-        raise BudgetExceeded(f"audit of {work} point-derivative pairs "
-                             f"exceeds budget {budget}")
+    charge(len(U) ** P.n * _monomial_count(P.n, P.degree), "audit pairs",
+           budget)
     total = 0
     for a in itertools.product(U, repeat=P.n):
         total += multiplicity(P, a)
@@ -225,14 +221,15 @@ def find_vanishing_poly(F, n: int, targets: Mapping[Sequence[int], int],
     Solves the homogeneous linear system of Hasse-derivative vanishing
     conditions; returns the canonical kernel element (first free coefficient
     set to 1 under graded lex order) or a NoSolutionCertificate when the
-    system has full column rank.  Charges equations times unknowns,
-    sum_x C(N_x+n-1, n) * C(d+n, n), against budget before building any row.
+    system has full column rank.  Charges, before any monomial or row, the
+    C(d+n, n) unknowns times the larger of the sum_x C(N_x+n-1, n)
+    equations and n, each C(a+b, b) at least 2^min(a, b).
     """
-    work = (sum(_monomial_count(n, N - 1) for N in targets.values())
-            * _monomial_count(n, d))
-    if work > budget:
-        raise BudgetExceeded(f"interpolation system of {work} entries "
-                             f"exceeds budget {budget}")
+    bits = min(d, n) + max((min(N - 1, n) for N in targets.values()),
+                           default=0)
+    charge((bits, lambda: max(sum(_monomial_count(n, N - 1)
+                                  for N in targets.values()), n)
+            * _monomial_count(n, d)), "interpolation entries", budget)
     monos = monomials_upto(n, d)
     rows: list[list[int]] = []
     for x in sorted(tuple(pt) for pt in targets):

@@ -15,8 +15,8 @@ from flab.furstenberg import (FurstenbergInstance, bound_table,
                               coverage_over_directions, is_furstenberg,
                               lift_construction, lifted_direction_subspaces,
                               search_extremal, trivial_construction)
-from flab.geometry import (PointSet, Subspace, all_points, enumerate_flats,
-                           enumerate_subspaces, qbinomial)
+from flab.geometry import (PointSet, Subspace, all_points, coset_histogram,
+                           enumerate_flats, enumerate_subspaces, qbinomial)
 from flab.gf import ExtensionField, base_vector_iso, field_build
 from flab.incidence import FlatFamily, contained_subflats, haemers_check
 from flab.polymethod import (Polynomial, find_vanishing_poly, multiplicity,
@@ -224,7 +224,9 @@ def test_criterion_8_extension_lift():
         lifted = lift_construction(F4, S_big)
         dirs = lifted_direction_subspaces(F4, 2)
         assert set(dirs) == lifted_subs
-        ok2, wit = coverage_over_directions(lifted, dirs, 4)
+        unit = [(p, 1) for p in lifted.points]
+        ok2, wit = coverage_over_directions(
+            ((d, coset_histogram(lifted.field, unit, d)) for d in dirs), 4)
         assert ok2 and all(c >= 4 for c in wit.coverage.values())
 
 

@@ -271,7 +271,57 @@ def test_polycert_charges_the_default_budget(capsys, tmp_path, monkeypatch,
     code, out, err = run(capsys, ["polycert", "--p", "5", "--n", "2",
                                   *argv, str(path)])
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "exceeds budget 10000000" in err
+    assert err.startswith("error:") and "exceed budget 10000000" in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "--k", "1", "--m", "1", "--points"], "2 1 20000\n"),
+    (["incidence", "--check", "poor", "--l", "1", "--points"],
+     "2 1 20000\n"),
+    (["verify", "--k", "1", "--m", "1", "--points"], "2 1 1000000000\n"),
+    (["search", "--p", "2", "--n", "20000", "--k", "1", "--m", "1"], None),
+    (["search", "--p", "2", "--n", "20000", "--k", "19999", "--m", "1"],
+     None),
+    (["polycert", "--p", "5", "--n", "5000", "--degree", "1", "--targets"],
+     "5 1 5000\n"),
+    (["polycert", "--p", "5", "--n", "3", "--degree", "400", "--budget",
+      "100", "--targets"], "5 1 3\n"),
+], ids=["verify-n-20000", "poor-n-20000", "verify-n-1e9",
+        "search-construction", "search-bound-table",
+        "interpolation-no-equations", "interpolation-no-equations-budget"])
+def test_huge_work_is_refused_before_it_is_counted_in_full(
+        capsys, tmp_path, monkeypatch, argv, text):
+    # counts past 4300 digits print as 2^b, and the flats of F_2^(10^9)
+    # are refused on bit length alone
+    monkeypatch.delenv("FLAB_BUDGET", raising=False)
+    if text is not None:
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exceed budget" in err
+
+
+def test_search_bound_table_of_a_million_bits_fits_the_budget(capsys):
+    code, out, err = run(capsys, ["search", "--p", "2", "--n", "1000",
+                                  "--k", "999", "--m", "1", "--format",
+                                  "json"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["upper"] == 2 and len(doc["witness"]) == 2
+
+
+def test_interpolation_in_1500_variables(capsys, tmp_path):
+    # the monomial enumeration is iterative, not 1500 generators deep
+    path = tmp_path / "t.targets"
+    path.write_text("5 1 1500\n" + " | ".join(["1"] * 1500) + " | 1\n")
+    code, out, err = run(capsys, ["polycert", "--p", "5", "--n", "1500",
+                                  "--degree", "1", "--format", "json",
+                                  "--targets", str(path)])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["found"] and doc["verified"] and doc["degree"] == 1
 
 
 def test_exit_code_validation_error(capsys, tmp_path):
@@ -372,14 +422,31 @@ def test_emit_report_text_fractions():
     ["incidence", "--points", "@s.pts", "--check", "count"],
     ["polycert", "--p", "2", "--n", "2", "--targets", "@t.targets"],
     ["polycert", "--p", "2", "--n", "2"],
+    ["incidence", "--points", "@s.pts", "--flats", "@l.flats", "--check",
+     "count", "--delta", "abc", "--k", "9", "--l", "9"],
+    ["incidence", "--points", "@s.pts", "--flats", "@l.flats", "--check",
+     "haemers", "--budget", "5"],
+    ["incidence", "--points", "@s.pts", "--check", "poor", "--l", "1",
+     "--k", "1"],
+    ["polycert", "--p", "2", "--n", "2", "--poly", "@p.poly", "--degree",
+     "7"],
+    ["entropy", "--dist", "@d.dist", "--check", "none", "--k", "1"],
 ], ids=["poor-without-l", "becks-without-k", "count-without-flats",
-        "targets-without-degree", "neither-poly-nor-targets"])
+        "targets-without-degree", "neither-poly-nor-targets",
+        "count-with-census-options", "haemers-with-budget", "poor-with-k",
+        "poly-with-degree", "entropy-none-with-k"])
 def test_missing_required_option_is_a_user_error(capsys, tmp_path,
                                                  three_point_file, argv):
+    # a mode rejects an option it needs and lacks, or is given and ignores
     F2 = field_build(2, 1)
     targets = tmp_path / "t.targets"
     targets.write_text(formats.serialize_targets(F2, 2, {(0, 0): 1}))
-    files = {"@s.pts": three_point_file, "@t.targets": str(targets)}
+    (tmp_path / "l.flats").write_text("2 1 2\n0 | 1 ; 0 | 0\n")
+    (tmp_path / "p.poly").write_text("1 : 1 0\n")
+    (tmp_path / "d.dist").write_text("2 1 2\n0 | 0 | 1\n")
+    files = {"@s.pts": three_point_file, "@t.targets": str(targets),
+             **{f"@{n}": str(tmp_path / n)
+                for n in ("l.flats", "p.poly", "d.dist")}}
     code, out, err = run(capsys, [files.get(a, a) for a in argv])
     assert code == 2, err
     assert out == "" and "internal error" not in err
@@ -414,13 +481,14 @@ def test_missing_required_option_is_a_user_error(capsys, tmp_path,
      "1 : 1 0\n1 : 1 0\n"),
     (["polycert", "--p", "5", "--n", "-1", "--degree", "0", "--targets"],
      "t.targets", "5 1 -1\n"),
+    (["polycert", "--p", "2", "--n", "0", "--poly"], "p.poly", "1 : \n"),
 ], ids=["digit-out-of-range", "non-integer-digit", "non-integer-weight",
         "short-targets-line", "non-integer-target-weight",
         "non-integer-header", "empty-file", "missing-modulus-line",
         "flat-without-semicolon", "non-integer-exponent",
         "negative-exponent", "duplicate-point", "duplicate-target",
         "duplicate-distribution-point", "duplicate-monomial",
-        "negative-dimension"])
+        "negative-dimension", "polynomial-in-no-variables"])
 def test_malformed_input_files_exit_2(capsys, tmp_path, three_point_file,
                                       argv, name, text):
     path = tmp_path / name

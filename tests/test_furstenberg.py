@@ -10,7 +10,7 @@ from flab.furstenberg import (BoundRow, FurstenbergInstance, bound_table,
                               coverage_over_directions, iroot, is_furstenberg,
                               lift_construction, lifted_direction_subspaces,
                               search_extremal, sqrt_up, trivial_construction)
-from flab.geometry import PointSet, Subspace, all_points
+from flab.geometry import PointSet, Subspace, all_points, coset_histogram
 from flab.gf import ExtensionField, field_build
 
 
@@ -400,14 +400,17 @@ def test_lift_preserves_coverage(F2):
     assert ok
     lifted = lift_construction(F4, S_big)
     assert lifted.n == 4 and len(lifted) == len(S_big)
+    unit = [(p, 1) for p in lifted.points]
     ok2, wit = coverage_over_directions(
-        lifted, lifted_direction_subspaces(F4, 2), 4)
+        ((d, coset_histogram(F2, unit, d))
+         for d in lifted_direction_subspaces(F4, 2)), 4)
     assert ok2
     assert all(c >= 4 for c in wit.coverage.values())
 
 
 def test_coverage_over_directions_failure(F2):
     S = PointSet.of(F2, 2, [(0, 0)])
-    dirs = [Subspace.from_vectors(F2, 2, [(1, 0)])]
-    ok, d = coverage_over_directions(S, dirs, 2)
+    line = Subspace.from_vectors(F2, 2, [(1, 0)])
+    ok, d = coverage_over_directions(
+        [(line, coset_histogram(F2, [((0, 0), 1)], line))], 2)
     assert not ok and d.basis == ((1, 0),)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flab.errors import BadRange, BudgetExceeded, EmptyInput
-from flab.geometry import (Flat, all_points, check_flat_budget,
-                           coset_histogram, enumerate_flats,
-                           enumerate_subspaces, flat_points, q_flat_count,
-                           qbinomial, reduce_mod_subspace, rref, span,
-                           Subspace, _slot_code)
+from flab.geometry import (Flat, all_points, charge, coset_histogram,
+                           enumerate_flats, enumerate_subspaces, flat_points,
+                           q_flat_count, qbinomial, reduce_mod_subspace, rref,
+                           scan_directions, span, Subspace, _slot_code)
 from flab.gf import PrimeField, field_build
 from flab.polymethod import (Polynomial, evaluate, hasse_derivative,
                              monomials_upto)
@@ -105,9 +104,31 @@ def test_flats_are_distinct_and_canonical(F2):
 def test_budget_exceeded(F2):
     with pytest.raises(BudgetExceeded):
         list(enumerate_subspaces(F2, 10, 5, budget=10))
-    check_flat_budget(2, 3, 1, 28)              # 7 lines x 4 shifts
+    scan_directions(F2, 3, 1, (), 28)           # 7 lines x 4 shifts
     with pytest.raises(BudgetExceeded, match="28 flats exceed budget 27"):
-        check_flat_budget(2, 3, 1, 27)
+        scan_directions(F2, 3, 1, (), 27)
+
+
+def test_scan_directions_pairs_each_direction_with_its_histogram(F3):
+    items = [(p, i + 1) for i, p in enumerate(all_points(F3, 3)[::5])]
+    assert list(scan_directions(F3, 3, 2, items, 10 ** 4)) == [
+        (d, coset_histogram(F3, items, d)) for d in enumerate_subspaces(F3, 3, 2)]
+
+
+def _never():
+    raise AssertionError("counted a count the bit length decides")
+
+
+def test_charge_decides_huge_counts_by_bit_length():
+    # 2^(10^9) is past the budget and past the digits an int may print
+    with pytest.raises(BudgetExceeded,
+                       match=r"^2\^1000000000 or more flats exceed budget 10$"):
+        charge((10 ** 9, _never), "flats", 10)
+    with pytest.raises(BudgetExceeded,
+                       match=r"^2\^20000 or more points exceed budget 10$"):
+        charge(2 ** 20000 + 1, "points", 10)
+    charge((3, lambda: 9), "flats", 9)          # a floor below the cap counts
+    charge(2 ** 20000, "points", 2 ** 20000)
 
 
 def test_span_single_point(F3):

@@ -1,8 +1,5 @@
 """Source hygiene: every name a flab or test module imports is used in that
-module.
-
-``__init__.py`` is exempt, since its imports are the package's exports.
-"""
+module; one function writes stdout and one raises BudgetExceeded."""
 
 import ast
 from pathlib import Path
@@ -12,7 +9,7 @@ import pytest
 import flab
 
 MODULES = sorted(p for d in (Path(flab.__file__).parent, Path(__file__).parent)
-                 for p in d.glob("*.py") if p.name != "__init__.py")
+                 for p in d.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -58,12 +55,33 @@ def _writes_stdout(node: ast.AST) -> bool:
     return False
 
 
-def test_only_cli_main_writes_stdout():
-    # one writer keeps every report, and nothing else, on stdout
-    writers = set()
+def _definitions():
+    """(module.name, node) of every top-level statement and class member
+    in src/flab."""
     for path in Path(flab.__file__).parent.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             members = node.body if isinstance(node, ast.ClassDef) else [node]
-            writers |= {f"{path.stem}.{getattr(m, 'name', '<module>')}"
-                        for m in members if _writes_stdout(m)}
+            for m in members:
+                yield f"{path.stem}.{getattr(m, 'name', '<module>')}", m
+
+
+def test_only_cli_main_writes_stdout():
+    # one writer keeps every report, and nothing else, on stdout
+    writers = {name for name, m in _definitions() if _writes_stdout(m)}
     assert writers == {"cli.main"}
+
+
+def _raises_budget_exceeded(node: ast.AST) -> bool:
+    for n in ast.walk(node):
+        if isinstance(n, ast.Raise) and n.exc is not None:
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            if isinstance(exc, ast.Name) and exc.id == "BudgetExceeded":
+                return True
+    return False
+
+
+def test_only_geometry_charge_raises_budget_exceeded():
+    # one check decides every budget refusal and formats its message
+    raisers = [name for name, m in _definitions()
+               if _raises_budget_exceeded(m)]
+    assert raisers == ["geometry.charge"]

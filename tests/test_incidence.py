@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flab import incidence
+from flab import geometry, incidence
 from flab.errors import (BadDelta, BadRange, BudgetExceeded,
                          DimensionMismatch, NotADirectionFamily)
 from flab.geometry import (Flat, PointSet, all_points, coset_histogram,
@@ -333,7 +333,7 @@ def test_censuses_check_budget_before_scanning(F3, monkeypatch):
     S = PointSet.of(F3, 3, all_points(F3, 3))
     lines = q_flat_count(3, 3, 1)                       # 117
     fam = _direction_family(F3, 3, 2, lambda i, s: s[0])
-    monkeypatch.setattr(incidence, "coset_histogram", _no_scan)
+    monkeypatch.setattr(geometry, "coset_histogram", _no_scan)
     monkeypatch.setattr(incidence, "flat_points", _no_scan)
     with pytest.raises(BudgetExceeded, match=f"{lines} flats exceed"):
         poor_flat_census(S, 1, Fraction(1, 2), budget=lines - 1)
@@ -350,7 +350,7 @@ def test_becks_checks_rich_budget_before_scanning(F3, monkeypatch):
     def counting(*args):
         calls.append(args[2])
         return coset_histogram(*args)
-    monkeypatch.setattr(incidence, "coset_histogram", counting)
+    monkeypatch.setattr(geometry, "coset_histogram", counting)
     with pytest.raises(BudgetExceeded, match="117 flats exceed budget 116"):
         kakeya_becks_census(S, 2, Fraction(1, 2), budget=116)
     assert len(calls) == qbinomial(3, 2, 3)
@@ -361,7 +361,7 @@ def test_becks_charges_its_direction_scan_as_flats(F3, monkeypatch):
     # the m-loop is a full verification scan over the 39 planes of F_3^3
     S = PointSet.of(F3, 3, all_points(F3, 3))
     planes = q_flat_count(3, 3, 2)
-    monkeypatch.setattr(incidence, "coset_histogram", _no_scan)
+    monkeypatch.setattr(geometry, "coset_histogram", _no_scan)
     with pytest.raises(BudgetExceeded,
                        match=f"{planes} flats exceed budget {planes - 1}"):
         kakeya_becks_census(S, 2, Fraction(1, 2), budget=planes - 1)
@@ -370,6 +370,6 @@ def test_becks_charges_its_direction_scan_as_flats(F3, monkeypatch):
 @pytest.mark.parametrize("k", [0, 4])
 def test_becks_checks_k_range_first(F2, monkeypatch, k):
     S = PointSet.of(F2, 3, all_points(F2, 3))
-    monkeypatch.setattr(incidence, "coset_histogram", _no_scan)
+    monkeypatch.setattr(geometry, "coset_histogram", _no_scan)
     with pytest.raises(BadRange, match=rf"k = {k} outside \[1, 3\]"):
         kakeya_becks_census(S, k, Fraction(0), budget=0)

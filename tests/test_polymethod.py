@@ -171,6 +171,14 @@ def test_sz_audit_rejects_zero(F2):
         sz_mult_audit(Polynomial.make(F2, 1, {}), [0, 1])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exponents_of_weight_in_lexicographic_order(n):
+    for w in range(5):
+        assert list(exponents_of_weight(n, w)) == sorted(
+            e for e in itertools.product(range(w + 1), repeat=n)
+            if sum(e) == w)
+
+
 def test_find_vanishing_unique_monic(F5):
     P = find_vanishing_poly(F5, 1, {(0,): 2}, 2)
     assert isinstance(P, Polynomial)
