@@ -1,16 +1,15 @@
 """Batch command-line front end.
 
 Subcommands: verify, search, bounds, entropy, polycert, incidence, selftest.
-Each handler returns its report dict; ``main`` renders it once and writes it
-to ``--output`` or stdout.  Output is deterministic byte-for-byte for
-identical inputs and flags.
+Each handler imports the one algorithm module it runs and returns its report
+dict; ``main`` renders it once and writes it to ``--output`` or stdout.
+Output is deterministic byte-for-byte for identical inputs and flags.
 Exit codes: 0 success, 2 validation error, 1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -18,16 +17,9 @@ import sys
 from fractions import Fraction
 
 from . import formats
-from .entropy import check_entropic_bound, check_recursion, min_entropy
 from .errors import FlabError, UnsupportedFormat
-from .furstenberg import (FurstenbergInstance, bound_table, is_furstenberg,
-                          search_extremal)
 from .geometry import DEFAULT_BUDGET
 from .gf import field_build
-from .incidence import (contained_subflats, count_incidences, haemers_check,
-                        kakeya_becks_census, poor_flat_census)
-from .polymethod import (find_vanishing_poly, multiplicity,
-                         NoSolutionCertificate, sz_mult_audit)
 
 
 def _jsonable(v):
@@ -37,8 +29,6 @@ def _jsonable(v):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, frozenset):
-        return [_jsonable(x) for x in sorted(v)]
     return v
 
 
@@ -52,6 +42,7 @@ def emit_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(_jsonable(report), indent=2, sort_keys=False) + "\n"
     if fmt == "csv":
+        import csv
         tables = [v for v in report.values() if _is_table(v)]
         if len(tables) != 1:
             raise UnsupportedFormat("this report has no tabular form")
@@ -109,6 +100,7 @@ def _mode(args, context: str, needs=(), reads=()) -> None:
 
 
 def _cmd_bounds(args) -> dict:
+    from .furstenberg import FurstenbergInstance, bound_table
     F = field_build(args.p, args.e)
     inst = FurstenbergInstance(field=F, n=args.n, k=args.k, m=args.m)
     eps = _fraction(args.epsilon, "--epsilon") if args.epsilon else None
@@ -125,6 +117,7 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    from .furstenberg import is_furstenberg
     with open(args.points) as fh:
         S = formats.parse_pointset(fh.read())
     ok, payload = is_furstenberg(S, args.k, args.m, budget=args.budget)
@@ -142,6 +135,7 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_search(args) -> dict:
+    from .furstenberg import FurstenbergInstance, search_extremal
     F = field_build(args.p, args.e)
     inst = FurstenbergInstance(field=F, n=args.n, k=args.k, m=args.m)
     res = search_extremal(inst, budget=args.budget)
@@ -156,6 +150,7 @@ def _cmd_search(args) -> dict:
 
 
 def _cmd_entropy(args) -> dict:
+    from .entropy import check_entropic_bound, check_recursion, min_entropy
     with open(args.dist) as fh:
         dist = formats.parse_distribution(fh.read())
     ev = min_entropy(dist)
@@ -183,6 +178,8 @@ def _cmd_entropy(args) -> dict:
 
 
 def _cmd_polycert(args) -> dict:
+    from .polymethod import (find_vanishing_poly, multiplicity,
+                             NoSolutionCertificate, sz_mult_audit)
     F = field_build(args.p, args.e)
     if args.poly:
         _mode(args, "polycert --poly", reads=["budget"])
@@ -207,6 +204,9 @@ def _cmd_polycert(args) -> dict:
 
 
 def _cmd_incidence(args) -> dict:
+    from .incidence import (contained_subflats, count_incidences,
+                            haemers_check, kakeya_becks_census,
+                            poor_flat_census)
     with open(args.points) as fh:
         S = formats.parse_pointset(fh.read())
     context = f"incidence --check {args.check}"

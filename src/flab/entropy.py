@@ -7,17 +7,15 @@ comparisons; no floating point is involved anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BadRange, DimensionMismatch, EmptyInput
 from .geometry import (DEFAULT_BUDGET, Point, Subspace, coset_histogram,
                        scan_directions)
 
 
-@dataclass(frozen=True)
-class RationalDistribution:
+class RationalDistribution(NamedTuple):
     """Pr[R = x] = weights[x] / total with positive integer weights."""
 
     field: object
@@ -42,19 +40,25 @@ class RationalDistribution:
         return cls.of(F, n, {tuple(p): 1 for p in points})
 
 
-@dataclass(frozen=True)
-class EntropyValue:
+class EntropyValue(NamedTuple):
     """H = -log_q(max_weight / total), stored as the exact integer pair."""
 
     max_weight: int
     total: int
 
-    # higher entropy <=> smaller mode probability
+    # higher entropy <=> smaller mode probability; all four comparisons,
+    # since the tuple order of the fields would answer the other two
     def __le__(self, other: "EntropyValue") -> bool:
         return self.max_weight * other.total >= other.max_weight * self.total
 
     def __lt__(self, other: "EntropyValue") -> bool:
         return self.max_weight * other.total > other.max_weight * self.total
+
+    def __ge__(self, other: "EntropyValue") -> bool:
+        return other <= self
+
+    def __gt__(self, other: "EntropyValue") -> bool:
+        return other < self
 
     def equals_log(self, q: int, k: int) -> bool:
         """True iff the entropy is the integer k: max_weight/total = q^-k."""
@@ -104,8 +108,7 @@ def best_projection(dist: RationalDistribution, k: int,
                                 total=dist.total)
 
 
-@dataclass(frozen=True)
-class EntropicBoundReport:
+class EntropicBoundReport(NamedTuple):
     ok: bool
     lhs: int            # g^n q^{nk}
     rhs: int            # f(v)^{n-k} S^k (2q-1)^{nk}
@@ -131,8 +134,7 @@ def check_entropic_bound(dist: RationalDistribution, k: int,
                                margin=rhs - lhs)
 
 
-@dataclass(frozen=True)
-class RecursionReport:
+class RecursionReport(NamedTuple):
     composed: EntropyValue
     direct: EntropyValue
     composed_le_direct: bool
@@ -164,8 +166,7 @@ def check_recursion(dist: RationalDistribution, k: int,
                            direct_ok=d_lhs <= d_rhs)
 
 
-@dataclass(frozen=True)
-class NormBoundReport:
+class NormBoundReport(NamedTuple):
     hypothesis_ok: bool
     failing_direction: Subspace | None
     power_sum: int      # sum |f(x)|^n
@@ -196,8 +197,7 @@ def norm_bound_check(F, n: int, values: Mapping[Sequence[int], int],
                            ok=lhs >= rhs)
 
 
-@dataclass(frozen=True)
-class QExponent:
+class QExponent(NamedTuple):
     """A real number alpha + beta log_q(2) with exact rational alpha, beta.
 
     Used as the exponent t in C = q^{-t}; closed under the rational scaling

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .entropy import RationalDistribution
 from .errors import UnsupportedFormat
 from .geometry import Flat, PointSet, Subspace
 from .gf import field_build
-from .polymethod import Polynomial
 
 
 def _coord_str(F, a: int) -> str:
@@ -115,6 +113,7 @@ def _parse_weighted(text: str):
 
 
 def parse_distribution(text: str) -> RationalDistribution:
+    from .entropy import RationalDistribution
     return RationalDistribution.of(*_parse_weighted(text))
 
 
@@ -129,6 +128,7 @@ def serialize_polynomial(P: Polynomial) -> str:
 
 
 def parse_polynomial(F, n: int, text: str) -> Polynomial:
+    from .polymethod import Polynomial
     if n < 1:
         raise UnsupportedFormat(f"dimension n = {n} < 1")
     terms = {}

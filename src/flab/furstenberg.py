@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BadEpsilon, BadRange, BadSize, IncompatibleFields
 from .gf import ExtensionField, base_vector_iso
@@ -21,28 +20,32 @@ from .geometry import (CAP_BITS, DEFAULT_BUDGET, DIGIT_CAP, Flat, Point,
                        enumerate_subspaces, scan_directions)
 
 
-@dataclass(frozen=True)
-class FurstenbergInstance:
+class _Instance(NamedTuple):
     field: object
     n: int
     k: int
     m: int
-
-    def __post_init__(self):
-        q = self.field.q
-        if not 1 <= self.k < self.n:
-            raise BadRange(f"need 1 <= k < n, got k={self.k}, n={self.n}")
-        # q^j >= 2^j > m for j = bit_length(m): no need for q^k past that
-        if not 1 <= self.m <= q ** min(self.k, self.m.bit_length()):
-            raise BadRange(f"need 1 <= m <= q^k, got m={self.m}")
 
     @property
     def q(self) -> int:
         return self.field.q
 
 
-@dataclass(frozen=True)
-class WitnessFamily:
+class FurstenbergInstance(_Instance):
+    """_Instance with the range check in __new__, barred in a NamedTuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, field, n: int, k: int, m: int):
+        if not 1 <= k < n:
+            raise BadRange(f"need 1 <= k < n, got k={k}, n={n}")
+        # q^j >= 2^j > m for j = bit_length(m): no need for q^k past that
+        if not 1 <= m <= field.q ** min(k, m.bit_length()):
+            raise BadRange(f"need 1 <= m <= q^k, got m={m}")
+        return super().__new__(cls, field, n, k, m)
+
+
+class WitnessFamily(NamedTuple):
     """Best witness flat and intersection count per rank-k direction."""
 
     assignment: Mapping[Subspace, Flat]
@@ -81,8 +84,7 @@ def is_furstenberg(S: PointSet, k: int, m: int,
 # Bound table
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     """One bound: t >= (or <=) (rhs_num/rhs_den)^(1/root) - sqrt(rad).
 
     rhs_num and rhs_den are kept unreduced, as the bound table prints them.
@@ -121,8 +123,7 @@ class BoundRow:
         return Fraction(num, den) - s
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     instance: FurstenbergInstance
     rows: tuple[BoundRow, ...]
 
@@ -270,8 +271,7 @@ def bound_table(instance: FurstenbergInstance,
 # Exact extremal search
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     exact: int | None
     lower: int
     upper: int

@@ -10,8 +10,7 @@ from __future__ import annotations
 import itertools
 import struct
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BadRange, BudgetExceeded, DimensionMismatch, EmptyInput
 
@@ -152,8 +151,7 @@ def _rref_packed(p: int, mat: list[list[int]],
     return tuple(tuple(unpack(x)) for x in packed[:rank]), rank
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """Rank-k subspace of F_q^n with an RREF basis (canonical)."""
 
     n: int
@@ -224,8 +222,7 @@ def scan_directions(F, n: int, k: int,
             for d in enumerate_subspaces(F, n, k, budget=budget))
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """k-flat: translate of a rank-k subspace, canonical shift."""
 
     direction: Subspace
@@ -250,12 +247,14 @@ def enumerate_subspaces(F, n: int, k: int,
         raise BadRange(f"k = {k} outside [0, {n}]")
     charge((k * (n - k) * (F.q.bit_length() - 1),
             lambda: qbinomial(n, k, F.q)), "subspaces", budget)
+    charge(k * n, "basis entries", budget)
     if k == 0:
         yield Subspace(n=n, k=0, basis=())
         return
     for pivots in itertools.combinations(range(n), k):
+        pivot_set = set(pivots)
         free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
-                if j not in pivots]
+                if j not in pivot_set]
         for vals in itertools.product(F.elements(), repeat=len(free)):
             rows = [[0] * n for _ in range(k)]
             for i, p in enumerate(pivots):
@@ -313,8 +312,7 @@ def all_points(F, n: int) -> list[Point]:
     return list(itertools.product(F.elements(), repeat=n))
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(NamedTuple):
     """Deduplicated point set with its ambient (field, dimension)."""
 
     field: object

@@ -9,18 +9,17 @@ falsely accuse it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BadDelta, BadRange, DimensionMismatch, NotADirectionFamily
 from .furstenberg import FurstenbergInstance, search_extremal, sqrt_up
-from .geometry import (DEFAULT_BUDGET, Flat, PointSet, coset_histogram,
-                       flat_points, qbinomial, scan_directions)
+from .geometry import (CAP_BITS, DEFAULT_BUDGET, DIGIT_CAP, Flat, PointSet,
+                       coset_histogram, flat_points, qbinomial,
+                       scan_directions)
 
 
-@dataclass(frozen=True)
-class FlatFamily:
+class FlatFamily(NamedTuple):
     """Deduplicated set of flats of a common rank."""
 
     field: object
@@ -56,8 +55,7 @@ def count_incidences(S: PointSet, L: FlatFamily) -> int:
     return sum(hists[f.direction][f.shift] for f in L.flats)
 
 
-@dataclass(frozen=True)
-class IncidenceReport:
+class IncidenceReport(NamedTuple):
     incidences: int
     rhs: Fraction
     ok: bool
@@ -66,14 +64,20 @@ class IncidenceReport:
 
 
 def haemers_check(S: PointSet, L: FlatFamily) -> IncidenceReport:
-    """I(S,L) <= q^{k-n}|S||L| + sqrt(q^k binom(n-1,k)_q |S||L|)."""
+    """I(S,L) <= q^{k-n}|S||L| + sqrt(q^k binom(n-1,k)_q |S||L|); BadRange
+    if q^(n-k) or a reported number has more than DIGIT_CAP digits."""
     F = S.field
     q, n, k = F.q, S.n, L.rank
     I = count_incidences(S, L)
-    # without points or flats, n is a bare header value: skip q^(n-k)
-    term1 = Fraction(len(S) * len(L), q ** (n - k)) if S and L else 0
-    radicand = q ** k * qbinomial(n - 1, k, q) * len(S) * len(L)
-    rhs = term1 + sqrt_up(radicand)
+    s = len(S) * len(L)   # 0 for a bare header, whose n is never powered
+    # q^j >= 2^(j (bits(q) - 1)), and q^k binom(n-1,k)_q >= q^(k(n-k))
+    if s and max(k, 1) * (n - k) * (q.bit_length() - 1) >= CAP_BITS:
+        raise BadRange(f"Haemers bound term has more than {DIGIT_CAP} digits")
+    power = q ** (n - k) if s else 1
+    radicand = q ** k * qbinomial(n - 1, k, q) * s if s else 0
+    rhs = Fraction(s, power) + sqrt_up(radicand)
+    if max(power, rhs.numerator, radicand) >= 10 ** DIGIT_CAP:
+        raise BadRange(f"Haemers bound term has more than {DIGIT_CAP} digits")
     return IncidenceReport(incidences=I, rhs=rhs, ok=I <= rhs,
                            radicand=radicand)
 
@@ -174,8 +178,7 @@ def kakeya_becks_census(S: PointSet, k: int, delta: Fraction,
                                   "threshold": threshold})
 
 
-@dataclass(frozen=True)
-class HeavyFlatsBound:
+class HeavyFlatsBound(NamedTuple):
     rational_part: Fraction     # delta kappa/(kappa+1) q^n
     radicand: Fraction          # delta (1-delta) / kappa
     lower_value: Fraction       # rational_part - sqrt_up(radicand) q^n

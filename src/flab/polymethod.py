@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ZeroPolynomial
 from .geometry import DEFAULT_BUDGET, charge, rref
@@ -17,8 +16,7 @@ from .geometry import DEFAULT_BUDGET, charge, rref
 Expo = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(NamedTuple):
     """Polynomial in n variables; terms maps exponent tuple -> nonzero coeff."""
 
     field: object
@@ -44,6 +42,9 @@ class Polynomial:
         return (isinstance(other, Polynomial) and other.n == self.n
                 and dict(other.terms) == dict(self.terms)
                 and other.field == self.field)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.terms.items())))
@@ -161,8 +162,7 @@ def multiplicity(P: Polynomial, a: Sequence[int]) -> int:
     raise AssertionError("nonzero polynomial with multiplicity beyond degree")
 
 
-@dataclass(frozen=True)
-class SzAudit:
+class SzAudit(NamedTuple):
     sum: int
     bound: int
     ok: bool
@@ -205,8 +205,7 @@ def vanishing_hypothesis_holds(targets: Mapping[Expo, int], n: int,
     return lhs < _monomial_count(n, d)
 
 
-@dataclass(frozen=True)
-class NoSolutionCertificate:
+class NoSolutionCertificate(NamedTuple):
     n: int
     degree: int
     equations: int

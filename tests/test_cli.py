@@ -279,6 +279,8 @@ def test_polycert_charges_the_default_budget(capsys, tmp_path, monkeypatch,
     (["incidence", "--check", "poor", "--l", "1", "--points"],
      "2 1 20000\n"),
     (["verify", "--k", "1", "--m", "1", "--points"], "2 1 1000000000\n"),
+    (["verify", "--k", "1000000000", "--m", "1", "--points"],
+     "2 1 1000000000\n"),
     (["search", "--p", "2", "--n", "20000", "--k", "1", "--m", "1"], None),
     (["search", "--p", "2", "--n", "20000", "--k", "19999", "--m", "1"],
      None),
@@ -287,6 +289,7 @@ def test_polycert_charges_the_default_budget(capsys, tmp_path, monkeypatch,
     (["polycert", "--p", "5", "--n", "3", "--degree", "400", "--budget",
       "100", "--targets"], "5 1 3\n"),
 ], ids=["verify-n-20000", "poor-n-20000", "verify-n-1e9",
+        "verify-rank-n-1e9",
         "search-construction", "search-bound-table",
         "interpolation-no-equations", "interpolation-no-equations-budget"])
 def test_huge_work_is_refused_before_it_is_counted_in_full(
@@ -301,6 +304,37 @@ def test_huge_work_is_refused_before_it_is_counted_in_full(
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "exceed budget" in err
+
+
+def test_verify_rank_1200_direction(capsys, tmp_path):
+    # the one rank-n direction takes n^2 steps to build, not n^3
+    path = tmp_path / "bare"
+    path.write_text("2 1 1200\n")
+    code, out, err = run(capsys, ["verify", "--points", str(path),
+                                  "--k", "1200", "--m", "1"])
+    assert code == 0, err
+    identity = " , ".join(" | ".join(str(int(i == j)) for j in range(1200))
+                          for i in range(1200))
+    assert out == f"ok = False\nsize = 0\nfailing_direction = {identity}\n"
+
+
+@pytest.mark.parametrize("p, n, code", [(2, 15000, 2), (3, 9100, 2),
+                                        (2, 14000, 0)])
+def test_haemers_refuses_terms_past_the_digit_cap(capsys, tmp_path, p, n, code):
+    # one point and one rank-0 flat give rhs = 1/q^n + 1: 2^15000 is refused
+    # on bit length, 3^9100 (4342 digits) once built, 2^14000 prints
+    origin = " | ".join(["0"] * n)
+    points, flats = tmp_path / "s.pts", tmp_path / "l.flats"
+    points.write_text(f"{p} 1 {n}\n{origin}\n")
+    flats.write_text(f"{p} 1 {n}\n ; {origin}\n")
+    got, out, err = run(capsys, ["incidence", "--points", str(points),
+                                 "--flats", str(flats), "--check", "haemers"])
+    assert got == code, err
+    if code == 2:
+        assert out == "" and err.startswith("error:") \
+            and "more than 4300 digits" in err
+    else:
+        assert out.startswith("incidences = 1\nrhs = ")
 
 
 def test_search_bound_table_of_a_million_bits_fits_the_budget(capsys):

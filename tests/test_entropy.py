@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flab.entropy import (QExponent, RationalDistribution, ab_constants,
-                          best_projection, check_entropic_bound,
+from flab.entropy import (EntropyValue, QExponent, RationalDistribution,
+                          ab_constants, best_projection, check_entropic_bound,
                           check_recursion, min_entropy, norm_bound_check,
                           pushforward)
 from flab.errors import BadRange
@@ -276,3 +277,17 @@ def test_pushforward_is_onto(F, n, data):
     pushed = pushforward(uniform(F, n, all_points(F, n)), kernel)
     assert set(pushed.weights) == set(all_points(F, n - k))
     assert set(pushed.weights.values()) == {F.q ** k}
+
+
+def test_entropy_value_orders_by_entropy():
+    # H = log_q(total/max_weight): EntropyValue(1, 8) has the higher entropy
+    # though its field tuple (1, 8) is the smaller
+    hi, lo = EntropyValue(1, 8), EntropyValue(2, 4)
+    assert hi >= lo and hi > lo and lo <= hi and lo < hi
+    assert not (lo >= hi or lo > hi or hi <= lo or hi < lo)
+    pairs = list(itertools.product(range(1, 4), range(3, 7)))
+    for (a, b), (c, d) in itertools.product(pairs, repeat=2):
+        x, y, hx, hy = EntropyValue(a, b), EntropyValue(c, d), \
+            Fraction(b, a), Fraction(d, c)
+        assert (x <= y, x < y, x >= y, x > y) \
+            == (hx <= hy, hx < hy, hx >= hy, hx > hy)

@@ -19,12 +19,19 @@ def inst(F, n, k, m):
 
 
 def test_instance_validation(F2):
-    with pytest.raises(BadRange):
-        inst(F2, 2, 2, 1)
-    with pytest.raises(BadRange):
-        inst(F2, 2, 1, 3)
-    with pytest.raises(BadRange):
-        inst(F2, 2, 1, 0)
+    # the range check runs whether the fields come by keyword or position
+    for n, k, m in [(2, 2, 1), (2, 0, 1), (2, 1, 3), (2, 1, 0), (3, 2, 5)]:
+        with pytest.raises(BadRange):
+            inst(F2, n, k, m)
+        with pytest.raises(BadRange):
+            FurstenbergInstance(F2, n, k, m)
+
+
+def test_instance_fields(F2):
+    I = FurstenbergInstance(F2, 3, 2, 4)
+    assert I == inst(F2, 3, 2, 4) and type(I) is FurstenbergInstance
+    assert (I.field, I.n, I.k, I.m, I.q) == (F2, 3, 2, 4, 2)
+    assert repr(I) == "FurstenbergInstance(field=F_2, n=3, k=2, m=4)"
 
 
 def test_verify_three_point_kakeya(F2):
@@ -62,9 +69,9 @@ def test_trivial_construction_always_verifies(F2, F3):
 
 def test_trivial_construction_size_guard(F2):
     # m <= q^k keeps m q^{n-k} <= q^n, so no valid instance can overflow;
-    # the guard is still exercised by forcing an oversized m in place
-    bad = inst(F2, 2, 1, 2)
-    object.__setattr__(bad, "m", 4)
+    # the guard is still exercised by an oversized m that _replace, which
+    # skips the range check of FurstenbergInstance.__new__, lets through
+    bad = inst(F2, 2, 1, 2)._replace(m=4)
     with pytest.raises(BadSize):
         trivial_construction(bad)
 

@@ -4,12 +4,15 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from flab import entropy, furstenberg, geometry, incidence, polymethod
 from flab.errors import BadRange, BudgetExceeded, EmptyInput
-from flab.geometry import (Flat, all_points, charge, coset_histogram,
-                           enumerate_flats, enumerate_subspaces, flat_points,
-                           q_flat_count, qbinomial, reduce_mod_subspace, rref,
+from flab.geometry import (Flat, PointSet, all_points, charge,
+                           coset_histogram, enumerate_flats,
+                           enumerate_subspaces, flat_points, q_flat_count,
+                           qbinomial, reduce_mod_subspace, rref,
                            scan_directions, span, Subspace, _slot_code)
 from flab.gf import PrimeField, field_build
+from flab.incidence import FlatFamily, haemers_check
 from flab.polymethod import (Polynomial, evaluate, hasse_derivative,
                              monomials_upto)
 
@@ -72,6 +75,16 @@ def test_enumerate_edge_ranks(F3):
     assert [s.basis for s in enumerate_subspaces(F3, 3, 0)] == [()]
     full = list(enumerate_subspaces(F3, 3, 3))
     assert len(full) == 1 and full[0].basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_rank_n_direction_charges_its_basis_entries(F2):
+    # one subspace, but its basis alone has n^2 entries
+    with pytest.raises(BudgetExceeded,
+                       match="^100 basis entries exceed budget 99$"):
+        list(enumerate_subspaces(F2, 10, 10, budget=99))
+    [full] = enumerate_subspaces(F2, 10, 10, budget=100)
+    assert full.basis == tuple(tuple(int(i == j) for j in range(10))
+                               for i in range(10))
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 3, 1), (2, 3, 2), (2, 4, 2),
@@ -341,3 +354,48 @@ def test_rref_falls_back_when_no_slot_fits():
     rows.append([F.add(x, y) for x, y in zip(rows[0], rows[1])])
     assert rref(F, rows) == _reference_rref(F, rows)
     assert rref(F, rows)[1] == 5
+
+
+# -- records ------------------------------------------------------------------
+
+RECORDS = sorted((obj for mod in (geometry, furstenberg, entropy, incidence,
+                                  polymethod)
+                  for obj in vars(mod).values()
+                  if isinstance(obj, type) and issubclass(obj, tuple)
+                  and obj.__module__ == mod.__name__),
+                 key=lambda cls: cls.__name__)
+
+
+def test_records_are_the_twenty_named_tuples():
+    public = [cls.__name__ for cls in RECORDS
+              if not cls.__name__.startswith("_")]
+    assert len(public) == 20 and all(hasattr(cls, "_fields")
+                                     for cls in RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[c.__name__ for c in RECORDS])
+def test_records_are_immutable(cls):
+    # unchecked, and PointSet and FlatFamily redefine the len that _make checks
+    record = tuple.__new__(cls, range(len(cls._fields)))
+    for name in (*cls._fields, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_point_set_and_flat_family_size_counts_their_members(F2):
+    lines = list(enumerate_flats(F2, 2, 1))
+    S, L = PointSet.of(F2, 2, [(0, 0), (1, 1)]), FlatFamily.of(F2, 2, lines)
+    assert (len(S), bool(S), len(L), bool(L)) == (2, True, 6, True)
+    # the bare header of an empty file is not powered: both sizes are 0
+    S, L = PointSet.of(F2, 10 ** 9, []), FlatFamily.of(F2, 10 ** 9, [])
+    assert (len(S), bool(S), len(L), bool(L)) == (0, False, 0, False)
+    assert haemers_check(S, L).rhs == 0
+
+
+def test_polynomial_keeps_its_own_equality_and_hash(F3):
+    P = Polynomial.make(F3, 2, {(1, 0): 1, (0, 2): 2})
+    Q = Polynomial.make(F3, 2, {(0, 2): 2, (1, 0): 1, (1, 1): 0})
+    assert P == Q and not P != Q and hash(P) == hash(Q) and len({P, Q}) == 1
+    assert P != Polynomial.make(F3, 2, {(1, 0): 1})
+    # a plain tuple of the same fields is not a polynomial
+    assert not P == tuple(P) and P != tuple(P)

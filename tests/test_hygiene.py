@@ -1,7 +1,11 @@
 """Source hygiene: every name a flab or test module imports is used in that
-module; one function writes stdout and one raises BudgetExceeded."""
+module; one function writes stdout and one raises BudgetExceeded; a command
+loads only the flab modules it runs, and no module loads dataclasses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +89,66 @@ def test_only_geometry_charge_raises_budget_exceeded():
     raisers = [name for name, m in _definitions()
                if _raises_budget_exceeded(m)]
     assert raisers == ["geometry.charge"]
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples: dataclasses costs a one-shot process ~40 ms
+    for path in Path(flab.__file__).parent.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        modules = {a.name for n in nodes if isinstance(n, ast.Import)
+                   for a in n.names}
+        modules |= {n.module for n in nodes if isinstance(n, ast.ImportFrom)}
+        assert "dataclasses" not in modules, path.name
+
+
+# Runs `flab` with argv in a fresh interpreter; prints the exit code, then
+# the flab modules loaded by `import flab.cli` and those the command added.
+LOADS = """import contextlib, io, sys
+import flab.cli
+before = {m for m in sys.modules if m.startswith("flab")}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = flab.cli.main(sys.argv[1:])
+print(code)
+print(*sorted(before))
+print(*sorted({m for m in sys.modules if m.startswith("flab")} - before))
+"""
+
+
+def _loads(*argv) -> tuple[set[str], set[str]]:
+    src = str(Path(flab.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", LOADS, *argv],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    code, cli, added = out.stdout.split("\n")[:3]
+    assert code == "0", out.stderr
+    return set(cli.split()), set(added.split())
+
+
+INPUTS = {
+    "s.pts": "2 1 2\n0 | 0\n1 | 0\n0 | 1\n",
+    "d.dist": "2 1 2\n0 | 0 | 1\n1 | 0 | 2\n0 | 1 | 1\n",
+    "l.flats": "2 1 2\n1 | 0 ; 0 | 0\n1 | 1 ; 0 | 1\n",
+    "p.poly": "1 : 1 0\n2 : 0 2\n",
+}
+FIELD = ["--p", "2", "--n", "2", "--k", "1", "--m", "2"]
+
+
+@pytest.mark.parametrize("argv, added", [
+    (["verify", "--points", "@s.pts", "--k", "1", "--m", "2"],
+     {"flab.furstenberg"}),
+    (["search", *FIELD], {"flab.furstenberg"}),
+    (["bounds", *FIELD], {"flab.furstenberg"}),
+    (["entropy", "--dist", "@d.dist"], {"flab.entropy"}),
+    (["polycert", "--p", "3", "--n", "2", "--poly", "@p.poly"],
+     {"flab.polymethod"}),
+    (["incidence", "--points", "@s.pts", "--flats", "@l.flats",
+      "--check", "count"], {"flab.incidence", "flab.furstenberg"}),
+], ids=["verify", "search", "bounds", "entropy", "polycert", "incidence"])
+def test_each_command_loads_only_its_own_module(tmp_path, argv, added):
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    cli, got = _loads(*argv)
+    assert cli == {"flab", "flab.cli", "flab.errors", "flab.formats",
+                   "flab.geometry", "flab.gf"}
+    assert got == added

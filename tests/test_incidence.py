@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from flab import geometry, incidence
 from flab.errors import (BadDelta, BadRange, BudgetExceeded,
                          DimensionMismatch, NotADirectionFamily)
-from flab.geometry import (Flat, PointSet, all_points, coset_histogram,
-                           enumerate_flats, enumerate_subspaces, flat_points,
-                           q_flat_count, qbinomial, span)
+from flab.geometry import (Flat, PointSet, Subspace, all_points,
+                           coset_histogram, enumerate_flats,
+                           enumerate_subspaces, flat_points, q_flat_count,
+                           qbinomial, span)
 from flab.gf import field_build
 from flab.incidence import (FlatFamily, count_incidences, haemers_check,
                             contained_subflats, heavy_flats_lower_bound,
@@ -327,6 +328,17 @@ def test_contained_subflats_matches_point_sets(Fn, data):
 
 def _no_scan(*args):
     raise AssertionError("scanned before the budget check")
+
+
+@pytest.mark.parametrize("n, k", [(15000, 0), (240, 120)])
+def test_haemers_refuses_huge_terms_before_any_power(F2, monkeypatch, n, k):
+    # q^(n-k) = 2^15000, and q^k binom(n-1,k)_q >= 2^14400, are past
+    # CAP_BITS bits: refused on bit length, before any power or qbinomial
+    basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(k))
+    L = FlatFamily.of(F2, n, [Flat(Subspace(n, k, basis), (0,) * n)])
+    monkeypatch.setattr(incidence, "qbinomial", _no_scan)
+    with pytest.raises(BadRange, match="more than 4300 digits"):
+        haemers_check(PointSet.of(F2, n, [(0,) * n]), L)
 
 
 def test_censuses_check_budget_before_scanning(F3, monkeypatch):
