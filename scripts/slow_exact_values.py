@@ -1,0 +1,37 @@
+"""Exact values too slow for the test suite, with verified witnesses.
+
+Raises the exact-search limit to 32 points for this run only and checks
+K(3,3,1,3) = 13 and K(2,5,1,2) = 10: each witness must have K points, must
+verify, and must meet every applicable lower-bound row.  Exits 1 on any
+mismatch.  Each value takes a few seconds.
+
+Usage:
+    python3 scripts/slow_exact_values.py
+"""
+
+from flab import furstenberg
+from flab.furstenberg import (FurstenbergInstance, bound_table,
+                              is_furstenberg, search_extremal)
+from flab.gf import field_build
+
+EXPECTED = {(3, 3, 1, 3): 13, (2, 5, 1, 2): 10}
+
+
+def main() -> int:
+    furstenberg.EXACT_SEARCH_LIMIT = 32
+    bad = 0
+    for (q, n, k, m), expected in EXPECTED.items():
+        inst = FurstenbergInstance(field=field_build(q, 1), n=n, k=k, m=m)
+        res = search_extremal(inst)
+        ok = (res.exact == len(res.witness) == expected
+              and is_furstenberg(res.witness, k, m)[0]
+              and all(row.satisfied_by(res.exact)
+                      for row in bound_table(inst).lower_rows()))
+        bad += not ok
+        print(f"K({q},{n},{k},{m}) = {res.exact}   expected {expected}   "
+              f"{'ok' if ok else 'MISMATCH'}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -35,6 +35,8 @@ def _coord_parse(F, tok: str) -> int:
 
 
 def _point_str(F, p: Sequence[int]) -> str:
+    if F.e == 1:    # a prime-field coordinate is its own digit
+        return " | ".join(map(str, p))
     return " | ".join(_coord_str(F, a) for a in p)
 
 

@@ -2,8 +2,9 @@
 
 A (k,m)-Furstenberg set meets a translate of every rank-k subspace in at
 least m points.  The verifier takes the coset histogram of each direction;
-the exact search computes K(q,n,k,m) by size-increasing subset search on
-per-direction coset bitmasks of the whole space.
+the exact search computes K(q,n,k,m) size by size with a pruned lex-order
+depth-first search on per-direction coset bitmasks of the whole space,
+proving each size below K empty up to affine symmetry.
 """
 
 from __future__ import annotations
@@ -285,13 +286,16 @@ def search_extremal(instance: FurstenbergInstance,
                     budget: int = DEFAULT_BUDGET) -> SearchResult:
     """K(q,n,k,m) exactly at tiny scale, otherwise (lower, upper) bounds.
 
-    Exact mode enumerates subsets by increasing size.  The Furstenberg
-    property is translation invariant, so only subsets whose lexicographic
-    minimum is the origin are generated.  Bit i of a subset mask is point i
-    in lex order; a subset passes a direction iff it shares at least m bits
-    with one of the coset bitmasks built once per direction.  The bound
-    table's largest number, q^((k+1)n), is charged in bits before it is
-    built.
+    Exact mode tries each size from the bound table's lower bound upward
+    with the pruned lex-order search of _first_completion; bit i of a set
+    mask is point i in lex order.  A size is ruled out over the sets that
+    hold lex points 0 and 1 (the origin and e_n), and 2 (e_{n-1}) when
+    q = 2: AGL(n,q) maps flats to flats, permutes the directions, and is
+    transitive on pairs of distinct points, and on triples when q = 2,
+    where any three are affinely independent.  At the first size left,
+    the plain search from {0} returns the lex-first set that holds the
+    origin as the witness.  The bound table's largest number,
+    q^((k+1)n), is charged in bits before it is built.
     """
     F, n, k, m = instance.field, instance.n, instance.k, instance.m
     q = F.q
@@ -299,9 +303,8 @@ def search_extremal(instance: FurstenbergInstance,
     exact = q ** min(n, EXACT_SEARCH_LIMIT.bit_length()) <= EXACT_SEARCH_LIMIT
     if exact:
         pts = all_points(F, n)
-        bits = [1 << i for i in range(len(pts))]
-        tables = [tuple(hist.values()) for _, hist
-                  in scan_directions(F, n, k, list(zip(pts, bits)), budget)]
+        tables = [tuple(hist.values()) for _, hist in scan_directions(
+            F, n, k, [(p, 1 << i) for i, p in enumerate(pts)], budget)]
     charge((k + 1) * n * (q - 1).bit_length(), "bound-table bits", budget)
     # search prints no row, so its table need not print
     lower = bound_table(instance, printable=False).best_integer_lower()
@@ -309,17 +312,64 @@ def search_extremal(instance: FurstenbergInstance,
         construction = trivial_construction(instance, budget=budget)
         return SearchResult(exact=None, lower=lower, upper=len(construction),
                             witness=construction)
+    first = _first_completion(tables, len(pts), m, budget)
+    fixed = 3 if q == 2 else 2     # AGL(n,q) maps any this many points to
+                                   # lex points 0, 1, ...
     for size in range(lower, m * q ** (n - k) + 1):
-        for combo in itertools.combinations(bits[1:], size - 1):
-            mask = 1 + sum(combo)   # bit 0 is the origin
-            if all(any((mask & c).bit_count() >= m for c in cosets)
-                   for cosets in tables):
-                S = PointSet.of(F, n, (p for p, b in zip(pts, bits)
-                                       if mask & b))
-                return SearchResult(exact=size, lower=lower, upper=size,
-                                    witness=S)
+        t = min(size, fixed)
+        if first((1 << t) - 1, t, size - t):
+            mask = first(1, 1, size - 1)
+            S = PointSet.of(F, n, (p for i, p in enumerate(pts)
+                                   if mask >> i & 1))
+            return SearchResult(exact=size, lower=lower, upper=size,
+                                witness=S)
     # the trivial construction always verifies, so this is unreachable
     raise AssertionError("exhaustive search failed to find any witness")
+
+
+def _first_completion(tables, N: int, m: int, budget: int):
+    """first(mask, i, r): the lex-first set mask | R, R a set of r points
+    of index at least i, that meets m points of some coset of every
+    direction, or 0 if there is none.
+
+    A node (mask, i, r) is pruned unless every direction has a coset c with
+    |mask & c| + min(r, |c & {i..N-1}|) >= m; the direction that failed
+    last is checked first.  A node stands for every completion from index
+    i on, so a pruned node ends its later siblings too.  Pruning drops only
+    nodes with no completion, so the sets are met in the order that
+    itertools.combinations gives them.  Nodes are counted over every call,
+    and charged once past the budget.
+    """
+    order = list(tables)
+    full = (1 << N) - 1
+    nodes = 0
+
+    def first(mask: int, i: int, r: int) -> int:
+        nonlocal nodes
+        while N - i >= r:
+            nodes += 1
+            if nodes > budget:
+                charge(nodes, "search nodes", budget)
+            # with open_ = mask | {i..N-1}, the min splits in two tests
+            open_, need = mask | full >> i << i, m - r
+            for j, cosets in enumerate(order):
+                for c in cosets:
+                    if (open_ & c).bit_count() >= m \
+                            and (mask & c).bit_count() >= need:
+                        break
+                else:
+                    if j:
+                        order.insert(0, order.pop(j))
+                    return 0
+            if not r:
+                return mask
+            hit = first(mask | 1 << i, i + 1, r - 1)
+            if hit:
+                return hit
+            i += 1
+        return 0
+
+    return first
 
 
 def trivial_construction(instance: FurstenbergInstance,

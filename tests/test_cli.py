@@ -408,6 +408,16 @@ def test_bounds_past_the_digit_cap_exit_2(capsys, n, k):
     assert "4300 digits" in err
 
 
+def test_search_charges_its_nodes(capsys):
+    # K(2,4,2,3) = 9 visits 3118 search nodes
+    argv = ["search", "--p", "2", "--n", "4", "--k", "2", "--m", "3"]
+    code, out, err = run(capsys, argv + ["--budget", "3117"])
+    assert code == 2 and out == ""
+    assert "3118 search nodes exceed budget 3117" in err
+    code, out, _ = run(capsys, argv + ["--budget", "3118"])
+    assert code == 0 and "exact = 9" in out
+
+
 def test_search_trivial_construction_respects_budget(capsys):
     # q^n = 32 is past the exact limit, so search returns the 32-point
     # trivial construction, which a budget of 10 does not cover

@@ -95,6 +95,15 @@ def test_targets_round_trip(F3):
     assert TF == F3 and n == 2 and parsed == targets
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (31, 1), (2, 2), (3, 2)],
+                         ids=["F2", "F31", "F4", "F9"])
+def test_point_str_joins_each_coordinate_digits(p, e):
+    F = field_build(p, e)
+    for pt in [(0,), (F.q - 1, 0, 1), tuple(range(F.q))]:
+        assert formats._point_str(F, pt) == " | ".join(
+            formats._coord_str(F, a) for a in pt)
+
+
 def test_coord_digit_count_enforced():
     F4 = field_build(2, 2)
     with pytest.raises(UnsupportedFormat):

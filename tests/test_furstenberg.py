@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flab import furstenberg
 from flab.errors import (BadEpsilon, BadRange, BadSize, BudgetExceeded,
                          IncompatibleFields)
 from flab.furstenberg import (BoundRow, FurstenbergInstance, bound_table,
                               coverage_over_directions, iroot, is_furstenberg,
                               lift_construction, lifted_direction_subspaces,
                               search_extremal, sqrt_up, trivial_construction)
-from flab.geometry import PointSet, Subspace, all_points, coset_histogram
+from flab.geometry import (PointSet, Subspace, all_points, coset_histogram,
+                           scan_directions)
 from flab.gf import ExtensionField, field_build
 
 
@@ -182,6 +184,86 @@ def test_search_frozen_witnesses(key):
     res = search_extremal(inst(field_build(p, e), n, k, m))
     assert res.exact == len(expected)
     assert res.witness.sorted() == expected
+
+
+def combinations_search(instance):
+    """Reference for search_extremal: (K, lex-first witness holding the
+    origin), by walking every subset that holds the origin, size by size in
+    itertools.combinations order, from the same lower bound."""
+    F, n, k, m = instance
+    pts = all_points(F, n)
+    bits = [1 << i for i in range(len(pts))]
+    tables = [tuple(hist.values()) for _, hist in scan_directions(
+        F, n, k, list(zip(pts, bits)), 10 ** 7)]
+    lower = bound_table(instance, printable=False).best_integer_lower()
+    for size in range(lower, m * F.q ** (n - k) + 1):
+        for combo in itertools.combinations(bits[1:], size - 1):
+            mask = 1 + sum(combo)   # bit 0 is the origin
+            if all(any((mask & c).bit_count() >= m for c in cosets)
+                   for cosets in tables):
+                return size, PointSet.of(F, n, (p for p, b in zip(pts, bits)
+                                                if mask & b))
+    raise AssertionError("no witness")
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_WITNESS))
+def test_search_matches_combinations_walk(key):
+    p, e, n, k, m = key
+    I = inst(field_build(p, e), n, k, m)
+    res = search_extremal(I)
+    assert (res.exact, res.witness) == combinations_search(I)
+
+
+@pytest.fixture
+def limit_32(monkeypatch):
+    monkeypatch.setattr(furstenberg, "EXACT_SEARCH_LIMIT", 32)
+
+
+@pytest.mark.parametrize("q,n,k,m", [
+    (5, 2, 1, 1), (5, 2, 1, 2), (5, 2, 1, 3), (3, 3, 1, 1), (3, 3, 1, 2),
+    (3, 3, 2, 1), (3, 3, 2, 2), (3, 3, 2, 3)])
+def test_search_matches_combinations_walk_past_the_limit(limit_32, q, n, k,
+                                                         m):
+    I = inst(field_build(q, 1), n, k, m)
+    res = search_extremal(I)
+    assert (res.exact, res.witness) == combinations_search(I)
+
+
+# K(q,n,k,m) past EXACT_SEARCH_LIMIT = 16, through a limit raised to 32.
+# The combinations walk gives the same K and witness on the small m above,
+# and also on K(5,2,1,4), K(3,3,2,4) and K(3,3,2,5), which take it seconds
+# each and so were checked outside the suite; K(5,2,1,5) is the planar
+# Kakeya minimum.
+FROZEN_K_PAST_LIMIT = {
+    (5, 2, 1, 1): 1, (5, 2, 1, 2): 4, (5, 2, 1, 3): 7, (5, 2, 1, 4): 12,
+    (5, 2, 1, 5): 17,
+    (3, 3, 1, 1): 1, (3, 3, 1, 2): 6,
+    (3, 3, 2, 1): 1, (3, 3, 2, 2): 4, (3, 3, 2, 3): 6, (3, 3, 2, 4): 9,
+    (3, 3, 2, 5): 11,
+}
+
+
+@pytest.mark.parametrize("q,n,k,m", sorted(FROZEN_K_PAST_LIMIT))
+def test_search_frozen_values_past_the_limit(limit_32, q, n, k, m):
+    I = inst(field_build(q, 1), n, k, m)
+    res = search_extremal(I)
+    assert res.exact == len(res.witness) == FROZEN_K_PAST_LIMIT[(q, n, k, m)]
+    ok, _ = is_furstenberg(res.witness, k, m)
+    assert ok
+    for row in bound_table(I).lower_rows():
+        assert row.satisfied_by(res.exact), row.source
+    if (n, k, m) == (2, 1, q):
+        # Blokhuis and Mazzocca: K(q,2,1,q) = q(q+1)/2 + (q-1)/2 for odd q
+        assert res.exact == q * (q + 1) // 2 + (q - 1) // 2
+
+
+def test_search_charges_its_nodes(F2):
+    # K(2,4,2,3) visits 3118 search nodes, after its 140 flats
+    I = inst(F2, 4, 2, 3)
+    with pytest.raises(BudgetExceeded,
+                       match="^3118 search nodes exceed budget 3117$"):
+        search_extremal(I, budget=3117)
+    assert search_extremal(I, budget=3118).exact == 9
 
 
 def test_search_budget_is_checked_up_front(F2):
