@@ -3,6 +3,8 @@
 Subcommands: verify, search, bounds, entropy, polycert, incidence, selftest.
 Each handler imports the one algorithm module it runs and returns its report
 dict; ``main`` renders it once and writes it to ``--output`` or stdout.
+The parser is built once per process for each ``FLAB_BUDGET`` value, so a
+sweep that calls ``main`` many times pays for building argparse once.
 Output is deterministic byte-for-byte for identical inputs and flags.
 Exit codes: 0 success, 2 validation error, 1 internal error.
 """
@@ -10,6 +12,7 @@ Exit codes: 0 success, 2 validation error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -77,7 +80,11 @@ def _fraction(text: str, flag: str) -> Fraction:
 
 
 class _Given(argparse.Action):
-    """Store the value and note the option as given on the command line."""
+    """Store the value and note the option as given on the command line.
+
+    The parser is shared by every ``main`` call in a process, so this
+    replaces the frozenset default ``given`` rather than mutating it: a
+    parse leaves the parser as it found it."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
@@ -125,12 +132,11 @@ def _cmd_verify(args) -> dict:
         return {"ok": False, "size": len(S),
                 "failing_direction": " , ".join(
                     formats._point_str(S.field, r) for r in payload.basis)}
-    wit = [{
-        "direction": formats.serialize_flat(
-            S.field, payload.assignment[d]).split(";")[0].strip(),
-        "flat": formats.serialize_flat(S.field, payload.assignment[d]),
-        "count": payload.coverage[d],
-    } for d in sorted(payload.assignment, key=lambda d: d.basis)]
+    wit = []
+    for d in sorted(payload.assignment, key=lambda d: d.basis):
+        flat = formats.serialize_flat(S.field, payload.assignment[d])
+        wit.append({"direction": flat.split(";")[0].strip(), "flat": flat,
+                    "count": payload.coverage[d]})
     return {"ok": True, "size": len(S), "witnesses": wit}
 
 
@@ -240,13 +246,18 @@ def _cmd_incidence(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for the current FLAB_BUDGET, built the first time that
+    value is seen in this process."""
+    return _parser(os.environ.get("FLAB_BUDGET", str(DEFAULT_BUDGET)))
+
+
+# it depends only on the FLAB_BUDGET string, and a process sees few values
+@functools.lru_cache(maxsize=8)
+def _parser(budget: str) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="flab",
                                  description="Exact finite-geometry lab: "
                                  "Furstenberg sets, entropy, incidences.")
     sub = ap.add_subparsers(dest="command", required=True)
-    # a string default goes through type=int, so a malformed FLAB_BUDGET
-    # is a usage error naming --budget
-    budget = os.environ.get("FLAB_BUDGET", str(DEFAULT_BUDGET))
 
     def command(name, summary, fn, field=True, budgeted=True):
         """A subcommand with the report flags, plus --budget and the field
@@ -256,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
         p.add_argument("--output", "-o", default=None)
         if budgeted:
+            # a string default goes through type=int at parse time, so a
+            # malformed FLAB_BUDGET is a usage error naming --budget
             p.add_argument("--budget", type=int, default=budget,
                            action=_Given)
         if field:

@@ -127,17 +127,18 @@ def contained_subflats(Ffam: FlatFamily, l: int,
         raise NotADirectionFamily(
             f"need exactly one flat per rank-{k} direction")
     # an l-flat lies in a family flat iff its direction E lies in the
-    # flat's direction (shift + e is in the flat for each basis row e of E)
-    # and it is one of the E-cosets the flat's points meet (a scan of no
-    # items charges the l-flats and yields each E)
+    # flat's direction (each basis row of E is a vector of it) and it is
+    # one of the E-cosets the flat's points meet (a scan of no items
+    # charges the l-flats and yields each E)
     scan = scan_directions(F, n, l, (), budget)
     points = {f: frozenset(flat_points(F, f, budget=budget))
               for f in Ffam.flats}
+    vectors = {f: frozenset(tuple(map(F.sub, p, f.shift)) for p in points[f])
+               for f in Ffam.flats}
     count = 0
     for E, _ in scan:
         inside = [(p, 1) for f in Ffam.flats
-                  if all(tuple(map(F.add, f.shift, e)) in points[f]
-                         for e in E.basis)
+                  if all(e in vectors[f] for e in E.basis)
                   for p in points[f]]
         count += len(coset_histogram(F, inside, E))
     sub = FurstenbergInstance(field=F, n=n - l, k=k - l, m=q ** (k - l))

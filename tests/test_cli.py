@@ -257,6 +257,46 @@ def test_malformed_flab_budget_is_a_usage_error(capsys, monkeypatch):
     assert code == 0 and "trivial_pigeonhole" in out
 
 
+def test_build_parser_is_shared_per_flab_budget(monkeypatch):
+    monkeypatch.setenv("FLAB_BUDGET", "10")
+    ten = build_parser()
+    assert build_parser() is ten
+    monkeypatch.setenv("FLAB_BUDGET", "11")
+    eleven = build_parser()
+    assert eleven is not ten
+    assert eleven.parse_args(_search_argv()).budget == 11
+    monkeypatch.setenv("FLAB_BUDGET", "10")
+    assert build_parser() is ten
+    assert ten.parse_args(_search_argv()).budget == 10
+
+
+@pytest.mark.parametrize("flag", [["--k", "2"], ["--budget", "5"]],
+                         ids=["k", "budget"])
+def test_a_parse_leaves_the_shared_parser_as_it_found_it(capsys, tmp_path,
+                                                        flag):
+    # a flag given to one call must not count as given to the next
+    path = tmp_path / "d.dist"
+    path.write_text("2 1 2\n0 | 0 | 1\n")
+    argv = ["entropy", "--dist", str(path), "--check", "none"]
+    code, out, err = run(capsys, argv + flag)
+    assert code == 2 and out == ""
+    assert f"does not read {flag[0]}" in err
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == "" and "max_weight = 1" in out
+
+
+def test_polycert_sources_do_not_carry_between_parses():
+    ap = build_parser()
+    field = ["polycert", "--p", "2", "--n", "2"]
+    for _ in range(2):
+        args = ap.parse_args(field + ["--poly", "p.poly"])
+        assert (args.poly, args.targets, args.given) == \
+            ("p.poly", None, frozenset())
+        args = ap.parse_args(field + ["--targets", "t", "--degree", "1"])
+        assert (args.poly, args.targets, args.given) == \
+            (None, "t", {"degree"})
+
+
 @pytest.mark.parametrize("argv, text", [
     (["--degree", "100000", "--targets"], "5 1 2\n0 | 0 | 1\n"),
     (["--poly"], "1 : 100000 0\n"),
