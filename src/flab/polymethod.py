@@ -2,15 +2,19 @@
 
 Supports multiplicity queries, the Schwartz-Zippel multiplicity audit, and
 interpolation of polynomials that vanish with prescribed multiplicities.
+All three read the Hasse values D^i(x^a) at a point x off a _HasseTable of
+per-coordinate rows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence)
 
-from .errors import ZeroPolynomial
+from .errors import BadRange, ZeroPolynomial
 from .geometry import DEFAULT_BUDGET, charge, rref
 
 Expo = tuple[int, ...]
@@ -105,31 +109,61 @@ def hasse_derivative(P: Polynomial, i: Sequence[int]) -> Polynomial:
     return Polynomial(F, P.n, out)
 
 
-def _power_table(F, x: Sequence[int], d: int) -> list[list[int]]:
-    """Per coordinate x_j of the point, the powers x_j^0, ..., x_j^d."""
-    table = []
-    for xj in x:
-        pw = [1]
-        for _ in range(d):
-            pw.append(F.mul(pw[-1], xj))
-        table.append(pw)
-    return table
+class _HasseTable:
+    """D^i(x^a) at one point x for every monomial a of a fixed list, read
+    off per-coordinate rows.
 
+    Per coordinate j it keeps the powers of x_j up to the largest exponent
+    that coordinate uses, and for each order i_j asked for a row, built on
+    first use: each exponent a_j used at j maps to binom(a_j, i_j) x_j^(a_j
+    - i_j), and to 0 when a_j < i_j.  D^i(x^a) = prod_j row_j[i_j][a_j] is
+    formed one coordinate at a time over the whole list.  An order with some
+    i_j above every exponent used at j is all zero and never built; a row
+    whose every entry is 1 is skipped in the product.
+    """
 
-def _hasse_values(F, monos: Sequence[Expo], i: Expo,
-                  powers: Sequence[Sequence[int]]) -> list[int]:
-    """D^i(x^a) at the point of the power table, for every monomial a in
-    monos: binom(a, i) mod p times x^(a-i), read off the table."""
-    out = []
-    for a in monos:
-        v = _hasse_coefficient(a, i, F.p)
-        if v:
-            v = F.from_int(v)
-            for pw, aj, ij in zip(powers, a, i):
-                if aj != ij:
-                    v = F.mul(v, pw[aj - ij])
-        out.append(v)
-    return out
+    __slots__ = ("F", "monos", "used", "tops", "powers", "rows")
+
+    def __init__(self, F, x: Sequence[int], monos: Sequence[Expo]):
+        self.F = F
+        self.monos = monos
+        # used[j]: the exponents that coordinate j takes in the monomials
+        self.used = ([set(col) for col in zip(*monos)] if monos
+                     else [set() for _ in x])
+        self.tops = [max(u, default=-1) for u in self.used]
+        self.powers = []
+        for xj, top in zip(x, self.tops):
+            pw = [1]
+            for _ in range(top):
+                pw.append(F.mul(pw[-1], xj))
+            self.powers.append(pw)
+        self.rows: list[dict[int, dict[int, int] | None]] = [{} for _ in x]
+
+    def _row(self, j: int, i: int) -> dict[int, int] | None:
+        """Row i of coordinate j; None when every entry is 1, as for order
+        0 at a coordinate that no monomial uses or at x_j = 1."""
+        if i not in self.rows[j]:
+            F, pw = self.F, self.powers[j]
+            row = {}
+            for a in self.used[j]:
+                c = math.comb(a, i) % F.p
+                row[a] = F.mul(F.from_int(c), pw[a - i]) if c else 0
+            self.rows[j][i] = (None if all(v == 1 for v in row.values())
+                               else row)
+        return self.rows[j][i]
+
+    def values(self, i: Expo) -> list[int] | None:
+        """D^i(x^a) for every monomial a of the list, or None when every
+        one is 0 because some i_j exceeds each exponent used at j."""
+        if any(ij > top for ij, top in zip(i, self.tops)):
+            return None
+        out = None
+        for j, ij in enumerate(i):
+            row = self._row(j, ij)
+            if row is not None:
+                col = [row[a[j]] for a in self.monos]
+                out = col if out is None else list(map(self.F.mul, out, col))
+        return [1] * len(self.monos) if out is None else out
 
 
 def exponents_of_weight(n: int, w: int) -> Iterator[Expo]:
@@ -148,13 +182,23 @@ def multiplicity(P: Polynomial, a: Sequence[int]) -> int:
     """
     if P.is_zero():
         raise ZeroPolynomial("the zero polynomial has no finite multiplicity")
+    return _multiplicity_at(P, a, functools.partial(exponents_of_weight, P.n))
+
+
+def _multiplicity_at(P: Polynomial, a: Sequence[int],
+                     orders: Callable[[int], Iterable[Expo]]) -> int:
+    """multiplicity(P, a) for nonzero P, given orders(w), the exponent
+    tuples of weight w."""
     F = P.field
-    monos, coeffs = list(P.terms), list(P.terms.values())
-    powers = _power_table(F, a, P.degree)
+    coeffs = P.terms.values()
+    table = _HasseTable(F, a, list(P.terms))
     for w in range(P.degree + 1):
-        for i in exponents_of_weight(P.n, w):
+        for i in orders(w):
+            values = table.values(i)
+            if values is None:
+                continue
             acc = 0
-            for c, v in zip(coeffs, _hasse_values(F, monos, i, powers)):
+            for c, v in zip(coeffs, values):
                 if v:
                     acc = F.add(acc, F.mul(c, v))
             if acc != 0:
@@ -178,9 +222,18 @@ def sz_mult_audit(P: Polynomial, U: Sequence[int],
         raise ZeroPolynomial("audit requires a nonzero polynomial")
     charge(len(U) ** P.n * _monomial_count(P.n, P.degree), "audit pairs",
            budget)
+    listed: list[list[Expo]] = []
+
+    def orders(w: int) -> list[Expo]:
+        """The orders of weight w, each weight listed once per audit, when
+        some point first reaches it."""
+        while len(listed) <= w:
+            listed.append(list(exponents_of_weight(P.n, len(listed))))
+        return listed[w]
+
     total = 0
     for a in itertools.product(U, repeat=P.n):
-        total += multiplicity(P, a)
+        total += _multiplicity_at(P, a, orders)
     bound = P.degree * len(U) ** (P.n - 1)
     return SzAudit(sum=total, bound=bound, ok=total <= bound)
 
@@ -222,8 +275,13 @@ def find_vanishing_poly(F, n: int, targets: Mapping[Sequence[int], int],
     set to 1 under graded lex order) or a NoSolutionCertificate when the
     system has full column rank.  Charges, before any monomial or row, the
     C(d+n, n) unknowns times the larger of the sum_x C(N_x+n-1, n)
-    equations and n, each C(a+b, b) at least 2^min(a, b).
+    equations and n, each C(a+b, b) at least 2^min(a, b).  A multiplicity
+    N_x = 0 is a vacuous condition; a negative one raises BadRange, before
+    the charge.  The rows of each point x are read off one _HasseTable.
     """
+    for x, N in targets.items():
+        if N < 0:
+            raise BadRange(f"multiplicity {N} < 0 at point {tuple(x)}")
     bits = min(d, n) + max((min(N - 1, n) for N in targets.values()),
                            default=0)
     charge((bits, lambda: max(sum(_monomial_count(n, N - 1)
@@ -232,11 +290,11 @@ def find_vanishing_poly(F, n: int, targets: Mapping[Sequence[int], int],
     monos = monomials_upto(n, d)
     rows: list[list[int]] = []
     for x in sorted(tuple(pt) for pt in targets):
-        powers = _power_table(F, x, d)
+        table = _HasseTable(F, x, monos)
         for w in range(targets[x]):
             for i in exponents_of_weight(n, w):
-                row = _hasse_values(F, monos, i, powers)
-                if any(row):
+                row = table.values(i)
+                if row is not None and any(row):
                     rows.append(row)
     reduced, rank = rref(F, rows)
     pivots = [next(j for j, v in enumerate(r) if v != 0) for r in reduced]

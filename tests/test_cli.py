@@ -154,6 +154,22 @@ def test_polycert_targets(capsys, tmp_path):
     assert doc["found"] is True and doc["verified"] is True
 
 
+def test_polycert_rejects_a_negative_multiplicity(capsys, tmp_path):
+    # the same line that entropy refuses as a weight; 0 stays vacuous
+    path = tmp_path / "t.targets"
+    path.write_text("5 1 2\n1 | 2 | -3\n0 | 0 | 1\n")
+    polycert = ["polycert", "--p", "5", "--n", "2", "--degree", "2",
+                "--targets", str(path)]
+    code, out, err = run(capsys, polycert)
+    assert code == 2 and out == ""
+    assert err == "error: multiplicity -3 < 0 at point (1, 2)\n"
+    code, _, err = run(capsys, ["entropy", "--dist", str(path)])
+    assert code == 2 and "weights must be positive" in err
+    path.write_text("5 1 2\n1 | 2 | 0\n0 | 0 | 1\n")
+    code, out, _ = run(capsys, polycert + ["--format", "json"])
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
 def test_polycert_audit(capsys, tmp_path):
     F3 = field_build(3, 1)
     P = Polynomial.make(F3, 2, {(1, 1): 1})

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from conftest import mult_oracle, random_poly
-from flab.errors import BudgetExceeded, ZeroPolynomial
+from flab.errors import BadRange, BudgetExceeded, ZeroPolynomial
 from flab.geometry import all_points
-from flab.polymethod import (NoSolutionCertificate, Polynomial, evaluate,
+from flab.gf import field_build
+from flab.polymethod import (NoSolutionCertificate, Polynomial, _HasseTable,
+                             _hasse_coefficient, evaluate,
                              exponents_of_weight, find_vanishing_poly,
                              hasse_derivative, monomials_upto, multiplicity,
                              poly_mul, sz_mult_audit,
@@ -17,6 +19,88 @@ from flab.polymethod import (NoSolutionCertificate, Polynomial, evaluate,
 def poly_scale(P: Polynomial, c: int) -> Polynomial:
     return Polynomial.make(P.field, P.n,
                            {e: P.field.mul(c, v) for e, v in P.terms.items()})
+
+
+def _power_table(F, x, d):
+    """Per coordinate x_j of the point, the powers x_j^0, ..., x_j^d."""
+    table = []
+    for xj in x:
+        pw = [1]
+        for _ in range(d):
+            pw.append(F.mul(pw[-1], xj))
+        table.append(pw)
+    return table
+
+
+def _hasse_values(F, monos, i, powers):
+    """Reference for _HasseTable.values, entry by entry: D^i(x^a) at the
+    point of the power table is binom(a, i) mod p times x^(a-i)."""
+    out = []
+    for a in monos:
+        v = _hasse_coefficient(a, i, F.p)
+        if v:
+            v = F.from_int(v)
+            for pw, aj, ij in zip(powers, a, i):
+                if aj != ij:
+                    v = F.mul(v, pw[aj - ij])
+        out.append(v)
+    return out
+
+
+def _field_power_poly(F, n, j, power=4):
+    """(x_j^q - x_j)^power: sparse, and multiplicity `power` everywhere."""
+    e_q = tuple(F.q if k == j else 0 for k in range(n))
+    e_1 = tuple(1 if k == j else 0 for k in range(n))
+    P = Polynomial.make(F, n, {e_q: 1, e_1: F.neg(1)})
+    Q = P
+    for _ in range(power - 1):
+        Q = poly_mul(Q, P)
+    return Q
+
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (13, 1)]
+
+
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_hasse_table_matches_entrywise_reference(p, e):
+    """Every order of weight <= 4 at random points, on dense monomial lists
+    of low degree and on the sparse terms of (x_j^q - x_j)^4, so that some
+    orders exceed every exponent used at a coordinate: the table's values
+    equal the entry-by-entry reference, and it skips exactly the orders
+    whose reference row is zero for that reason."""
+    F = field_build(p, e)
+    rng = random.Random(F.q)
+    for n in (1, 2, 3):
+        lists = [monomials_upto(n, d) for d in (0, 2, 3)]
+        lists += [list(_field_power_poly(F, n, j).terms) for j in range(n)]
+        for monos in lists:
+            tops = [max(a[j] for a in monos) for j in range(n)]
+            for _ in range(3):
+                x = tuple(rng.randrange(F.q) for _ in range(n))
+                table = _HasseTable(F, x, monos)
+                powers = _power_table(F, x, max(sum(a) for a in monos))
+                for w in range(5):
+                    for i in exponents_of_weight(n, w):
+                        ref = _hasse_values(F, monos, i, powers)
+                        got = table.values(i)
+                        if any(ij > t for ij, t in zip(i, tops)):
+                            assert got is None and not any(ref)
+                        else:
+                            assert got == ref, (monos, x, i)
+
+
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_multiplicity_of_sparse_power_polys_matches_shift_oracle(p, e):
+    F = field_build(p, e)
+    rng = random.Random(7 * F.q)
+    for n in (1, 2, 3):
+        for j in range(n):
+            P = _field_power_poly(F, n, j)
+            Q = poly_mul(P, random_poly(rng, F, n, 3))
+            for _ in range(4):
+                a = tuple(rng.randrange(F.q) for _ in range(n))
+                assert multiplicity(P, a) == mult_oracle(F, P, a) == 4
+                assert multiplicity(Q, a) == mult_oracle(F, Q, a)
 
 
 def test_hasse_weight_zero_is_identity(F3):
@@ -42,7 +126,6 @@ def test_hasse_chain_rule_cube(F5):
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 1)])
 def test_hasse_chain_rule_random(q, n):
-    from flab.gf import field_build
     F = field_build(q, 1)
     rng = random.Random(q * 10 + n)
     for _ in range(30):
@@ -104,7 +187,6 @@ def test_multiplicity_zero_poly_infinite(F2):
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 2), (3, 3)])
 def test_multiplicity_agrees_with_shift_oracle(q, n):
-    from flab.gf import field_build
     F = field_build(q, 1)
     rng = random.Random(100 * q + n)
     for _ in range(60):
@@ -115,10 +197,9 @@ def test_multiplicity_agrees_with_shift_oracle(q, n):
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
 def test_extension_field_multiplicities_match_shift_oracle(p, e):
-    """F_4, F_8 and F_9: multiplicities read off the per-point power tables
+    """F_4, F_8 and F_9: multiplicities read off the per-point Hasse tables
     agree with the binomial expansion of P(y + a), for random polynomials
     and for a found interpolant at its targets."""
-    from flab.gf import field_build
     F = field_build(p, e)
     rng = random.Random(10 * F.q)
     for n in (1, 2, 3):
@@ -209,6 +290,20 @@ def test_find_vanishing_charges_the_system_size(F2):
     assert res.equations * res.unknowns == 36
     with pytest.raises(BudgetExceeded):
         find_vanishing_poly(F2, 2, targets, 2, budget=35)
+
+
+def test_find_vanishing_rejects_a_negative_multiplicity(F5):
+    # before the budget charge, which a budget of 0 would fail
+    with pytest.raises(BadRange, match=r"-3 < 0 at point \(1, 2\)"):
+        find_vanishing_poly(F5, 2, {(0, 0): 1, (1, 2): -3}, 2, budget=0)
+
+
+def test_find_vanishing_multiplicity_zero_is_vacuous(F5):
+    # no condition at (1, 2): the constant 1 is the canonical interpolant
+    P = find_vanishing_poly(F5, 2, {(1, 2): 0}, 1)
+    assert dict(P.terms) == {(0, 0): 1}
+    Q = find_vanishing_poly(F5, 2, {(1, 2): 0, (0, 0): 1}, 1)
+    assert Q == find_vanishing_poly(F5, 2, {(0, 0): 1}, 1)
 
 
 def test_find_vanishing_mixed_multiplicities(F3):
