@@ -1,9 +1,10 @@
 """Exact values too slow for the test suite, with verified witnesses.
 
 Raises the exact-search limit to 32 points for this run only and checks
-K(3,3,1,3) = 13 and K(2,5,1,2) = 10: each witness must have K points, must
-verify, and must meet every applicable lower-bound row.  Exits 1 on any
-mismatch.  Each value takes a few seconds.
+K(3,3,1,3) = 13, K(2,5,1,2) = 10 and K(2,5,2,3) = 13: each witness must
+have K points, must verify, and must meet every applicable lower-bound
+row.  Exits 1 on any mismatch.  The three values take about 0.8, 0.03
+and 4.5 s on a 2-vCPU VM with Python 3.11.
 
 Usage:
     python3 scripts/slow_exact_values.py
@@ -14,7 +15,7 @@ from flab.furstenberg import (FurstenbergInstance, bound_table,
                               is_furstenberg, search_extremal)
 from flab.gf import field_build
 
-EXPECTED = {(3, 3, 1, 3): 13, (2, 5, 1, 2): 10}
+EXPECTED = {(3, 3, 1, 3): 13, (2, 5, 1, 2): 10, (2, 5, 2, 3): 13}
 
 
 def main() -> int:

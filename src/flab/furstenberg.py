@@ -286,16 +286,20 @@ def search_extremal(instance: FurstenbergInstance,
                     budget: int = DEFAULT_BUDGET) -> SearchResult:
     """K(q,n,k,m) exactly at tiny scale, otherwise (lower, upper) bounds.
 
-    Exact mode tries each size from the bound table's lower bound upward
-    with the pruned lex-order search of _first_completion; bit i of a set
-    mask is point i in lex order.  A size is ruled out over the sets that
-    hold lex points 0 and 1 (the origin and e_n), and 2 (e_{n-1}) when
-    q = 2: AGL(n,q) maps flats to flats, permutes the directions, and is
-    transitive on pairs of distinct points, and on triples when q = 2,
-    where any three are affinely independent.  At the first size left,
-    the plain search from {0} returns the lex-first set that holds the
-    origin as the witness.  The bound table's largest number,
-    q^((k+1)n), is charged in bits before it is built.
+    Exact mode tries each size upward with the pruned lex-order search of
+    _first_completion; bit i of a set mask is point i in lex order.  For
+    m >= 2 let c be least with q^c >= m and d = min(n, n - k + c).  No
+    affine flat W of dimension w < d holds a Furstenberg set: a rank-k
+    direction D meeting the direction of W in dimension
+    max(0, k + w - n) < c has every coset meet W in at most q^max(0, k+w-n) < m points.  So a
+    Furstenberg set holds d + 1 affinely independent points, and AGL(n,q),
+    which maps flats to flats and permutes the directions, maps them to the
+    origin, e_n, e_{n-1}, ..., e_{n-d+1}, lex points 0, 1, q, ..., q^(d-1).
+    Each size from the larger of d + 1 and the bound table's lower bound is
+    ruled out over the sets that hold those points (d = 0 when m = 1, where
+    K = 1).  At the first size left, the plain search from {0} returns the
+    lex-first set that holds the origin as the witness.  The bound table's
+    largest number, q^((k+1)n), is charged in bits before it is built.
     """
     F, n, k, m = instance.field, instance.n, instance.k, instance.m
     q = F.q
@@ -313,11 +317,10 @@ def search_extremal(instance: FurstenbergInstance,
         return SearchResult(exact=None, lower=lower, upper=len(construction),
                             witness=construction)
     first = _first_completion(tables, len(pts), m, budget)
-    fixed = 3 if q == 2 else 2     # AGL(n,q) maps any this many points to
-                                   # lex points 0, 1, ...
-    for size in range(lower, m * q ** (n - k) + 1):
-        t = min(size, fixed)
-        if first((1 << t) - 1, t, size - t):
+    d = _span_floor(q, n, k, m)
+    basis = 1 | sum(1 << q ** j for j in range(d))   # lex 0, 1, q, ...
+    for size in range(max(lower, d + 1), m * q ** (n - k) + 1):
+        if first(basis, 1, size - d - 1):
             mask = first(1, 1, size - 1)
             S = PointSet.of(F, n, (p for i, p in enumerate(pts)
                                    if mask >> i & 1))
@@ -327,10 +330,21 @@ def search_extremal(instance: FurstenbergInstance,
     raise AssertionError("exhaustive search failed to find any witness")
 
 
+def _span_floor(q: int, n: int, k: int, m: int) -> int:
+    """d of search_extremal: every (k,m)-Furstenberg set in F_q^n spans
+    an affine flat of dimension at least d."""
+    if m == 1:
+        return 0
+    c = 0
+    while q ** c < m:
+        c += 1
+    return min(n, n - k + c)
+
+
 def _first_completion(tables, N: int, m: int, budget: int):
     """first(mask, i, r): the lex-first set mask | R, R a set of r points
-    of index at least i, that meets m points of some coset of every
-    direction, or 0 if there is none.
+    of index at least i and not in mask, that meets m points of some coset
+    of every direction, or 0 if there is none.
 
     A node (mask, i, r) is pruned unless every direction has a coset c with
     |mask & c| + min(r, |c & {i..N-1}|) >= m; the direction that failed
@@ -347,6 +361,9 @@ def _first_completion(tables, N: int, m: int, budget: int):
     def first(mask: int, i: int, r: int) -> int:
         nonlocal nodes
         while N - i >= r:
+            if mask >> i & 1:
+                i += 1
+                continue
             nodes += 1
             if nodes > budget:
                 charge(nodes, "search nodes", budget)

@@ -276,9 +276,12 @@ def find_vanishing_poly(F, n: int, targets: Mapping[Sequence[int], int],
     system has full column rank.  Charges, before any monomial or row, the
     C(d+n, n) unknowns times the larger of the sum_x C(N_x+n-1, n)
     equations and n, each C(a+b, b) at least 2^min(a, b).  A multiplicity
-    N_x = 0 is a vacuous condition; a negative one raises BadRange, before
-    the charge.  The rows of each point x are read off one _HasseTable.
+    N_x = 0 is a vacuous condition; a negative one, or a negative d, raises
+    BadRange, before the charge.  The rows of each point x are read off one
+    _HasseTable.
     """
+    if d < 0:
+        raise BadRange(f"degree {d} < 0")
     for x, N in targets.items():
         if N < 0:
             raise BadRange(f"multiplicity {N} < 0 at point {tuple(x)}")

@@ -170,6 +170,19 @@ def test_polycert_rejects_a_negative_multiplicity(capsys, tmp_path):
     assert code == 0 and json.loads(out)["verified"] is True
 
 
+def test_polycert_rejects_a_negative_degree(capsys, tmp_path):
+    path = tmp_path / "t.targets"
+    path.write_text("5 1 2\n1 | 2 | 1\n")
+    polycert = ["polycert", "--p", "5", "--n", "2", "--targets", str(path),
+                "--format", "json", "--degree"]
+    for d in ("-1", "-3"):
+        code, out, err = run(capsys, polycert + [d])
+        assert code == 2 and out == ""
+        assert err == f"error: degree {d} < 0\n"
+    code, out, _ = run(capsys, polycert + ["0"])
+    assert code == 0 and json.loads(out)["found"] is False
+
+
 def test_polycert_audit(capsys, tmp_path):
     F3 = field_build(3, 1)
     P = Polynomial.make(F3, 2, {(1, 1): 1})
@@ -465,12 +478,12 @@ def test_bounds_past_the_digit_cap_exit_2(capsys, n, k):
 
 
 def test_search_charges_its_nodes(capsys):
-    # K(2,4,2,3) = 9 visits 3118 search nodes
+    # K(2,4,2,3) = 9 visits 380 search nodes
     argv = ["search", "--p", "2", "--n", "4", "--k", "2", "--m", "3"]
-    code, out, err = run(capsys, argv + ["--budget", "3117"])
+    code, out, err = run(capsys, argv + ["--budget", "379"])
     assert code == 2 and out == ""
-    assert "3118 search nodes exceed budget 3117" in err
-    code, out, _ = run(capsys, argv + ["--budget", "3118"])
+    assert "380 search nodes exceed budget 379" in err
+    code, out, _ = run(capsys, argv + ["--budget", "380"])
     assert code == 0 and "exact = 9" in out
 
 

@@ -12,7 +12,7 @@ from flab.furstenberg import (BoundRow, FurstenbergInstance, bound_table,
                               lift_construction, lifted_direction_subspaces,
                               search_extremal, sqrt_up, trivial_construction)
 from flab.geometry import (PointSet, Subspace, all_points, coset_histogram,
-                           scan_directions)
+                           scan_directions, span)
 from flab.gf import ExtensionField, field_build
 
 
@@ -233,13 +233,15 @@ def test_search_matches_combinations_walk_past_the_limit(limit_32, q, n, k,
 # The combinations walk gives the same K and witness on the small m above,
 # and also on K(5,2,1,4), K(3,3,2,4) and K(3,3,2,5), which take it seconds
 # each and so were checked outside the suite; K(5,2,1,5) is the planar
-# Kakeya minimum.
+# Kakeya minimum.  K(2,5,1,2) = 10 (same witness) was also found by the
+# search that fixed only three points, before the affine-basis reduction.
 FROZEN_K_PAST_LIMIT = {
     (5, 2, 1, 1): 1, (5, 2, 1, 2): 4, (5, 2, 1, 3): 7, (5, 2, 1, 4): 12,
     (5, 2, 1, 5): 17,
     (3, 3, 1, 1): 1, (3, 3, 1, 2): 6,
     (3, 3, 2, 1): 1, (3, 3, 2, 2): 4, (3, 3, 2, 3): 6, (3, 3, 2, 4): 9,
     (3, 3, 2, 5): 11,
+    (2, 5, 1, 2): 10,
 }
 
 
@@ -258,12 +260,30 @@ def test_search_frozen_values_past_the_limit(limit_32, q, n, k, m):
 
 
 def test_search_charges_its_nodes(F2):
-    # K(2,4,2,3) visits 3118 search nodes, after its 140 flats
+    # K(2,4,2,3) visits 380 search nodes, after its 140 flats
     I = inst(F2, 4, 2, 3)
     with pytest.raises(BudgetExceeded,
-                       match="^3118 search nodes exceed budget 3117$"):
-        search_extremal(I, budget=3117)
-    assert search_extremal(I, budget=3118).exact == 9
+                       match="^380 search nodes exceed budget 379$"):
+        search_extremal(I, budget=379)
+    assert search_extremal(I, budget=380).exact == 9
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
+def test_furstenberg_sets_span_the_search_floor(q, n):
+    # every (k,m)-Furstenberg subset of F_q^n spans a flat of dimension at
+    # least the d whose affine basis search_extremal fixes
+    F = field_build(q, 1)
+    pts = all_points(F, n)
+    cases = [(k, m) for k in range(1, n) for m in range(2, q ** k + 1)]
+    for r in range(1, len(pts) + 1):
+        for S in itertools.combinations(pts, r):
+            dim = None
+            for k, m in cases:
+                if is_furstenberg(PointSet.of(F, n, S), k, m)[0]:
+                    if dim is None:
+                        dim = len(span(F, S).direction.basis)
+                    assert dim >= furstenberg._span_floor(q, n, k, m), \
+                        (S, k, m)
 
 
 def test_search_budget_is_checked_up_front(F2):

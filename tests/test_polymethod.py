@@ -298,6 +298,16 @@ def test_find_vanishing_rejects_a_negative_multiplicity(F5):
         find_vanishing_poly(F5, 2, {(0, 0): 1, (1, 2): -3}, 2, budget=0)
 
 
+def test_find_vanishing_rejects_a_negative_degree(F5):
+    # before the budget charge; degree 0 is the constant polynomials
+    with pytest.raises(BadRange, match=r"^degree -1 < 0$"):
+        find_vanishing_poly(F5, 2, {(1, 2): 1}, -1, budget=0)
+    cert = find_vanishing_poly(F5, 2, {(1, 2): 1}, 0)
+    assert (cert.unknowns, cert.rank) == (1, 1)
+    assert dict(find_vanishing_poly(F5, 2, {(1, 2): 0}, 0).terms) == {
+        (0, 0): 1}
+
+
 def test_find_vanishing_multiplicity_zero_is_vacuous(F5):
     # no condition at (1, 2): the constant 1 is the canonical interpolant
     P = find_vanishing_poly(F5, 2, {(1, 2): 0}, 1)
