@@ -6,7 +6,9 @@ dict; ``main`` renders it once and writes it to ``--output`` or stdout.
 The parser is built once per process for each ``FLAB_BUDGET`` value, so a
 sweep that calls ``main`` many times pays for building argparse once.
 Output is deterministic byte-for-byte for identical inputs and flags.
-Exit codes: 0 success, 2 validation error, 1 internal error.
+Exit codes: 0 success; 2 for a FlabError (BudgetExceeded included), an
+OSError or a flag argparse rejects; 1 for anything else (a bug) or a
+failed selftest.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import formats
-from .errors import FlabError, UnsupportedFormat
+from .errors import FlabError
 from .geometry import DEFAULT_BUDGET
 from .gf import field_build
 
@@ -48,7 +50,7 @@ def emit_report(report: dict, fmt: str) -> str:
         import csv
         tables = [v for v in report.values() if _is_table(v)]
         if len(tables) != 1:
-            raise UnsupportedFormat("this report has no tabular form")
+            raise FlabError("this report has no tabular form")
         rows = tables[0]
         cols = list(rows[0].keys())
         buf = io.StringIO()
@@ -67,7 +69,7 @@ def emit_report(report: dict, fmt: str) -> str:
             else:
                 out.append(f"{k} = {_jsonable(v)}")
         return "\n".join(out) + "\n"
-    raise UnsupportedFormat(f"unknown format {fmt!r}")
+    raise FlabError(f"unknown format {fmt!r}")
 
 
 def _fraction(text: str, flag: str) -> Fraction:

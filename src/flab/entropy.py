@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import BadRange, DimensionMismatch, EmptyInput
+from .errors import FlabError
 from .geometry import (DEFAULT_BUDGET, Point, Subspace, coset_histogram,
                        scan_directions)
 
@@ -27,12 +27,12 @@ class RationalDistribution(NamedTuple):
     def of(cls, F, n: int, weights: Mapping[Sequence[int], int]) -> "RationalDistribution":
         clean = {tuple(x): w for x, w in weights.items() if w}
         if not clean:
-            raise EmptyInput("distribution needs nonempty support")
+            raise FlabError("distribution needs nonempty support")
         if any(w < 0 for w in clean.values()):
-            raise BadRange("weights must be positive")
+            raise FlabError("weights must be positive")
         for x in clean:
             if len(x) != n:
-                raise DimensionMismatch(f"point {x} not {n}-dimensional")
+                raise FlabError(f"point {x} not {n}-dimensional")
         return cls(field=F, n=n, weights=clean, total=sum(clean.values()))
 
     @classmethod
@@ -79,7 +79,7 @@ def pushforward(dist: RationalDistribution,
     """
     F = dist.field
     if kernel.n != dist.n:
-        raise DimensionMismatch("kernel and distribution ambient dims differ")
+        raise FlabError("kernel and distribution ambient dims differ")
     pivots = set(kernel.pivots())
     free = [j for j in range(dist.n) if j not in pivots]
     hist = coset_histogram(F, dist.weights.items(), kernel)
@@ -100,7 +100,7 @@ def best_projection(dist: RationalDistribution, k: int,
     """
     n = dist.n
     if not 1 <= k < n:
-        raise BadRange(f"k = {k} outside [1, {n})")
+        raise FlabError(f"k = {k} outside [1, {n})")
     kernel, hist = min(scan_directions(dist.field, n, k,
                                        list(dist.weights.items()), budget),
                        key=lambda pair: max(pair[1].values()))
@@ -148,7 +148,7 @@ def check_recursion(dist: RationalDistribution, k: int,
     F = dist.field
     n = dist.n
     if not 1 <= k < n:
-        raise BadRange(f"k = {k} outside [1, {n})")
+        raise FlabError(f"k = {k} outside [1, {n})")
     cur = dist
     for _ in range(k):
         kernel, _ = best_projection(cur, 1, budget=budget)
@@ -250,17 +250,17 @@ def ab_constants(direction: str, value: QExponent | Fraction | int,
     BtoA: t = (n/k) D.
     """
     if not 1 <= k < n:
-        raise BadRange(f"k = {k} outside [1, {n})")
+        raise FlabError(f"k = {k} outside [1, {n})")
     if not isinstance(value, QExponent):
         value = QExponent.make(q, Fraction(value))
     elif value.q != q:
-        raise BadRange("exponent base mismatch")
+        raise FlabError("exponent base mismatch")
     if direction == "AtoB":
         if value.sign() < 0:
-            raise BadRange("AtoB needs C <= 1, i.e. exponent t >= 0")
+            raise FlabError("AtoB needs C <= 1, i.e. exponent t >= 0")
         return value.scaled(Fraction(k, n))
     if direction == "BtoA":
         if value.sign() < 0:
-            raise BadRange("BtoA needs D >= 0")
+            raise FlabError("BtoA needs D >= 0")
         return value.scaled(Fraction(n, k))
-    raise BadRange(f"unknown direction {direction!r}")
+    raise FlabError(f"unknown direction {direction!r}")

@@ -1,61 +1,10 @@
-"""Exception hierarchy shared by all flab modules."""
+"""The two exceptions flab raises.  A bug raises a builtin instead, which
+the CLI reports as an internal error (exit 1), not a refusal (exit 2)."""
 
 
 class FlabError(Exception):
-    """Base class for all errors raised by flab."""
-
-
-class CompositeP(FlabError):
-    pass
-
-
-class FieldTooLarge(FlabError):
-    pass
-
-
-class DivisionByZero(FlabError):
-    pass
-
-
-class IncompatibleFields(FlabError):
-    pass
-
-
-class BadRange(FlabError):
-    pass
+    """Input from outside the program was refused."""
 
 
 class BudgetExceeded(FlabError):
-    pass
-
-
-class EmptyInput(FlabError):
-    pass
-
-
-class DimensionMismatch(FlabError):
-    pass
-
-
-class ZeroPolynomial(FlabError):
-    pass
-
-
-class BadEpsilon(FlabError):
-    pass
-
-
-class BadDelta(FlabError):
-    pass
-
-
-class BadSize(FlabError):
-    pass
-
-
-class NotADirectionFamily(FlabError):
-    pass
-
-
-class UnsupportedFormat(FlabError):
-    pass
+    """Work past the budget; raised only by geometry.charge."""

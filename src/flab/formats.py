@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import UnsupportedFormat
+from .errors import FlabError
 from .geometry import Flat, PointSet, Subspace
 from .gf import field_build
 
@@ -23,13 +23,13 @@ def _int(tok: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise UnsupportedFormat(f"expected an integer, got {tok!r}") from None
+        raise FlabError(f"expected an integer, got {tok!r}") from None
 
 
 def _coord_parse(F, tok: str) -> int:
     digits = [_int(t) for t in tok.split()]
     if len(digits) != F.e or not all(0 <= d < F.p for d in digits):
-        raise UnsupportedFormat(
+        raise FlabError(
             f"expected {F.e} digits in [0, {F.p}), got {tok!r}")
     return F.from_coeffs(digits)
 
@@ -53,21 +53,21 @@ def _header_lines(F, n: int) -> list[str]:
 
 def _parse_header(lines: list[str]):
     if not lines:
-        raise UnsupportedFormat("empty file: expected a 'p e n' header")
+        raise FlabError("empty file: expected a 'p e n' header")
     toks = lines[0].split()
     if len(toks) != 3:
-        raise UnsupportedFormat(f"expected a 'p e n' header: {lines[0]!r}")
+        raise FlabError(f"expected a 'p e n' header: {lines[0]!r}")
     p, e, n = (_int(t) for t in toks)
     if n < 1:
-        raise UnsupportedFormat(f"dimension n = {n} < 1")
+        raise FlabError(f"dimension n = {n} < 1")
     F = field_build(p, e)
     body = 1
     if e > 1:
         if len(lines) < 2:
-            raise UnsupportedFormat("missing the modulus line")
+            raise FlabError("missing the modulus line")
         given = tuple(_int(t) for t in lines[1].split())
         if given != F.modulus:
-            raise UnsupportedFormat("modulus differs from the canonical one")
+            raise FlabError("modulus differs from the canonical one")
         body = 2
     return F, n, lines[body:]
 
@@ -83,7 +83,7 @@ def parse_pointset(text: str) -> PointSet:
     F, n, body = _parse_header(lines)
     pts = [_point_parse(F, ln) for ln in body]
     if len(set(pts)) != len(pts):
-        raise UnsupportedFormat("duplicate point")
+        raise FlabError("duplicate point")
     return PointSet.of(F, n, pts)
 
 
@@ -106,10 +106,10 @@ def _parse_weighted(text: str):
     for ln in body:
         toks = ln.split("|")
         if len(toks) != n + 1:
-            raise UnsupportedFormat(f"expected {n} coords + weight: {ln!r}")
+            raise FlabError(f"expected {n} coords + weight: {ln!r}")
         x = tuple(_coord_parse(F, t) for t in toks[:n])
         if x in weights:
-            raise UnsupportedFormat(f"duplicate point: {ln!r}")
+            raise FlabError(f"duplicate point: {ln!r}")
         weights[x] = _int(toks[n])
     return F, n, weights
 
@@ -132,7 +132,7 @@ def serialize_polynomial(P: Polynomial) -> str:
 def parse_polynomial(F, n: int, text: str) -> Polynomial:
     from .polymethod import Polynomial
     if n < 1:
-        raise UnsupportedFormat(f"dimension n = {n} < 1")
+        raise FlabError(f"dimension n = {n} < 1")
     terms = {}
     for ln in text.splitlines():
         if not ln.strip():
@@ -140,12 +140,12 @@ def parse_polynomial(F, n: int, text: str) -> Polynomial:
         try:
             coeff_s, expo_s = ln.split(":")
         except ValueError:
-            raise UnsupportedFormat(f"bad term line {ln!r}")
+            raise FlabError(f"bad term line {ln!r}")
         expo = tuple(_int(t) for t in expo_s.split())
         if len(expo) != n or min(expo, default=0) < 0:
-            raise UnsupportedFormat(f"expected {n} exponents >= 0: {ln!r}")
+            raise FlabError(f"expected {n} exponents >= 0: {ln!r}")
         if expo in terms:
-            raise UnsupportedFormat(f"duplicate monomial: {ln!r}")
+            raise FlabError(f"duplicate monomial: {ln!r}")
         terms[expo] = _coord_parse(F, coeff_s.strip())
     return Polynomial.make(F, n, terms)
 
@@ -159,7 +159,7 @@ def parse_flat(F, n: int, line: str) -> Flat:
     try:
         rows_s, shift_s = line.split(";")
     except ValueError:
-        raise UnsupportedFormat(f"expected 'rows ; shift': {line!r}") from None
+        raise FlabError(f"expected 'rows ; shift': {line!r}") from None
     rows = [_point_parse(F, r) for r in rows_s.split(",")] \
         if rows_s.strip() else []
     direction = Subspace.from_vectors(F, n, rows)

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import BadEpsilon, BadRange, BadSize, IncompatibleFields
+from .errors import FlabError
 from .gf import ExtensionField, base_vector_iso
 from .geometry import (CAP_BITS, DEFAULT_BUDGET, DIGIT_CAP, Flat, Point,
                        PointSet, Subspace, all_points, charge,
@@ -39,10 +39,10 @@ class FurstenbergInstance(_Instance):
 
     def __new__(cls, field, n: int, k: int, m: int):
         if not 1 <= k < n:
-            raise BadRange(f"need 1 <= k < n, got k={k}, n={n}")
+            raise FlabError(f"need 1 <= k < n, got k={k}, n={n}")
         # q^j >= 2^j > m for j = bit_length(m): no need for q^k past that
         if not 1 <= m <= field.q ** min(k, m.bit_length()):
-            raise BadRange(f"need 1 <= m <= q^k, got m={m}")
+            raise FlabError(f"need 1 <= m <= q^k, got m={m}")
         return super().__new__(cls, field, n, k, m)
 
 
@@ -76,7 +76,7 @@ def is_furstenberg(S: PointSet, k: int, m: int,
     """Verify the Furstenberg property over every rank-k direction, in
     enumeration order; returns as coverage_over_directions."""
     if m < 1:
-        raise BadRange(f"need m >= 1, got m={m}")
+        raise FlabError(f"need m >= 1, got m={m}")
     return coverage_over_directions(scan_directions(
         S.field, S.n, k, [(p, 1) for p in S.points], budget), m)
 
@@ -112,16 +112,18 @@ class BoundRow(NamedTuple):
             else lhs <= self.rhs_num
 
     def value(self) -> Fraction | None:
-        """The exact value, read off the row's own numbers: rhs_num >= 0,
-        rhs_num and rhs_den exact root-th powers and rad a rational square.
-        Otherwise None, as for every irrational value."""
-        num = iroot(max(self.rhs_num, 0), self.root)
-        den = iroot(self.rhs_den, self.root)
+        """The exact value: rhs_num/rhs_den in lowest terms must be a
+        root-th power (at root 1, any rational, negative ones included)
+        and rad a rational square.  Otherwise None, as for every
+        irrational value."""
+        x = Fraction(self.rhs_num, self.rhs_den)
+        r = x if self.root == 1 else Fraction(
+            iroot(max(x.numerator, 0), self.root),
+            iroot(x.denominator, self.root))
         s = sqrt_up(self.rad)
-        if (num ** self.root, den ** self.root, s * s) \
-                != (self.rhs_num, self.rhs_den, self.rad):
+        if (r ** self.root, s * s) != (x, self.rad):
             return None
-        return Fraction(num, den) - s
+        return r - s
 
 
 class BoundReport(NamedTuple):
@@ -148,7 +150,7 @@ class BoundReport(NamedTuple):
 def iroot(x: int, k: int) -> int:
     """Floor of the k-th root of x >= 0, by integer Newton iteration."""
     if x < 0 or k < 1:
-        raise BadRange(f"no real {k}-th root of {x}")
+        raise FlabError(f"no real {k}-th root of {x}")
     if x == 0:
         return 0
     r = 1 << -(-x.bit_length() // k)    # 2^ceil(bits/k) > x^(1/k)
@@ -164,7 +166,7 @@ def sqrt_up(x: Fraction) -> Fraction:
     just above sqrt(x), so subtracting it keeps a lower bound valid."""
     x = Fraction(x)
     if x < 0:
-        raise BadRange(f"no real square root of {x}")
+        raise FlabError(f"no real square root of {x}")
     a, b = x.numerator, x.denominator
     s = math.isqrt(a * b)
     return Fraction(s if s * s == a * b else s + 1, b)
@@ -175,7 +177,7 @@ def bound_table(instance: FurstenbergInstance,
                 printable: bool = True) -> BoundReport:
     """Every bound formula at the instance, in exact rationals.
 
-    When printable, raises BadRange if a row holds a number of more than
+    When printable, raises FlabError if a row holds a number of more than
     DIGIT_CAP digits, so every table it returns prints.  The full-flat
     lower row's numerator q^{(k+1)n} (q^k + q - 1 is prime to q) is
     checked by bit length before any power is taken, every row once it
@@ -183,11 +185,11 @@ def bound_table(instance: FurstenbergInstance,
     """
     q, n, k, m = instance.q, instance.n, instance.k, instance.m
     if epsilon is not None and not 0 < epsilon < 1:
-        raise BadEpsilon(f"epsilon {epsilon} outside (0,1)")
+        raise FlabError(f"epsilon {epsilon} outside (0,1)")
     # q^j >= 2^(j (bits(q) - 1))
     if printable and (k + 1) * n * (q.bit_length() - 1) >= CAP_BITS:
-        raise BadRange(f"q^((k+1)n) = {q}^{(k + 1) * n} has more than "
-                       f"{DIGIT_CAP} digits")
+        raise FlabError(f"q^((k+1)n) = {q}^{(k + 1) * n} has more than "
+                        f"{DIGIT_CAP} digits")
     rows: list[BoundRow] = []
 
     # main lower bound for general k: K >= 2^{-n} m^{n/k}
@@ -263,8 +265,8 @@ def bound_table(instance: FurstenbergInstance,
             v = r.value() or Fraction(0)
             if max(abs(r.rhs_num), r.rhs_den, abs(v.numerator),
                    v.denominator) >= limit:
-                raise BadRange(f"{r.source} has a number of more than "
-                               f"{DIGIT_CAP} digits")
+                raise FlabError(f"{r.source} has a number of more than "
+                                f"{DIGIT_CAP} digits")
     return BoundReport(instance=instance, rows=tuple(rows))
 
 
@@ -395,7 +397,7 @@ def trivial_construction(instance: FurstenbergInstance,
     F, n, k, m = instance.field, instance.n, instance.k, instance.m
     size = m * F.q ** (n - k)
     if size > F.q ** n:
-        raise BadSize(f"{size} points exceed the ambient space")
+        raise FlabError(f"{size} points exceed the ambient space")
     charge(size, "construction points", budget)
     lex = itertools.product(F.elements(), repeat=n)
     return PointSet.of(F, n, itertools.islice(lex, size))
@@ -408,7 +410,7 @@ def trivial_construction(instance: FurstenbergInstance,
 def lift_construction(big: ExtensionField, S_big: PointSet) -> PointSet:
     """Flatten each point of F_{q^k}^r to F_q^{rk} coordinate-wise."""
     if S_big.field != big:
-        raise IncompatibleFields("point set is not over the given big field")
+        raise FlabError("point set is not over the given big field")
     return PointSet.of(big.base, S_big.n * big.degree,
                        (base_vector_iso(big, v) for v in S_big.points))
 

@@ -12,7 +12,7 @@ import struct
 from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BadRange, BudgetExceeded, DimensionMismatch, EmptyInput
+from .errors import BudgetExceeded, FlabError
 
 DEFAULT_BUDGET = 10_000_000
 DIGIT_CAP = 4300   # Python's default limit on int-to-str conversion
@@ -41,7 +41,7 @@ def charge(work: int | tuple[int, Callable[[], int]], what: str,
 def qbinomial(n: int, k: int, q: int) -> int:
     """Gaussian binomial coefficient, exact product over min(k, n-k) terms."""
     if k < 0 or k > n:
-        raise BadRange(f"k = {k} outside [0, {n}]")
+        raise FlabError(f"k = {k} outside [0, {n}]")
     k = min(k, n - k)
     num = 1
     den = 1
@@ -244,7 +244,7 @@ def enumerate_subspaces(F, n: int, k: int,
     Order: lexicographic on the pivot-column set, then on the free entries.
     """
     if k < 0 or k > n:
-        raise BadRange(f"k = {k} outside [0, {n}]")
+        raise FlabError(f"k = {k} outside [0, {n}]")
     charge((k * (n - k) * (F.q.bit_length() - 1),
             lambda: qbinomial(n, k, F.q)), "subspaces", budget)
     charge(k * n, "basis entries", budget)
@@ -286,7 +286,7 @@ def span(F, points: Iterable[Sequence[int]]) -> Flat:
     """Affine span: the smallest flat containing the given points."""
     pts = sorted(tuple(p) for p in points)
     if not pts:
-        raise EmptyInput("span of the empty set")
+        raise FlabError("span of the empty set")
     p0 = pts[0]
     diffs = [[F.sub(a, b) for a, b in zip(p, p0)] for p in pts[1:]]
     direction = Subspace.from_vectors(F, len(p0), diffs)
@@ -324,7 +324,7 @@ class PointSet(NamedTuple):
         frozen = frozenset(tuple(p) for p in pts)
         for p in frozen:
             if len(p) != n:
-                raise DimensionMismatch(f"point {p} is not {n}-dimensional")
+                raise FlabError(f"point {p} is not {n}-dimensional")
         return cls(field=F, n=n, points=frozen)
 
     def __len__(self) -> int:

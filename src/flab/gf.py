@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .errors import CompositeP, DivisionByZero, FieldTooLarge, IncompatibleFields
+from .errors import FlabError
 
 MAX_FIELD_SIZE = 1 << 16
 
@@ -70,9 +70,9 @@ class PrimeField:
 
     def __init__(self, p: int):
         if not is_prime(p):
-            raise CompositeP(f"p = {p} is not prime")
+            raise FlabError(f"p = {p} is not prime")
         if p > MAX_FIELD_SIZE:
-            raise FieldTooLarge(f"q = {p} exceeds {MAX_FIELD_SIZE}")
+            raise FlabError(f"q = {p} exceeds {MAX_FIELD_SIZE}")
         self.p = p
         self.e = 1
         self.q = p
@@ -95,7 +95,7 @@ class PrimeField:
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
-            raise DivisionByZero("inverse of 0")
+            raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
 
     def pow(self, a: int, k: int) -> int:
@@ -143,10 +143,10 @@ class ExtensionField:
 
     def __init__(self, base, degree: int, modulus: tuple[int, ...] | None = None):
         if degree < 2:
-            raise FieldTooLarge("extension degree must be >= 2")
+            raise FlabError("extension degree must be >= 2")
         q = base.q ** degree
         if q > MAX_FIELD_SIZE:
-            raise FieldTooLarge(f"q = {q} exceeds {MAX_FIELD_SIZE}")
+            raise FlabError(f"q = {q} exceeds {MAX_FIELD_SIZE}")
         self.base = base
         self.degree = degree
         self.p = base.p
@@ -209,7 +209,7 @@ class ExtensionField:
 
     def inv(self, a: int) -> int:
         if a == 0:
-            raise DivisionByZero("inverse of 0")
+            raise ZeroDivisionError("inverse of 0")
         return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a: int, k: int) -> int:
@@ -289,8 +289,7 @@ class ExtensionField:
         g = next((g for g in range(self.base.q, q)
                   if self._is_primitive(g, primes)), None)
         if g is None:
-            raise IncompatibleFields(f"modulus {self.modulus} is not "
-                                     "irreducible")
+            raise FlabError(f"modulus {self.modulus} is not irreducible")
         times_x = self._times_x()
         xs = [1]
         while len(xs) < n and (a := times_x(xs[-1])) != 1:
@@ -392,15 +391,15 @@ def _smallest_irreducible(base, degree: int) -> tuple[int, ...]:
 def field_build(p: int, e: int):
     """Deterministic F_p, or F_p[x] modulo the least monic irreducible."""
     if e < 1:
-        raise FieldTooLarge(f"extension degree {e} < 1")
+        raise FlabError(f"extension degree {e} < 1")
     # size checks first: trial division of a huge p, or p ** e for a huge
     # e, would not finish
     if p > MAX_FIELD_SIZE or e >= MAX_FIELD_SIZE.bit_length():
-        raise FieldTooLarge(f"q = {p}^{e} exceeds {MAX_FIELD_SIZE}")
+        raise FlabError(f"q = {p}^{e} exceeds {MAX_FIELD_SIZE}")
     if not is_prime(p):
-        raise CompositeP(f"p = {p} is not prime")
+        raise FlabError(f"p = {p} is not prime")
     if p ** e > MAX_FIELD_SIZE:
-        raise FieldTooLarge(f"q = {p ** e} exceeds {MAX_FIELD_SIZE}")
+        raise FlabError(f"q = {p ** e} exceeds {MAX_FIELD_SIZE}")
     if e == 1:
         return PrimeField(p)
     return ExtensionField(PrimeField(p), e)
@@ -414,7 +413,7 @@ def base_vector_iso(spec_big: ExtensionField,
     a base-field element scales every digit).
     """
     if not isinstance(spec_big, ExtensionField):
-        raise IncompatibleFields("big field must be an extension field")
+        raise FlabError("big field must be an extension field")
     out: list[int] = []
     for a in v:
         out.extend(spec_big.digits(a))

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import BadDelta, BadRange, DimensionMismatch, NotADirectionFamily
+from .errors import FlabError
 from .furstenberg import FurstenbergInstance, search_extremal, sqrt_up
 from .geometry import (CAP_BITS, DEFAULT_BUDGET, DIGIT_CAP, Flat, PointSet,
                        coset_histogram, flat_points, qbinomial,
@@ -33,11 +33,11 @@ class FlatFamily(NamedTuple):
                       key=lambda f: (f.direction.basis, f.shift))
         ranks = {f.direction.k for f in uniq}
         if len(ranks) > 1:
-            raise DimensionMismatch(f"mixed flat ranks {sorted(ranks)}")
+            raise FlabError(f"mixed flat ranks {sorted(ranks)}")
         rank = ranks.pop() if ranks else 0
         for f in uniq:
             if f.direction.n != n:
-                raise DimensionMismatch("ambient dimension mismatch")
+                raise FlabError("ambient dimension mismatch")
         return cls(field=F, n=n, rank=rank, flats=tuple(uniq))
 
     def __len__(self) -> int:
@@ -48,7 +48,7 @@ def count_incidences(S: PointSet, L: FlatFamily) -> int:
     """I(S, L): one coset histogram of S per distinct flat direction, then
     each flat's count is its shift's entry."""
     if S.field != L.field or S.n != L.n:
-        raise DimensionMismatch("point set and flats in different ambients")
+        raise FlabError("point set and flats in different ambients")
     unit = [(p, 1) for p in S.points]
     hists = {d: coset_histogram(S.field, unit, d)
              for d in {f.direction for f in L.flats}}
@@ -64,7 +64,7 @@ class IncidenceReport(NamedTuple):
 
 
 def haemers_check(S: PointSet, L: FlatFamily) -> IncidenceReport:
-    """I(S,L) <= q^{k-n}|S||L| + sqrt(q^k binom(n-1,k)_q |S||L|); BadRange
+    """I(S,L) <= q^{k-n}|S||L| + sqrt(q^k binom(n-1,k)_q |S||L|); FlabError
     if q^(n-k) or a reported number has more than DIGIT_CAP digits."""
     F = S.field
     q, n, k = F.q, S.n, L.rank
@@ -72,12 +72,12 @@ def haemers_check(S: PointSet, L: FlatFamily) -> IncidenceReport:
     s = len(S) * len(L)   # 0 for a bare header, whose n is never powered
     # q^j >= 2^(j (bits(q) - 1)), and q^k binom(n-1,k)_q >= q^(k(n-k))
     if s and max(k, 1) * (n - k) * (q.bit_length() - 1) >= CAP_BITS:
-        raise BadRange(f"Haemers bound term has more than {DIGIT_CAP} digits")
+        raise FlabError(f"Haemers bound term has more than {DIGIT_CAP} digits")
     power = q ** (n - k) if s else 1
     radicand = q ** k * qbinomial(n - 1, k, q) * s if s else 0
     rhs = Fraction(s, power) + sqrt_up(radicand)
     if max(power, rhs.numerator, radicand) >= 10 ** DIGIT_CAP:
-        raise BadRange(f"Haemers bound term has more than {DIGIT_CAP} digits")
+        raise FlabError(f"Haemers bound term has more than {DIGIT_CAP} digits")
     return IncidenceReport(incidences=I, rhs=rhs, ok=I <= rhs,
                            radicand=radicand)
 
@@ -93,9 +93,9 @@ def poor_flat_census(S: PointSet, l: int, delta: Fraction,
     k = S.n
     q = F.q
     if not 1 <= l <= k - 1:
-        raise BadRange(f"l = {l} outside [1, {k - 1}]")
+        raise FlabError(f"l = {l} outside [1, {k - 1}]")
     if not 0 < delta < 1:
-        raise BadDelta(f"delta = {delta} outside (0,1)")
+        raise FlabError(f"delta = {delta} outside (0,1)")
     scan = scan_directions(F, k, l, [(p, 1) for p in S.points], budget)
     m = len(S)
     threshold = delta * m * Fraction(q ** l, q ** k) + 1
@@ -120,11 +120,11 @@ def contained_subflats(Ffam: FlatFamily, l: int,
     F = Ffam.field
     n, k, q = Ffam.n, Ffam.rank, F.q
     if not 0 < l < k:
-        raise BadRange(f"l = {l} outside (0, {k})")
+        raise FlabError(f"l = {l} outside (0, {k})")
     directions = Counter(f.direction for f in Ffam.flats)
     expected = qbinomial(n, k, q)
     if len(directions) != expected or any(c != 1 for c in directions.values()):
-        raise NotADirectionFamily(
+        raise FlabError(
             f"need exactly one flat per rank-{k} direction")
     # an l-flat lies in a family flat iff its direction E lies in the
     # flat's direction (each basis row of E is a vector of it) and it is
@@ -161,9 +161,9 @@ def kakeya_becks_census(S: PointSet, k: int, delta: Fraction,
     F = S.field
     n, q = S.n, F.q
     if not 1 <= k <= n:
-        raise BadRange(f"k = {k} outside [1, {n}]")
+        raise FlabError(f"k = {k} outside [1, {n}]")
     if not 0 < delta < 1:
-        raise BadDelta(f"delta = {delta} outside (0,1)")
+        raise FlabError(f"delta = {delta} outside (0,1)")
     unit = [(p, 1) for p in S.points]
     m = min(max(hist.values(), default=0)
             for _, hist in scan_directions(F, n, k, unit, budget))
@@ -195,12 +195,12 @@ def heavy_flats_lower_bound(delta: Fraction, gamma: Fraction, l: int,
     """
     delta, gamma = Fraction(delta), Fraction(gamma)
     if delta <= 0 or gamma <= 0:
-        raise BadRange("delta and gamma must be positive")
+        raise FlabError("delta and gamma must be positive")
     kappa = gamma * q ** l
     rational_part = delta * kappa / (kappa + 1) * q ** n
     radicand = delta * (1 - delta) / kappa
     if radicand < 0:
-        raise BadRange("delta > 1 makes the radicand negative")
+        raise FlabError("delta > 1 makes the radicand negative")
     lower_value = rational_part - sqrt_up(radicand) * q ** n
     return HeavyFlatsBound(rational_part=rational_part, radicand=radicand,
                            lower_value=lower_value)

@@ -14,7 +14,7 @@ import math
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
                     Sequence)
 
-from .errors import BadRange, ZeroPolynomial
+from .errors import FlabError
 from .geometry import DEFAULT_BUDGET, charge, rref
 
 Expo = tuple[int, ...]
@@ -178,10 +178,10 @@ def multiplicity(P: Polynomial, a: Sequence[int]) -> int:
     """Largest N with all Hasse derivatives of weight < N vanishing at a.
 
     A nonzero polynomial always has multiplicity at most its degree; the
-    zero polynomial, which vanishes to every order, raises ZeroPolynomial.
+    zero polynomial, which vanishes to every order, raises FlabError.
     """
     if P.is_zero():
-        raise ZeroPolynomial("the zero polynomial has no finite multiplicity")
+        raise FlabError("the zero polynomial has no finite multiplicity")
     return _multiplicity_at(P, a, functools.partial(exponents_of_weight, P.n))
 
 
@@ -219,7 +219,7 @@ def sz_mult_audit(P: Polynomial, U: Sequence[int],
     Charges |U|^n points times C(d+n, n) Hasse derivatives against budget.
     """
     if P.is_zero():
-        raise ZeroPolynomial("audit requires a nonzero polynomial")
+        raise FlabError("audit requires a nonzero polynomial")
     charge(len(U) ** P.n * _monomial_count(P.n, P.degree), "audit pairs",
            budget)
     listed: list[list[Expo]] = []
@@ -277,14 +277,14 @@ def find_vanishing_poly(F, n: int, targets: Mapping[Sequence[int], int],
     C(d+n, n) unknowns times the larger of the sum_x C(N_x+n-1, n)
     equations and n, each C(a+b, b) at least 2^min(a, b).  A multiplicity
     N_x = 0 is a vacuous condition; a negative one, or a negative d, raises
-    BadRange, before the charge.  The rows of each point x are read off one
+    FlabError, before the charge.  The rows of each point x are read off one
     _HasseTable.
     """
     if d < 0:
-        raise BadRange(f"degree {d} < 0")
+        raise FlabError(f"degree {d} < 0")
     for x, N in targets.items():
         if N < 0:
-            raise BadRange(f"multiplicity {N} < 0 at point {tuple(x)}")
+            raise FlabError(f"multiplicity {N} < 0 at point {tuple(x)}")
     bits = min(d, n) + max((min(N - 1, n) for N in targets.values()),
                            default=0)
     charge((bits, lambda: max(sum(_monomial_count(n, N - 1)

@@ -8,7 +8,7 @@ import pytest
 
 from flab import cli, formats
 from flab.cli import build_parser, emit_report, main
-from flab.errors import UnsupportedFormat
+from flab.errors import FlabError
 from flab.geometry import PointSet, all_points
 from flab.gf import field_build
 from flab.polymethod import Polynomial
@@ -464,6 +464,19 @@ def test_bounds_pure_incidence_value_subtracts_the_root(capsys):
     assert value(["--p", "2", "--e", "2", "--n", "3", "--k", "2",
                   "--m", "16"]) == "16/1"
     assert value(["--p", "2", "--n", "3", "--k", "2", "--m", "3"]) is None
+    # a negative rational part: -4 - sqrt(64) = -12
+    assert value(["--p", "2", "--n", "3", "--k", "1", "--m", "1"]) == "-12/1"
+
+
+def test_bounds_value_is_read_off_the_reduced_fraction(capsys):
+    # thm_divisible is (8/8)^(1/2) = 1 at q = 2, n = 3, k = 2, m = 2
+    code, out, err = run(capsys, ["bounds", "--p", "2", "--n", "3", "--k",
+                                  "2", "--m", "2", "--format", "json"])
+    assert code == 0, err
+    row = next(r for r in json.loads(out)["rows"]
+               if r["source"] == "thm_divisible")
+    assert (row["rhs_numerator"], row["rhs_denominator"]) == (8, 8)
+    assert row["value"] == "1/1"
 
 
 @pytest.mark.parametrize("n,k", [(5000, 2), (10 ** 9, 2),
@@ -516,10 +529,22 @@ def test_output_file_flag(capsys, tmp_path, three_point_file):
     assert json.loads(target.read_text())["ok"] is True
 
 
+def test_a_bug_exits_1_as_an_internal_error(capsys, monkeypatch):
+    # no input reaches F.inv(0), so a run that does has hit a bug: exit 1,
+    # not the exit 2 of a refused input
+    from flab import furstenberg
+    monkeypatch.setattr(furstenberg, "bound_table",
+                        lambda inst, epsilon=None: inst.field.inv(0))
+    code, out, err = run(capsys, ["bounds", "--p", "5", "--n", "2",
+                                  "--k", "1", "--m", "2"])
+    assert (code, out) == (1, "")
+    assert err == "internal error: ZeroDivisionError('inverse of 0')\n"
+
+
 def test_emit_report_csv_requires_rows():
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(FlabError, match="^this report has no tabular form$"):
         emit_report({"a": 1}, "csv")
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(FlabError, match="^unknown format 'yaml'$"):
         emit_report({"a": 1}, "yaml")
 
 

@@ -54,7 +54,7 @@ flag = st.sampled_from(SMALL)
 def invocations(draw):
     """(argv with @a/@b placeholders, text of file a, text of file b)."""
     cmd = draw(st.sampled_from(["verify", "entropy", "targets", "poly",
-                                "incidence", "bounds"]))
+                                "incidence", "search", "bounds"]))
     p, e = draw(st.sampled_from(FIELDS))
     n = draw(st.sampled_from(["0", "1", "2", "-1", "x"]))
     field = ["--p", p, "--e", e, "--n", n]
@@ -75,6 +75,8 @@ def invocations(draw):
                                       "subflats"])),
                 "--k", draw(flag), "--l", draw(flag),
                 "--delta", draw(st.sampled_from(RATIONALS))]
+    elif cmd == "search":
+        argv = ["search", *field, "--k", draw(flag), "--m", draw(flag)]
     else:
         argv = ["bounds", *field, "--k", draw(flag), "--m", draw(flag),
                 "--epsilon", draw(st.sampled_from(RATIONALS))]

@@ -2,7 +2,7 @@ import pytest
 
 from flab import formats
 from flab.entropy import RationalDistribution
-from flab.errors import UnsupportedFormat
+from flab.errors import FlabError
 from flab.geometry import Flat, PointSet, Subspace, enumerate_flats
 from flab.gf import field_build
 from flab.incidence import FlatFamily
@@ -33,7 +33,8 @@ def test_pointset_rejects_wrong_modulus():
     F4 = field_build(2, 2)
     S = PointSet.of(F4, 1, [(1,)])
     text = formats.serialize_pointset(S).replace("1 1 1", "1 0 1")
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(FlabError,
+                       match="^modulus differs from the canonical one$"):
         formats.parse_pointset(text)
 
 
@@ -51,7 +52,7 @@ def test_distribution_round_trip(F3):
 
 def test_distribution_bad_line(F2):
     text = "2 1 2\n0 | 1\n"                # missing weight field
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(FlabError, match="^expected 2 coords [+] weight: "):
         formats.parse_distribution(text)
 
 
@@ -65,9 +66,9 @@ def test_polynomial_round_trip(F5):
 
 
 def test_polynomial_bad_term(F2):
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(FlabError, match="^bad term line '1 , 0 0'$"):
         formats.parse_polynomial(F2, 2, "1 , 0 0\n")
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(FlabError, match="^expected 2 exponents >= 0: "):
         formats.parse_polynomial(F2, 2, "1 : 0\n")
 
 
@@ -106,5 +107,5 @@ def test_point_str_joins_each_coordinate_digits(p, e):
 
 def test_coord_digit_count_enforced():
     F4 = field_build(2, 2)
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(FlabError, match=r"^expected 2 digits in \[0, 2\)"):
         formats.parse_pointset("2 2 1\n1 1 1\n1\n")   # one digit, need two

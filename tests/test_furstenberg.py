@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flab import furstenberg
-from flab.errors import (BadEpsilon, BadRange, BadSize, BudgetExceeded,
-                         IncompatibleFields)
+from flab.errors import BudgetExceeded, FlabError
 from flab.furstenberg import (BoundRow, FurstenbergInstance, bound_table,
                               coverage_over_directions, iroot, is_furstenberg,
                               lift_construction, lifted_direction_subspaces,
@@ -23,9 +22,9 @@ def inst(F, n, k, m):
 def test_instance_validation(F2):
     # the range check runs whether the fields come by keyword or position
     for n, k, m in [(2, 2, 1), (2, 0, 1), (2, 1, 3), (2, 1, 0), (3, 2, 5)]:
-        with pytest.raises(BadRange):
+        with pytest.raises(FlabError, match="^need 1 <= [km] "):
             inst(F2, n, k, m)
-        with pytest.raises(BadRange):
+        with pytest.raises(FlabError, match="^need 1 <= [km] "):
             FurstenbergInstance(F2, n, k, m)
 
 
@@ -74,7 +73,8 @@ def test_trivial_construction_size_guard(F2):
     # the guard is still exercised by an oversized m that _replace, which
     # skips the range check of FurstenbergInstance.__new__, lets through
     bad = inst(F2, 2, 1, 2)._replace(m=4)
-    with pytest.raises(BadSize):
+    with pytest.raises(FlabError,
+                       match="^8 points exceed the ambient space$"):
         trivial_construction(bad)
 
 
@@ -296,9 +296,9 @@ def test_search_budget_is_checked_up_front(F2):
 def test_trivial_construction_budget(F2):
     big = inst(F2, 5, 1, 2)                  # 2 * 2^4 = 32 points
     assert len(trivial_construction(big, budget=32)) == 32
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="exceed budget 31$"):
         trivial_construction(big, budget=31)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="exceed budget 10$"):
         search_extremal(big, budget=10)
 
 
@@ -315,7 +315,7 @@ def test_iroot_huge_and_invalid():
     assert iroot(251 ** 200, 1) == 251 ** 200
     assert iroot(251 ** 200, 200) == 251
     assert iroot(251 ** 200 - 1, 200) == 250
-    with pytest.raises(BadRange):
+    with pytest.raises(FlabError, match="^no real 2-th root of -1$"):
         iroot(-1, 2)
 
 
@@ -390,7 +390,7 @@ def test_bound_table_large_m_row_gating():
     assert not row.applicable
     assert Fraction(row.rhs_num, row.rhs_den) \
         == Fraction(9, 10) * 25 * 5 ** 2
-    with pytest.raises(BadEpsilon):
+    with pytest.raises(FlabError, match=r"^epsilon 3/2 outside \(0,1\)$"):
         bound_table(inst(F5, 4, 2, 25), epsilon=Fraction(3, 2))
 
 
@@ -439,6 +439,12 @@ def test_row_value_is_exact_or_none():
     assert row(625 ** 2, 16 ** 2, root=2).value() == Fraction(625, 16)
     assert row(2, 1, root=2).value() is None
     assert row(-8, 1, root=3).value() is None
+    # read off the reduced fraction: (8/8)^(1/2) = 1, though 8 is no square
+    assert row(8, 8, root=2).value() == 1
+    assert row(-12, 4, root=2).value() is None
+    # at root 1 a negative rational is its own value
+    assert row(-12, 1).value() == -12
+    assert row(-12, 8, rad=Fraction(9, 4)).value() == -3
     assert row(10, 1, rad=Fraction(9, 4)).value() == Fraction(17, 2)
     assert row(10, 1, rad=Fraction(2)).value() is None
     upper = row(5, 1, kind="upper")
@@ -462,7 +468,7 @@ def test_sqrt_up_small_cases():
         == [0, 1, 2, 2, 2, 3, 3, 3, 3, 3]
     assert sqrt_up(Fraction(9, 4)) == Fraction(3, 2)
     assert sqrt_up(Fraction(1, 2)) == 1     # ceil(sqrt(2))/2
-    with pytest.raises(BadRange):
+    with pytest.raises(FlabError, match="^no real square root of -1/4$"):
         sqrt_up(Fraction(-1, 4))
 
 
@@ -471,11 +477,13 @@ def test_bound_table_rejects_unprintable_rows():
     # the full-flat numerator 2^(2n) has 4300 digits at n = 7142, 4301 at
     # n = 7143 (the bit-length check), and 3^14100 is caught after building
     assert len(bound_table(inst(F2, 7142, 1, 1)).rows) == 8
-    for F, n, k in ((F2, 7143, 1), (F3, 4700, 2), (F3, 10 ** 9, 2),
-                    (F3, 10 ** 9, 10 ** 9 - 1)):
-        with pytest.raises(BadRange):
-            bound_table(inst(F, n, k, 5))
-    with pytest.raises(BadRange):   # the large-m row's denominator 10^4300
+    for F, n, k, m in ((F2, 7143, 1, 1), (F3, 4700, 2, 5),
+                       (F3, 10 ** 9, 2, 5), (F3, 10 ** 9, 10 ** 9 - 1, 5)):
+        I = inst(F, n, k, m)
+        with pytest.raises(FlabError, match="more than 4300 digits$"):
+            bound_table(I)
+    # the large-m row's denominator 10^4300
+    with pytest.raises(FlabError, match="^thm_large_m has a number of more "):
         bound_table(inst(F3, 3, 2, 5), epsilon=Fraction(1, 10 ** 4300))
     # search prints no row: a two-point trivial construction still runs
     assert len(bound_table(inst(F2, 200, 199, 1), printable=False).rows) == 8
@@ -489,7 +497,8 @@ def test_bound_table_rejects_unprintable_rows():
 def test_lift_construction_field_mismatch(F2):
     F4 = ExtensionField(F2, 2)
     S = PointSet.of(F2, 2, [(0, 0)])
-    with pytest.raises(IncompatibleFields):
+    with pytest.raises(FlabError,
+                       match="^point set is not over the given big field$"):
         lift_construction(F4, S)
 
 

@@ -3,8 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flab.errors import (CompositeP, DivisionByZero, FieldTooLarge,
-                         IncompatibleFields)
+from flab.errors import FlabError
 from flab.gf import (ExtensionField, _poly_mod, _smallest_irreducible,
                      base_vector_iso, field_build, is_prime)
 from flab.geometry import Subspace
@@ -85,9 +84,9 @@ def test_build_is_deterministic():
 
 
 def test_build_errors():
-    with pytest.raises(CompositeP):
+    with pytest.raises(FlabError, match="^p = 4 is not prime$"):
         field_build(4, 1)
-    with pytest.raises(FieldTooLarge):
+    with pytest.raises(FlabError, match=r"^q = 2\^17 exceeds 65536$"):
         field_build(2, 17)
 
 
@@ -158,8 +157,18 @@ def test_iso_linear_and_bijective():
                 F2.mul(c, a) for a in base_vector_iso(F4, v))
 
 
+@pytest.mark.parametrize("p, e", [(5, 1), (2, 2), (3, 2)])
+def test_inverse_of_zero_is_a_bug_not_a_refusal(p, e):
+    # no input reaches inv(0), so it raises a builtin the CLI reports as an
+    # internal error (exit 1), not a FlabError (exit 2)
+    with pytest.raises(ZeroDivisionError, match="^inverse of 0$") as exc:
+        field_build(p, e).inv(0)
+    assert not isinstance(exc.value, FlabError)
+
+
 def test_iso_needs_an_extension_field():
-    with pytest.raises(IncompatibleFields):
+    with pytest.raises(FlabError,
+                       match="^big field must be an extension field$"):
         base_vector_iso(field_build(3, 1), (1,))
 
 
@@ -244,7 +253,7 @@ def test_table_arithmetic_matches_references(data):
     if a:
         assert F._mul_slow(a, F.inv(a)) == 1
     else:
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(ZeroDivisionError, match="^inverse of 0$"):
             F.inv(a)
 
 
@@ -266,5 +275,5 @@ def test_largest_fields_build_and_multiply(p, e):
 
 
 def test_reducible_modulus_is_rejected():
-    with pytest.raises(IncompatibleFields):
+    with pytest.raises(FlabError, match=r"^modulus \(1, 0, 1\) is not irr"):
         ExtensionField(field_build(2, 1), 2, (1, 0, 1))    # x^2 + 1

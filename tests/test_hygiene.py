@@ -1,8 +1,10 @@
 """Source hygiene: every name a flab or test module imports is used in that
-module; one function writes stdout and one raises BudgetExceeded; a command
+module; one function writes stdout and one raises BudgetExceeded; flab has
+two exception classes and raises only those and a few builtins; a command
 loads only the flab modules it runs, and no module loads dataclasses."""
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -75,13 +77,18 @@ def test_only_cli_main_writes_stdout():
     assert writers == {"cli.main"}
 
 
+def _name(node: ast.AST | None) -> str | None:
+    """The name a base class or raised exception spells, call or not."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _raises_budget_exceeded(node: ast.AST) -> bool:
-    for n in ast.walk(node):
-        if isinstance(n, ast.Raise) and n.exc is not None:
-            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
-            if isinstance(exc, ast.Name) and exc.id == "BudgetExceeded":
-                return True
-    return False
+    return any(isinstance(n, ast.Raise) and _name(n.exc) == "BudgetExceeded"
+               for n in ast.walk(node))
 
 
 def test_only_geometry_charge_raises_budget_exceeded():
@@ -89,6 +96,51 @@ def test_only_geometry_charge_raises_budget_exceeded():
     raisers = [name for name, m in _definitions()
                if _raises_budget_exceeded(m)]
     assert raisers == ["geometry.charge"]
+
+
+def _src_nodes():
+    """(module, node) of every AST node in src/flab."""
+    for path in sorted(Path(flab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.stem, node
+
+
+def test_errors_defines_exactly_the_two_refusals():
+    # every refusal of outside input is a FlabError (exit 2); a budget
+    # refusal is the one a caller can act on, by raising --budget
+    classes = {node.name: [_name(b) for b in node.bases]
+               for module, node in _src_nodes()
+               if module == "errors" and isinstance(node, ast.ClassDef)}
+    assert classes == {"FlabError": ["Exception"],
+                       "BudgetExceeded": ["FlabError"]}
+
+
+def _is_exception(name: str | None) -> bool:
+    if name in ("FlabError", "BudgetExceeded"):
+        return True
+    cls = getattr(builtins, name or "", None)
+    return isinstance(cls, type) and issubclass(cls, BaseException)
+
+
+def test_no_other_module_defines_an_exception():
+    found = [f"{module}.{node.name}" for module, node in _src_nodes()
+             if module != "errors" and isinstance(node, ast.ClassDef)
+             and any(_is_exception(_name(b)) for b in node.bases)]
+    assert not found
+
+
+# AssertionError guards the unreachable; SystemExit is the cli __main__ guard;
+# ZeroDivisionError from inv(0) can only come from a bug, so exits 1
+ALLOWED_RAISES = {"FlabError", "BudgetExceeded", "AssertionError",
+                  "ZeroDivisionError", "SystemExit"}
+
+
+def test_every_raise_names_an_allowed_exception():
+    bad = [f"{module}:{node.lineno} raises {_name(node.exc)}"
+           for module, node in _src_nodes()
+           if isinstance(node, ast.Raise)
+           and _name(node.exc) not in ALLOWED_RAISES]
+    assert not bad
 
 
 def test_no_module_imports_dataclasses():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import mult_oracle, random_poly
-from flab.errors import BadRange, BudgetExceeded, ZeroPolynomial
+from flab.errors import BudgetExceeded, FlabError
 from flab.geometry import all_points
 from flab.gf import field_build
 from flab.polymethod import (NoSolutionCertificate, Polynomial, _HasseTable,
@@ -181,7 +181,7 @@ def test_multiplicity_shifted_square(F5):
 
 def test_multiplicity_zero_poly_infinite(F2):
     # the zero polynomial vanishes to every order: no finite int answers
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(FlabError, match="^the zero polynomial has no finite"):
         multiplicity(Polynomial.make(F2, 2, {}), (0, 0))
 
 
@@ -248,7 +248,8 @@ def test_sz_audit_charges_points_times_derivatives(F3):
 
 
 def test_sz_audit_rejects_zero(F2):
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(FlabError,
+                       match="^audit requires a nonzero polynomial$"):
         sz_mult_audit(Polynomial.make(F2, 1, {}), [0, 1])
 
 
@@ -294,13 +295,13 @@ def test_find_vanishing_charges_the_system_size(F2):
 
 def test_find_vanishing_rejects_a_negative_multiplicity(F5):
     # before the budget charge, which a budget of 0 would fail
-    with pytest.raises(BadRange, match=r"-3 < 0 at point \(1, 2\)"):
+    with pytest.raises(FlabError, match=r"-3 < 0 at point \(1, 2\)"):
         find_vanishing_poly(F5, 2, {(0, 0): 1, (1, 2): -3}, 2, budget=0)
 
 
 def test_find_vanishing_rejects_a_negative_degree(F5):
     # before the budget charge; degree 0 is the constant polynomials
-    with pytest.raises(BadRange, match=r"^degree -1 < 0$"):
+    with pytest.raises(FlabError, match=r"^degree -1 < 0$"):
         find_vanishing_poly(F5, 2, {(1, 2): 1}, -1, budget=0)
     cert = find_vanishing_poly(F5, 2, {(1, 2): 1}, 0)
     assert (cert.unknowns, cert.rank) == (1, 1)
