@@ -130,13 +130,14 @@ def _cmd_verify(args) -> dict:
     with open(args.points) as fh:
         S = formats.parse_pointset(fh.read())
     ok, payload = is_furstenberg(S, args.k, args.m, budget=args.budget)
+    coord = formats._coord_strs(S.field)    # freed before the report prints
     if not ok:
         return {"ok": False, "size": len(S),
                 "failing_direction": " , ".join(
-                    formats._point_str(S.field, r) for r in payload.basis)}
+                    formats._point_str(coord, r) for r in payload.basis)}
     wit = []
     for d in sorted(payload.assignment, key=lambda d: d.basis):
-        flat = formats.serialize_flat(S.field, payload.assignment[d])
+        flat = formats.serialize_flat(S.field, payload.assignment[d], coord)
         wit.append({"direction": flat.split(";")[0].strip(), "flat": flat,
                     "count": payload.coverage[d]})
     return {"ok": True, "size": len(S), "witnesses": wit}
@@ -152,7 +153,8 @@ def _cmd_search(args) -> dict:
         "exact": res.exact, "lower": res.lower, "upper": res.upper,
     }
     if res.witness is not None:
-        report["witness"] = [formats._point_str(F, p)
+        coord = formats._coord_strs(F)
+        report["witness"] = [formats._point_str(coord, p)
                              for p in res.witness.sorted()]
     return report
 

@@ -8,15 +8,25 @@ append one extra ``|``-separated field holding the integer weight.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import product
+from typing import Callable, Sequence
 
 from .errors import FlabError
 from .geometry import Flat, PointSet, Subspace
 from .gf import field_build
 
 
-def _coord_str(F, a: int) -> str:
-    return " ".join(str(d) for d in F.coeffs(a))
+def _coord_strs(F) -> Callable[[int], str]:
+    """Each coordinate's string, its base-p digits low digit first, joined
+    from tables of the low e // 2 and the high digits (sqrt(q) strings)."""
+    if F.e == 1:    # a prime-field coordinate is its own digit
+        return str
+    digits = [str(d) for d in range(F.p)]
+    h = F.e // 2
+    low, high = ([" ".join(reversed(t)) for t in product(digits, repeat=r)]
+                 for r in (h, F.e - h))
+    base = F.p ** h
+    return lambda a: f"{low[a % base]} {high[a // base]}"
 
 
 def _int(tok: str) -> int:
@@ -34,10 +44,8 @@ def _coord_parse(F, tok: str) -> int:
     return F.from_coeffs(digits)
 
 
-def _point_str(F, p: Sequence[int]) -> str:
-    if F.e == 1:    # a prime-field coordinate is its own digit
-        return " | ".join(map(str, p))
-    return " | ".join(_coord_str(F, a) for a in p)
+def _point_str(coord: Callable[[int], str], p: Sequence[int]) -> str:
+    return " | ".join(map(coord, p))
 
 
 def _point_parse(F, line: str) -> tuple[int, ...]:
@@ -73,8 +81,9 @@ def _parse_header(lines: list[str]):
 
 
 def serialize_pointset(S: PointSet) -> str:
+    coord = _coord_strs(S.field)
     lines = _header_lines(S.field, S.n)
-    lines += [_point_str(S.field, p) for p in S.sorted()]
+    lines += [_point_str(coord, p) for p in S.sorted()]
     return "\n".join(lines) + "\n"
 
 
@@ -89,8 +98,10 @@ def parse_pointset(text: str) -> PointSet:
 
 def _serialize_weighted(F, n: int, weights) -> str:
     """A point-plus-weight file: point format plus a trailing integer."""
+    coord = _coord_strs(F)
     lines = _header_lines(F, n)
-    lines += [f"{_point_str(F, p)} | {weights[p]}" for p in sorted(weights)]
+    lines += [f"{_point_str(coord, p)} | {weights[p]}"
+              for p in sorted(weights)]
     return "\n".join(lines) + "\n"
 
 
@@ -121,10 +132,10 @@ def parse_distribution(text: str) -> RationalDistribution:
 
 def serialize_polynomial(P: Polynomial) -> str:
     """One term per line: ``coeff : e1 e2 ... en`` in graded lex order."""
-    F = P.field
+    coord = _coord_strs(P.field)
     lines = []
     for e in sorted(P.terms, key=lambda t: (sum(t), t)):
-        lines.append(f"{_coord_str(F, P.terms[e])} : "
+        lines.append(f"{coord(P.terms[e])} : "
                      + " ".join(str(x) for x in e))
     return "\n".join(lines) + "\n"
 
@@ -150,9 +161,11 @@ def parse_polynomial(F, n: int, text: str) -> Polynomial:
     return Polynomial.make(F, n, terms)
 
 
-def serialize_flat(F, flat: Flat) -> str:
-    rows = " , ".join(_point_str(F, r) for r in flat.direction.basis)
-    return f"{rows} ; {_point_str(F, flat.shift)}"
+def serialize_flat(F, flat: Flat, coord=None) -> str:
+    """One flat; callers that print many pass coord = _coord_strs(F)."""
+    coord = coord or _coord_strs(F)
+    rows = " , ".join(_point_str(coord, r) for r in flat.direction.basis)
+    return f"{rows} ; {_point_str(coord, flat.shift)}"
 
 
 def parse_flat(F, n: int, line: str) -> Flat:
@@ -167,8 +180,9 @@ def parse_flat(F, n: int, line: str) -> Flat:
 
 
 def serialize_flat_family(fam) -> str:
+    coord = _coord_strs(fam.field)
     lines = _header_lines(fam.field, fam.n)
-    lines += [serialize_flat(fam.field, f) for f in fam.flats]
+    lines += [serialize_flat(fam.field, f, coord) for f in fam.flats]
     return "\n".join(lines) + "\n"
 
 

@@ -171,54 +171,68 @@ class Subspace(NamedTuple):
         return all(x == 0 for x in reduce_mod_subspace(F, v, self))
 
 
-def _reducer(sub: Subspace) -> tuple:
-    """Per basis row of sub: its pivot and its nonzero off-pivot entries."""
-    return tuple((piv, tuple((j, y) for j, y in enumerate(row)
-                             if y and j != piv))
-                 for row, piv in zip(sub.basis, sub.pivots()))
-
-
-def reduce_mod_subspace(F, v: Sequence[int], sub: Subspace,
-                        rows: tuple | None = None) -> Point:
-    """Canonical coset representative of v modulo sub (pivot coords zeroed).
-
-    RREF rows vanish on the other pivots, so each row clears its own pivot
-    and touches only its nonzero free entries.  Callers that reduce many
-    points pass rows = _reducer(sub), built once.
-    """
-    w = list(v)
-    for piv, entries in _reducer(sub) if rows is None else rows:
+def reduce_mod_subspace(F, v: Sequence[int], sub: Subspace) -> Point:
+    """Canonical coset representative of v modulo sub (pivot coords zeroed):
+    each RREF row (1 at its pivot, 0 at the others) subtracted w[piv] times."""
+    w = tuple(v)
+    for row, piv in zip(sub.basis, sub.pivots()):
         c = w[piv]
         if c:
-            w[piv] = 0
-            for j, y in entries:
-                w[j] = F.sub(w[j], F.mul(c, y))
-    return tuple(w)
+            w = tuple(F.sub(x, F.mul(c, y)) if y else x for x, y in zip(w, row))
+    return w
+
+
+def _columns(items: Iterable[tuple[Sequence[int], int]]) -> tuple:
+    """The items' points as columns, and their weights (None if all 1)."""
+    pts, weights = tuple(zip(*items)) or ((), ())
+    return list(zip(*pts)), None if set(weights) <= {1} else weights
+
+
+def _column_histogram(F, cols: list, weights: tuple[int, ...] | None,
+                      direction: Subspace) -> Counter[Point]:
+    """Coset kernel: each RREF row (pivot column c) turns each column j where
+    it holds y != 0 into col_j - y col_c, then zeroes column c; the keys
+    zip(*cols) are the shifts, each listed where it first appears."""
+    if not cols:    # no items, whatever n is
+        return Counter()
+    cols = cols.copy()
+    for row, c in zip(direction.basis, direction.pivots()):
+        col_c = cols[c]
+        for j, y in enumerate(row):
+            if y and j != c:
+                cols[j] = list(map(F.sub, cols[j], col_c if y == 1 else
+                                   map(F.mul, col_c, itertools.repeat(y))))
+        cols[c] = (0,) * len(col_c)
+    if weights is None:
+        return Counter(zip(*cols))
+    hist: dict[Point, int] = {}    # a plain dict sums faster than a Counter
+    for key, w in zip(zip(*cols), weights):
+        hist[key] = hist.get(key, 0) + w
+    return Counter(hist)
 
 
 def coset_histogram(F, items: Iterable[tuple[Sequence[int], int]],
                     direction: Subspace) -> Counter[Point]:
     """Summed weight of the (point, weight) items per coset of direction,
     keyed by canonical shift; weights 1 << i give each coset its bitmask."""
-    hist: Counter[Point] = Counter()
-    rows = _reducer(direction)
-    for p, w in items:
-        hist[reduce_mod_subspace(F, p, direction, rows)] += w
-    return hist
+    return _column_histogram(F, *_columns(items), direction)
 
 
 def scan_directions(F, n: int, k: int,
-                    items: Sequence[tuple[Sequence[int], int]],
+                    items: Iterable[tuple[Sequence[int], int]],
                     budget: int) -> Iterator[tuple[Subspace, Counter[Point]]]:
     """Each rank-k direction of F_q^n, in enumeration order, with the
     coset_histogram of the (point, weight) items.
 
+    The items become coordinate columns once; per direction the column
+    kernel (_column_histogram) reduces them all, one RREF row at a time.
     The q^(n-k) binom(n,k)_q flats are charged when this is called, before
     the first histogram; binom(n,k)_q >= q^(k(n-k)) bounds their bits.
     """
     charge(((k + 1) * (n - k) * (F.q.bit_length() - 1),
             lambda: q_flat_count(F.q, n, k)), "flats", budget)
-    return ((d, coset_histogram(F, items, d))
+    cols, weights = _columns(items)
+    return ((d, _column_histogram(F, cols, weights, d))
             for d in enumerate_subspaces(F, n, k, budget=budget))
 
 

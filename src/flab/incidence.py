@@ -138,7 +138,7 @@ def contained_subflats(Ffam: FlatFamily, l: int,
     count = 0
     for E, _ in scan:
         inside = [(p, 1) for f in Ffam.flats
-                  if all(e in vectors[f] for e in E.basis)
+                  if vectors[f].issuperset(E.basis)
                   for p in points[f]]
         count += len(coset_histogram(F, inside, E))
     sub = FurstenbergInstance(field=F, n=n - l, k=k - l, m=q ** (k - l))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from flab.geometry import reduce_mod_subspace
 from flab.gf import field_build
 from flab.polymethod import Polynomial
 
@@ -81,3 +82,17 @@ def mult_oracle(F, P: Polynomial, a) -> float | int:
     if not shifted:
         return math.inf
     return min(sum(e) for e in shifted)
+
+
+def pointwise_histogram(F, items, direction) -> dict:
+    """Reference coset histogram: one reduce_mod_subspace per point, its
+    weight summed per shift, each shift listed where it first appears.
+
+    Independent of the column kernel that geometry.coset_histogram and
+    geometry.scan_directions run.
+    """
+    hist: dict = {}
+    for p, w in items:
+        shift = reduce_mod_subspace(F, p, direction)
+        hist[shift] = hist.get(shift, 0) + w
+    return hist

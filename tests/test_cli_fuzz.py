@@ -1,4 +1,5 @@
-"""Malformed files and flags never make the CLI exit 1 ("internal error").
+"""Malformed files and flags never make the CLI exit 1 ("internal error"),
+and valid point sets verify as a per-point reference says.
 
 Every input is small (q <= 5, n <= 2, multiplicities and degrees below 8),
 so no case starts a large enumeration; the files mix random tokens with
@@ -10,12 +11,17 @@ flats of F_q^(10^9) in full.
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from conftest import pointwise_histogram
+from flab import formats
 from flab.cli import main
+from flab.geometry import PointSet, all_points, enumerate_subspaces
+from flab.gf import field_build
 
 HEADERS = ["2 1 2", "3 1 1", "5 1 2", "2 2 2\n1 1 1", "3 1 2", "2 1 1",
            "", "x 1 2", "2 1", "2 1 2 7", "4 1 2", "2 2 2", "2 2 2\n1 0 1",
@@ -101,3 +107,70 @@ def test_malformed_input_exits_0_or_2(case):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([paths.get(t, t) for t in argv])
     assert code in (0, 2), (argv, a, b, err.getvalue())
+
+
+# -- valid input ------------------------------------------------------------
+
+VALID_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+
+
+@st.composite
+def verify_cases(draw):
+    """(point set over F_2, F_3, F_4, F_5 or F_9 in dimension <= 3, k, m)."""
+    F = field_build(*draw(st.sampled_from(VALID_FIELDS)))
+    n = draw(st.integers(min_value=1, max_value=3))
+    # up to all of F_2^3, so some sets pass the first directions
+    space = all_points(F, n)
+    size = draw(st.integers(min_value=0, max_value=min(len(space), 30)))
+    pts = draw(st.randoms(use_true_random=False)).sample(space, size)
+    k = draw(st.integers(min_value=0, max_value=n))
+    m = draw(st.integers(min_value=1, max_value=3))
+    return PointSet.of(F, n, pts), k, m
+
+
+def _spelled(F, p):
+    """A point as the format spells it, one F.coeffs call per coordinate."""
+    return " | ".join(" ".join(map(str, F.coeffs(a))) for a in p)
+
+
+def reference_verify(S, k, m) -> dict:
+    """The verify report, from one reduce_mod_subspace per point and
+    direction: the first direction whose best coset has fewer than m
+    points fails; otherwise each direction's witness is its lex-least
+    coset of largest count, listed by basis."""
+    F = S.field
+    unit = [(p, 1) for p in S.points]
+    witnesses = []
+    for d in enumerate_subspaces(F, S.n, k):
+        hist = pointwise_histogram(F, unit, d)
+        best = max(hist.values(), default=0)
+        rows = " , ".join(_spelled(F, r) for r in d.basis)
+        if best < m:
+            return {"ok": False, "size": len(S), "failing_direction": rows}
+        shift = min(s for s, c in hist.items() if c == best)
+        witnesses.append((d.basis, {"direction": rows,
+                                    "flat": f"{rows} ; {_spelled(F, shift)}",
+                                    "count": best}))
+    return {"ok": True, "size": len(S),
+            "witnesses": [w for _, w in sorted(witnesses,
+                                               key=lambda bw: bw[0])]}
+
+
+# random sets mostly fail at the first direction or pass; these two cover
+# the first direction (1, 0) only, so they fail at the second
+@given(verify_cases())
+@example((PointSet.of(field_build(2, 1), 2, [(0, 0), (1, 0)]), 1, 2))
+@example((PointSet.of(field_build(2, 2), 2, [(0, 0), (1, 0), (3, 2)]), 1, 2))
+@settings(max_examples=150, deadline=None)
+def test_verify_report_matches_pointwise_reference(case):
+    S, k, m = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.pts")
+        with open(path, "w") as fh:
+            fh.write(formats.serialize_pointset(S))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", "--points", path, "--k", str(k),
+                         "--m", str(m), "--format", "json"])
+    assert code == 0
+    assert json.loads(out.getvalue()) == reference_verify(S, k, m)

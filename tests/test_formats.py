@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from flab import formats
@@ -100,9 +102,42 @@ def test_targets_round_trip(F3):
                          ids=["F2", "F31", "F4", "F9"])
 def test_point_str_joins_each_coordinate_digits(p, e):
     F = field_build(p, e)
+    coord = formats._coord_strs(F)
     for pt in [(0,), (F.q - 1, 0, 1), tuple(range(F.q))]:
-        assert formats._point_str(F, pt) == " | ".join(
-            formats._coord_str(F, a) for a in pt)
+        assert formats._point_str(coord, pt) == " | ".join(
+            " ".join(map(str, F.coeffs(a))) for a in pt)
+
+
+TABLE_FIELDS = pytest.mark.parametrize(
+    "p,e", [(2, 2), (2, 3), (3, 2), (2, 10), (3, 7)],
+    ids=["F4", "F8", "F9", "F1024", "F2187"])
+
+
+@TABLE_FIELDS
+def test_coordinate_table_spells_every_element(p, e):
+    F = field_build(p, e)
+    coord = formats._coord_strs(F)
+    assert [coord(a) for a in F.elements()] == [
+        " ".join(map(str, F.coeffs(a))) for a in F.elements()]
+
+
+@TABLE_FIELDS
+def test_serializers_round_trip_over_extension_fields(p, e):
+    F = field_build(p, e)
+    rng = random.Random(F.q)
+    pts = [(0, 0), (F.q - 1, 1)] + [(rng.randrange(F.q), rng.randrange(F.q))
+                                    for _ in range(20)]
+    S = PointSet.of(F, 2, pts)
+    assert formats.parse_pointset(formats.serialize_pointset(S)) == S
+    dist = RationalDistribution.of(F, 2, {x: rng.randint(1, 9) for x in pts})
+    assert formats.parse_distribution(
+        formats.serialize_distribution(dist)) == dist
+    fam = FlatFamily.of(F, 2, [
+        Flat.through(F, Subspace.from_vectors(F, 2, [(1, a)]), x)
+        for a, x in zip([0, F.q - 1] + [rng.randrange(F.q)
+                                        for _ in range(8)], pts)])
+    assert formats.parse_flat_family(formats.serialize_flat_family(fam)) \
+        == fam
 
 
 def test_coord_digit_count_enforced():

@@ -1,9 +1,9 @@
-import collections
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import pointwise_histogram
 from flab import entropy, furstenberg, geometry, incidence, polymethod
 from flab.errors import BudgetExceeded, FlabError
 from flab.geometry import (Flat, PointSet, all_points, charge,
@@ -228,23 +228,47 @@ def coset_cases(draw):
     return F, direction, pts, weights
 
 
+def _weightings(pts, weights):
+    """Unit, signed and bitmask (1 << i) items of the points."""
+    return [[(p, 1) for p in pts], list(zip(pts, weights)),
+            [(p, 1 << i) for i, p in enumerate(pts)]]
+
+
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 @given(coset_cases())
+@example((field_build(3, 2), Subspace(2, 0, ()), [(4, 1), (0, 8)],
+          [3, -3]))                                            # k = 0, F_9
+@example((field_build(2, 3), Subspace(2, 2, _identity(2)), [(7, 1), (2, 5)],
+          [0, 4]))                                             # k = n, F_8
+@example((field_build(2, 2), Subspace(2, 1, ((1, 3),)), [], []))  # no items
 @settings(max_examples=150, deadline=None)
 def test_coset_histogram_matches_pointwise_reduction(case):
     F, d, pts, weights = case
-    shifts = [reduce_mod_subspace(F, p, d) for p in pts]
-    # dict(), because Counter equality ignores keys whose weight is zero
-    unit = coset_histogram(F, ((p, 1) for p in pts), d)
-    assert dict(unit) == dict(collections.Counter(shifts))
-    summed: dict = {}
-    for s, w in zip(shifts, weights):
-        summed[s] = summed.get(s, 0) + w
-    assert dict(coset_histogram(F, zip(pts, weights), d)) == summed
-    ored: dict = {}
-    for i, s in enumerate(shifts):
-        ored[s] = ored.get(s, 0) | 1 << i
-    masks = coset_histogram(F, ((p, 1 << i) for i, p in enumerate(pts)), d)
-    assert dict(masks) == ored
+    # lists of items, so the key order is checked too
+    for items in _weightings(pts, weights):
+        assert list(coset_histogram(F, iter(items), d).items()) == list(
+            pointwise_histogram(F, items, d).items())
+
+
+@pytest.mark.parametrize("p, e, n, k", [(2, 1, 4, 2), (3, 1, 3, 1),
+                                        (5, 1, 2, 1), (2, 2, 3, 2),
+                                        (3, 2, 2, 1), (2, 3, 2, 2),
+                                        (3, 1, 3, 0)])
+def test_scan_directions_matches_pointwise_reduction(p, e, n, k):
+    F = field_build(p, e)
+    rng = random.Random(f"{p} {e} {n} {k}")
+    pts = rng.sample(all_points(F, n), min(12, F.q ** n))
+    weights = [rng.randint(-9, 9) for _ in pts]
+    dirs = list(enumerate_subspaces(F, n, k))
+    for items in _weightings(pts, weights):
+        scan = list(scan_directions(F, n, k, items, 10 ** 6))
+        assert [d for d, _ in scan] == dirs
+        for d, hist in scan:
+            assert list(hist.items()) == list(
+                pointwise_histogram(F, items, d).items())
 
 
 def _reference_rref(F, rows):

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from flab import geometry, incidence
 from flab.errors import BudgetExceeded, FlabError
 from flab.geometry import (Flat, PointSet, Subspace, all_points,
-                           coset_histogram, enumerate_flats,
-                           enumerate_subspaces, flat_points, q_flat_count,
-                           qbinomial, span)
+                           enumerate_flats, enumerate_subspaces, flat_points,
+                           q_flat_count, qbinomial, span)
 from flab.gf import field_build
 from flab.incidence import (FlatFamily, count_incidences, haemers_check,
                             contained_subflats, heavy_flats_lower_bound,
@@ -347,7 +346,7 @@ def test_censuses_check_budget_before_scanning(F3, monkeypatch):
     S = PointSet.of(F3, 3, all_points(F3, 3))
     lines = q_flat_count(3, 3, 1)                       # 117
     fam = _direction_family(F3, 3, 2, lambda i, s: s[0])
-    monkeypatch.setattr(geometry, "coset_histogram", _no_scan)
+    monkeypatch.setattr(geometry, "_column_histogram", _no_scan)
     monkeypatch.setattr(incidence, "flat_points", _no_scan)
     with pytest.raises(BudgetExceeded, match=f"{lines} flats exceed"):
         poor_flat_census(S, 1, Fraction(1, 2), budget=lines - 1)
@@ -361,10 +360,12 @@ def test_becks_checks_rich_budget_before_scanning(F3, monkeypatch):
     S = PointSet.of(F3, 3, all_points(F3, 3))
     calls = []
 
-    def counting(*args):
-        calls.append(args[2])
-        return coset_histogram(*args)
-    monkeypatch.setattr(geometry, "coset_histogram", counting)
+    kernel = geometry._column_histogram
+
+    def counting(F, cols, weights, direction):
+        calls.append(direction)
+        return kernel(F, cols, weights, direction)
+    monkeypatch.setattr(geometry, "_column_histogram", counting)
     with pytest.raises(BudgetExceeded, match="117 flats exceed budget 116"):
         kakeya_becks_census(S, 2, Fraction(1, 2), budget=116)
     assert len(calls) == qbinomial(3, 2, 3)
@@ -375,7 +376,7 @@ def test_becks_charges_its_direction_scan_as_flats(F3, monkeypatch):
     # the m-loop is a full verification scan over the 39 planes of F_3^3
     S = PointSet.of(F3, 3, all_points(F3, 3))
     planes = q_flat_count(3, 3, 2)
-    monkeypatch.setattr(geometry, "coset_histogram", _no_scan)
+    monkeypatch.setattr(geometry, "_column_histogram", _no_scan)
     with pytest.raises(BudgetExceeded,
                        match=f"{planes} flats exceed budget {planes - 1}"):
         kakeya_becks_census(S, 2, Fraction(1, 2), budget=planes - 1)
@@ -384,6 +385,6 @@ def test_becks_charges_its_direction_scan_as_flats(F3, monkeypatch):
 @pytest.mark.parametrize("k", [0, 4])
 def test_becks_checks_k_range_first(F2, monkeypatch, k):
     S = PointSet.of(F2, 3, all_points(F2, 3))
-    monkeypatch.setattr(geometry, "coset_histogram", _no_scan)
+    monkeypatch.setattr(geometry, "_column_histogram", _no_scan)
     with pytest.raises(FlabError, match=rf"k = {k} outside \[1, 3\]"):
         kakeya_becks_census(S, k, Fraction(0), budget=0)
