@@ -175,8 +175,11 @@ def parse_flat(F, n: int, line: str) -> Flat:
         raise FlabError(f"expected 'rows ; shift': {line!r}") from None
     rows = [_point_parse(F, r) for r in rows_s.split(",")] \
         if rows_s.strip() else []
-    direction = Subspace.from_vectors(F, n, rows)
-    return Flat.through(F, direction, _point_parse(F, shift_s))
+    shift = _point_parse(F, shift_s)
+    if any(len(v) != n for v in (*rows, shift)):
+        raise FlabError(f"expected {n} coordinates per row and shift: "
+                        f"{line!r}")
+    return Flat.through(F, Subspace.from_vectors(F, n, rows), shift)
 
 
 def serialize_flat_family(fam) -> str:

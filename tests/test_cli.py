@@ -637,6 +637,24 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, three_point_file,
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("check", [["count"], ["haemers"],
+                                   ["subflats", "--l", "1"]],
+                         ids=["count", "haemers", "subflats"])
+@pytest.mark.parametrize("line", ["1 | 0 | 1 ; 0 | 1", "1 | 0 ; 0 | 0 | 1",
+                                  " ; 0 | 1 | 1", "1 | 0 ; 1", "1 ; 0 | 1"],
+                         ids=["long-row", "long-shift", "long-point",
+                              "short-shift", "short-row"])
+def test_flat_of_the_wrong_dimension_exits_2(capsys, tmp_path,
+                                             three_point_file, check, line):
+    # each direction row and the shift must have exactly n coordinates
+    path = tmp_path / "l.flats"
+    path.write_text(f"2 1 2\n{line}\n")
+    code, out, err = run(capsys, ["incidence", "--points", three_point_file,
+                                  "--flats", str(path), "--check", *check])
+    assert (code, out) == (2, "")
+    assert err == f"error: expected 2 coordinates per row and shift: {line!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["incidence", "--points", "@s.pts", "--check", "poor", "--l", "1",
      "--delta", "abc"],

@@ -1,5 +1,6 @@
 """Malformed files and flags never make the CLI exit 1 ("internal error"),
-and valid point sets verify as a per-point reference says.
+valid point sets verify as a per-point reference says, and the incidence
+reports of valid sets and flat families match a brute-force recount.
 
 Every input is small (q <= 5, n <= 2, multiplicities and degrees below 8),
 so no case starts a large enumeration; the files mix random tokens with
@@ -13,15 +14,20 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
+from fractions import Fraction
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import pointwise_histogram
 from flab import formats
 from flab.cli import main
-from flab.geometry import PointSet, all_points, enumerate_subspaces
+from flab.geometry import (Flat, PointSet, all_points, enumerate_flats,
+                           enumerate_subspaces, flat_points)
 from flab.gf import field_build
+from flab.incidence import FlatFamily
+from reference import incidence_report
 
 HEADERS = ["2 1 2", "3 1 1", "5 1 2", "2 2 2\n1 1 1", "3 1 2", "2 1 1",
            "", "x 1 2", "2 1", "2 1 2 7", "4 1 2", "2 2 2", "2 2 2\n1 0 1",
@@ -134,7 +140,7 @@ def _spelled(F, p):
 
 
 def reference_verify(S, k, m) -> dict:
-    """The verify report, from one reduce_mod_subspace per point and
+    """The verify report, from one reference reduction per point and
     direction: the first direction whose best coset has fewer than m
     points fails; otherwise each direction's witness is its lex-least
     coset of largest count, listed by basis."""
@@ -174,3 +180,81 @@ def test_verify_report_matches_pointwise_reference(case):
                          "--m", str(m), "--format", "json"])
     assert code == 0
     assert json.loads(out.getvalue()) == reference_verify(S, k, m)
+
+
+# (lowest, highest) flat rank, --l or --k of each check in F_q^n; haemers
+# refuses a family of n-flats
+RANKS = {"count": lambda n: (0, n), "haemers": lambda n: (0, n - 1),
+         "poor": lambda n: (1, n - 1), "becks": lambda n: (1, n)}
+
+
+@st.composite
+def incidence_cases(draw):
+    """(point set over F_2, F_3, F_4 or F_5 in dimension <= 3, check, rank
+    r, distinct r-flats for count and haemers, delta, a Random)."""
+    F = field_build(*draw(st.sampled_from(VALID_FIELDS[:4])))
+    check = draw(st.sampled_from(sorted(RANKS)))
+    n = draw(st.integers(min_value=2 if check == "poor" else 1, max_value=3))
+    rnd = draw(st.randoms(use_true_random=False))
+    space = all_points(F, n)
+    S = PointSet.of(F, n, rnd.sample(space, draw(st.integers(0, len(space)))))
+    r = draw(st.integers(*RANKS[check](n)))
+    flats = []
+    if check in ("count", "haemers"):
+        every = list(enumerate_flats(F, n, r))
+        flats = rnd.sample(every, draw(st.integers(0, min(len(every), 8))))
+    # 1 - 1/q for q = 2, 3, 4: the lines of a full space F_q^n then hold
+    # exactly becks' threshold at k = 2
+    delta = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2),
+                                  Fraction(2, 3), Fraction(3, 4)]))
+    return S, check, r, flats, delta, rnd
+
+
+def _respelled(F, flat, rnd):
+    """The flat as another file line would give it: its basis rows scaled
+    by nonzero constants, in reverse order, through any of its points."""
+    scales = [rnd.randrange(1, F.q) for _ in flat.direction.basis]
+    rows = tuple(tuple(F.mul(c, x) for x in row)
+                 for c, row in zip(scales, reversed(flat.direction.basis)))
+    return Flat(flat.direction._replace(basis=rows),
+                rnd.choice(flat_points(F, flat)))
+
+
+FULL_PLANE = PointSet.of(field_build(2, 1), 2,
+                          all_points(field_build(2, 1), 2))
+
+
+# every line of F_2^2 holds exactly threshold 2 points, which is rich but
+# not poor; one point leaves three lines empty, and those are poor too
+@given(incidence_cases())
+@example((FULL_PLANE, "poor", 1, [], Fraction(1, 2), random.Random(0)))
+@example((FULL_PLANE, "becks", 2, [], Fraction(1, 2), random.Random(0)))
+@example((PointSet.of(FULL_PLANE.field, 2, [(0, 0)]), "poor", 1, [],
+          Fraction(1, 2), random.Random(0)))
+@settings(max_examples=200, deadline=None)
+def test_incidence_report_matches_brute_force_reference(case):
+    S, check, r, flats, delta, rnd = case
+    F = S.field
+    argv = ["incidence", "--check", check, "--format", "json"]
+    argv += {"poor": ["--l", str(r), "--delta", str(delta)],
+             "becks": ["--k", str(r), "--delta", str(delta)]}.get(check, [])
+    # the distinct flats, some written twice, each through another point
+    lines = [_respelled(F, f, rnd) for f in flats + flats[:len(flats) // 2]]
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"--points": formats.serialize_pointset(S)}
+        if check in ("count", "haemers"):
+            files["--flats"] = formats.serialize_flat_family(
+                FlatFamily(F, S.n, r, tuple(lines)))
+        for flag, body in files.items():
+            path = os.path.join(tmp, flag[2:])
+            with open(path, "w") as fh:
+                fh.write(body)
+            argv += [flag, path]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code == 0
+    want = incidence_report(S, check, flats, r, delta)
+    assert json.loads(out.getvalue()) == {
+        key: f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction)
+        else v for key, v in want.items()}

@@ -9,12 +9,13 @@ from flab.errors import BudgetExceeded, FlabError
 from flab.geometry import (Flat, PointSet, all_points, charge,
                            coset_histogram, enumerate_flats,
                            enumerate_subspaces, flat_points, q_flat_count,
-                           qbinomial, reduce_mod_subspace, rref,
-                           scan_directions, span, Subspace, _slot_code)
+                           qbinomial, rref, scan_directions, Subspace,
+                           _slot_code)
 from flab.gf import PrimeField, field_build
 from flab.incidence import FlatFamily, haemers_check
-from flab.polymethod import (Polynomial, evaluate, hasse_derivative,
-                             monomials_upto)
+from flab.polymethod import Polynomial, monomials_upto
+from reference import (evaluate, hasse_derivative, reduce_mod_subspace, span,
+                       subspace_contains)
 
 
 def test_rref_identity(F2):
@@ -185,8 +186,8 @@ def test_dim_span_formula_exhaustive_f2_cubed(F2):
     for a in subs:
         for b in subs:
             joined = Subspace.from_vectors(F2, 3, a.basis + b.basis)
-            common = sum(1 for p in pts if a.contains(F2, p)
-                         and b.contains(F2, p))
+            common = sum(1 for p in pts if subspace_contains(F2, a, p)
+                         and subspace_contains(F2, b, p))
             assert 2 ** joined.k * common == 2 ** (a.k + b.k)
 
 
@@ -251,6 +252,8 @@ def test_coset_histogram_matches_pointwise_reduction(case):
     for items in _weightings(pts, weights):
         assert list(coset_histogram(F, iter(items), d).items()) == list(
             pointwise_histogram(F, items, d).items())
+    for p in pts:
+        assert Flat.through(F, d, p).shift == reduce_mod_subspace(F, p, d)
 
 
 @pytest.mark.parametrize("p, e, n, k", [(2, 1, 4, 2), (3, 1, 3, 1),

@@ -9,11 +9,10 @@ from flab.errors import BudgetExceeded, FlabError
 from flab.geometry import all_points
 from flab.gf import field_build
 from flab.polymethod import (NoSolutionCertificate, Polynomial, _HasseTable,
-                             _hasse_coefficient, evaluate,
                              exponents_of_weight, find_vanishing_poly,
-                             hasse_derivative, monomials_upto, multiplicity,
-                             poly_mul, sz_mult_audit,
-                             vanishing_hypothesis_holds)
+                             monomials_upto, multiplicity, poly_mul,
+                             sz_mult_audit, vanishing_hypothesis_holds)
+from reference import evaluate, hasse_coefficient, hasse_derivative
 
 
 def poly_scale(P: Polynomial, c: int) -> Polynomial:
@@ -37,7 +36,7 @@ def _hasse_values(F, monos, i, powers):
     point of the power table is binom(a, i) mod p times x^(a-i)."""
     out = []
     for a in monos:
-        v = _hasse_coefficient(a, i, F.p)
+        v = hasse_coefficient(a, i, F.p)
         if v:
             v = F.from_int(v)
             for pw, aj, ij in zip(powers, a, i):
