@@ -18,7 +18,7 @@ from .errors import FlabError
 from .gf import ExtensionField, base_vector_iso
 from .geometry import (CAP_BITS, DEFAULT_BUDGET, DIGIT_CAP, Flat, Point,
                        PointSet, Subspace, all_points, charge,
-                       enumerate_subspaces, scan_directions)
+                       scan_directions)
 
 
 class _Instance(NamedTuple):
@@ -425,7 +425,7 @@ def lifted_direction_subspaces(big: ExtensionField, r: int) -> list[Subspace]:
     base = big.base
     n = r * big.degree
     out = []
-    for line in enumerate_subspaces(big, r, 1):
+    for line, _ in scan_directions(big, r, 1, (), DEFAULT_BUDGET):
         d = line.basis[0]
         vecs = [base_vector_iso(big, tuple(big.mul(c, x) for x in d))
                 for c in big.elements()]

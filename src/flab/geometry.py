@@ -41,9 +41,9 @@ def charge(work: int | tuple[int, Callable[[], int]], what: str,
 
 
 def qbinomial(n: int, k: int, q: int) -> int:
-    """Gaussian binomial coefficient, exact product over min(k, n-k) terms."""
-    if k < 0 or k > n:
-        raise FlabError(f"k = {k} outside [0, {n}]")
+    """Gaussian binomial coefficient binom(n,k)_q; 0 for k outside [0, n]."""
+    if not 0 <= k <= n:
+        return 0
     k = min(k, n - k)
     num = 1
     den = 1
@@ -210,18 +210,22 @@ def scan_directions(F, n: int, k: int,
                     items: Iterable[tuple[Sequence[int], int]],
                     budget: int) -> Iterator[tuple[Subspace, Counter[Point]]]:
     """Each rank-k direction of F_q^n, in enumeration order, with the
-    coset_histogram of the (point, weight) items.
+    coset_histogram of the (point, weight) items: the one guarded walk.
 
-    The items become coordinate columns once; per direction the column
-    kernel (_column_histogram) reduces them all, one RREF row at a time.
-    The q^(n-k) binom(n,k)_q flats are charged when this is called, before
-    the first histogram; binom(n,k)_q >= q^(k(n-k)) bounds their bits.
+    When called it refuses k outside [0, n], then charges the q^(n-k)
+    binom(n,k)_q flats (binom(n,k)_q >= q^(k(n-k)) bounds their bits) and
+    the k n basis entries, past the flats only at k = n.  The items become
+    coordinate columns once; per direction the column kernel
+    (_column_histogram) reduces them all, one RREF row at a time.
     """
+    if not 0 <= k <= n:
+        raise FlabError(f"k = {k} outside [0, {n}]")
     charge(((k + 1) * (n - k) * (F.q.bit_length() - 1),
             lambda: q_flat_count(F.q, n, k)), "flats", budget)
+    charge(k * n, "basis entries", budget)
     cols, weights = _columns(items)
     return ((d, _column_histogram(F, cols, weights, d))
-            for d in enumerate_subspaces(F, n, k, budget=budget))
+            for d in enumerate_subspaces(F, n, k))
 
 
 class Flat(NamedTuple):
@@ -238,20 +242,12 @@ class Flat(NamedTuple):
         return cls(direction, shift)
 
 
-def enumerate_subspaces(F, n: int, k: int,
-                        budget: int = DEFAULT_BUDGET) -> Iterator[Subspace]:
-    """All rank-k subspaces, one per RREF basis, deterministic order.
+def enumerate_subspaces(F, n: int, k: int) -> Iterator[Subspace]:
+    """All rank-k subspaces, 0 <= k <= n, one per RREF basis; unchecked
+    and uncharged, as scan_directions guards every walk a user can size.
 
     Order: lexicographic on the pivot-column set, then on the free entries.
     """
-    if k < 0 or k > n:
-        raise FlabError(f"k = {k} outside [0, {n}]")
-    charge((k * (n - k) * (F.q.bit_length() - 1),
-            lambda: qbinomial(n, k, F.q)), "subspaces", budget)
-    charge(k * n, "basis entries", budget)
-    if k == 0:
-        yield Subspace(n=n, k=0, basis=())
-        return
     for pivots in itertools.combinations(range(n), k):
         pivot_set = set(pivots)
         free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
@@ -280,7 +276,7 @@ def enumerate_flats(F, n: int, k: int,
 
 
 def q_flat_count(q: int, n: int, k: int) -> int:
-    return qbinomial(n, k, q) * q ** (n - k)   # raises on k before powering
+    return qbinomial(n, k, q) * q ** (n - k) if 0 <= k <= n else 0
 
 
 def flat_points(F, flat: Flat, budget: int = DEFAULT_BUDGET) -> list[Point]:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
-                    Sequence)
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import FlabError
 from .geometry import DEFAULT_BUDGET, charge, rref
@@ -125,12 +124,14 @@ class _HasseTable:
         return [1] * len(self.monos) if out is None else out
 
 
-def exponents_of_weight(n: int, w: int) -> Iterator[Expo]:
-    """All length-n exponent tuples summing to w, lexicographic order: the
-    gaps between n - 1 bars placed among w + n - 1 slots, the bar positions
-    taken in lexicographic order."""
-    for bars in itertools.combinations(range(w + n - 1), n - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, w + n - 1)))
+@functools.cache
+def exponents_of_weight(n: int, w: int) -> tuple[Expo, ...]:
+    """All length-n exponent tuples summing to w, lexicographic order,
+    listed once per (n, w) in a process: the gaps between n - 1 bars placed
+    among w + n - 1 slots, the bar positions taken in lexicographic order."""
+    return tuple(tuple(b - a - 1 for a, b in zip((-1, *bars),
+                                                 (*bars, w + n - 1)))
+                 for bars in itertools.combinations(range(w + n - 1), n - 1))
 
 
 def multiplicity(P: Polynomial, a: Sequence[int]) -> int:
@@ -141,18 +142,11 @@ def multiplicity(P: Polynomial, a: Sequence[int]) -> int:
     """
     if P.is_zero():
         raise FlabError("the zero polynomial has no finite multiplicity")
-    return _multiplicity_at(P, a, functools.partial(exponents_of_weight, P.n))
-
-
-def _multiplicity_at(P: Polynomial, a: Sequence[int],
-                     orders: Callable[[int], Iterable[Expo]]) -> int:
-    """multiplicity(P, a) for nonzero P, given orders(w), the exponent
-    tuples of weight w."""
     F = P.field
     coeffs = P.terms.values()
     table = _HasseTable(F, a, list(P.terms))
     for w in range(P.degree + 1):
-        for i in orders(w):
+        for i in exponents_of_weight(P.n, w):
             values = table.values(i)
             if values is None:
                 continue
@@ -181,18 +175,7 @@ def sz_mult_audit(P: Polynomial, U: Sequence[int],
         raise FlabError("audit requires a nonzero polynomial")
     charge(len(U) ** P.n * _monomial_count(P.n, P.degree), "audit pairs",
            budget)
-    listed: list[list[Expo]] = []
-
-    def orders(w: int) -> list[Expo]:
-        """The orders of weight w, each weight listed once per audit, when
-        some point first reaches it."""
-        while len(listed) <= w:
-            listed.append(list(exponents_of_weight(P.n, len(listed))))
-        return listed[w]
-
-    total = 0
-    for a in itertools.product(U, repeat=P.n):
-        total += _multiplicity_at(P, a, orders)
+    total = sum(multiplicity(P, a) for a in itertools.product(U, repeat=P.n))
     bound = P.degree * len(U) ** (P.n - 1)
     return SzAudit(sum=total, bound=bound, ok=total <= bound)
 

@@ -48,9 +48,8 @@ def run_selftest(out) -> bool:
         for n in range(1, 7):
             for k in range(n + 1):
                 b = qbinomial(n, k, q)
-                if k >= 1 and n >= 1:
-                    ok &= b == (q ** k * qbinomial(n - 1, k, q)
-                                if k <= n - 1 else 0) + qbinomial(n - 1, k - 1, q)
+                ok &= b == q ** k * qbinomial(n - 1, k, q) \
+                    + qbinomial(n - 1, k - 1, q)
                 ok &= b == qbinomial(n, n - k, q)
     report("q-binomial identities", ok)
 

@@ -9,6 +9,11 @@ compare the two without sharing code.
   per-coordinate rows of polymethod._HasseTable.
 - The incidence reports, from flat_points, enumerate_flats and set
   membership only.
+- The polycert --poly audit report, from Hasse derivatives taken term by
+  term and evaluated at every point, the orders of each weight listed by
+  filtering all exponent tuples.
+- The entropy --check bound and recursion reports, each kernel's heaviest
+  coset found by reducing every point of the support.
 
 A name that anything outside the tests imports stays in src/flab, even
 when only tests check it: poly_mul and gf.coeffs, which the benchmark
@@ -17,12 +22,13 @@ claims that the acceptance suite checks (lift_construction,
 heavy_flats_lower_bound, ab_constants and the like).
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from flab.errors import FlabError
-from flab.geometry import (Flat, Subspace, enumerate_flats, flat_points,
-                           qbinomial)
+from flab.geometry import (Flat, Subspace, enumerate_flats,
+                           enumerate_subspaces, flat_points, qbinomial)
 from flab.polymethod import Polynomial
 
 
@@ -119,3 +125,80 @@ def incidence_report(S, check: str, flats, r: int, delta: Fraction) -> dict:
     return {"rich_flats": sum(rich), "bound": bound, "ok": sum(rich) > bound,
             "m": m, "hypothesis_met": m >= 2 ** (n + 3 - r) * q
             / (1 - delta) ** 2}
+
+
+def polycert_report(P: Polynomial) -> dict:
+    """The report of polycert --poly: the multiplicity at a of nonzero P is
+    the least weight w with some D^i P, i of weight w, nonzero at a, summed
+    over all of F_q^n, against the bound deg(P) q^(n-1)."""
+    F, n = P.field, P.n
+    d = max(sum(e) for e in P.terms)
+    orders = [[i for i in itertools.product(range(w + 1), repeat=n)
+               if sum(i) == w] for w in range(d + 1)]
+    derivatives = {i: hasse_derivative(P, i) for by_w in orders for i in by_w}
+
+    def mult(a):
+        return next(w for w, by_w in enumerate(orders)
+                    if any(evaluate(derivatives[i], a) for i in by_w))
+
+    total = sum(map(mult, itertools.product(F.elements(), repeat=n)))
+    bound = d * F.q ** (n - 1)
+    return {"degree": d, "terms": len(P.terms), "mult_sum": total,
+            "bound": bound, "ok": total <= bound}
+
+
+def _cosets(F, weights: dict, kernel: Subspace) -> dict:
+    """Summed weight per coset of kernel, keyed by reduced point."""
+    out: dict = {}
+    for x, w in weights.items():
+        shift = reduce_mod_subspace(F, x, kernel)
+        out[shift] = out.get(shift, 0) + w
+    return out
+
+
+def _lightest_kernel(F, n: int, weights: dict, k: int):
+    """(kernel, heaviest coset weight) of the first rank-k kernel in walk
+    order whose heaviest coset is lightest."""
+    best = None
+    for kernel in enumerate_subspaces(F, n, k):
+        g = max(_cosets(F, weights, kernel).values())
+        if best is None or g < best[1]:
+            best = kernel, g
+    return best
+
+
+def entropy_report(dist, check: str, k: int) -> dict:
+    """The report of entropy --check bound or recursion --k k.  A mode of
+    weight g passes when g^n q^(nk) <= f^(n-k) T^k (2q-1)^(nk), f the
+    largest weight and T the total: H(image) >= (n-k)/n H - k log_q(2-1/q)
+    with the logs cleared.  The chain takes k best rank-1 kernels in turn,
+    each time keeping the free coordinates of the reduced points."""
+    F, n, q, weights = dist.field, dist.n, dist.field.q, dict(dist.weights)
+    total, f = sum(weights.values()), max(weights.values())
+    report = {"n": n, "q": q, "total": total, "max_weight": f,
+              "entropy": f"H = log_q({total}/{f})", "k": k}
+
+    def sides(g):
+        return g ** n * q ** (n * k), \
+            f ** (n - k) * total ** k * (2 * q - 1) ** (n * k)
+
+    _, direct = _lightest_kernel(F, n, weights, k)
+    if check == "bound":
+        lhs, rhs = sides(direct)
+        report.update({"ok": lhs <= rhs, "lhs": lhs, "rhs": rhs,
+                       "margin": rhs - lhs})
+        return report
+    cur, dim = weights, n
+    for _ in range(k):
+        kernel, _ = _lightest_kernel(F, dim, cur, 1)
+        pivot, = kernel.pivots()
+        cur = {shift[:pivot] + shift[pivot + 1:]: w
+               for shift, w in _cosets(F, cur, kernel).items()}
+        dim -= 1
+    composed = max(cur.values())
+    (c_lhs, c_rhs), (d_lhs, d_rhs) = sides(composed), sides(direct)
+    report.update({"composed_max_weight": composed,
+                   "direct_max_weight": direct,
+                   "composed_le_direct": composed >= direct,
+                   "composed_ok": c_lhs <= c_rhs, "direct_ok": d_lhs <= d_rhs})
+    return report

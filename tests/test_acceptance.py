@@ -199,8 +199,7 @@ def test_criterion_7_qbinomial_identities():
                     want = qbinomial(nn, k, q)
                     if want > 50_000:
                         continue
-                    got = sum(1 for _ in enumerate_subspaces(
-                        F, nn, k, budget=10 ** 7))
+                    got = sum(1 for _ in enumerate_subspaces(F, nn, k))
                     assert got == want, (q, nn, k)
 
 

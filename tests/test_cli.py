@@ -211,6 +211,44 @@ def test_incidence_haemers(capsys, three_point_file, tmp_path):
     assert doc["ok"] is True and doc["incidences"] == 9
 
 
+def test_incidence_haemers_on_a_family_of_n_flats(capsys, tmp_path):
+    # binom(n-1, n)_q = 0, so the bound is |S||L| with no square root
+    points, flats = tmp_path / "s.pts", tmp_path / "l.flats"
+    points.write_text("2 1 2\n0 | 0\n1 | 1\n")
+    flats.write_text("2 1 2\n 1 | 0 , 0 | 1 ; 0 | 0\n")
+    code, out, err = run(capsys, ["incidence", "--points", str(points),
+                                  "--flats", str(flats), "--check",
+                                  "haemers"])
+    assert code == 0, err
+    assert out == "incidences = 2\nrhs = 2/1\nradicand = 0\nok = True\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--m", "1", "--k", "5"], "k = 5 outside [0, 2]"),
+    (["verify", "--m", "1", "--k", "-1"], "k = -1 outside [0, 2]"),
+    (["verify", "--m", "1", "--k", "1000000000"],
+     "k = 1000000000 outside [0, 2]"),
+    (["verify", "--m", "1", "--k", "2", "--budget", "3"],
+     "4 basis entries exceed budget 3"),
+    (["incidence", "--check", "becks", "--k", "2", "--budget", "3"],
+     "4 basis entries exceed budget 3"),
+], ids=["verify-k-5", "verify-k--1", "verify-k-1e9", "verify-rank-n",
+        "becks-rank-n"])
+def test_direction_scan_refusals(capsys, tmp_path, argv, message):
+    # one flat of rank n = 2 fits budget 3, its 4 basis entries do not
+    path = tmp_path / "s.pts"
+    path.write_text("2 1 2\n0 | 0\n1 | 1\n")
+    code, out, err = run(capsys, argv + ["--points", str(path)])
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_search_charges_its_scan_before_the_bound_table(capsys):
+    code, out, err = run(capsys, ["search", "--p", "2", "--n", "4", "--k",
+                                  "1", "--m", "2", "--budget", "5"])
+    assert code == 2 and out == ""
+    assert err == "error: 120 flats exceed budget 5\n"
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, ["selftest"])
     assert code == 0

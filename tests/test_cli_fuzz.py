@@ -1,6 +1,7 @@
 """Malformed files and flags never make the CLI exit 1 ("internal error"),
-valid point sets verify as a per-point reference says, and the incidence
-reports of valid sets and flat families match a brute-force recount.
+valid point sets verify as a per-point reference says, and the incidence,
+polycert --poly and entropy reports of valid input match a brute-force
+recount.
 
 Every input is small (q <= 5, n <= 2, multiplicities and degrees below 8),
 so no case starts a large enumeration; the files mix random tokens with
@@ -23,11 +24,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from conftest import pointwise_histogram
 from flab import formats
 from flab.cli import main
+from flab.entropy import RationalDistribution
 from flab.geometry import (Flat, PointSet, all_points, enumerate_flats,
                            enumerate_subspaces, flat_points)
 from flab.gf import field_build
 from flab.incidence import FlatFamily
-from reference import incidence_report
+from flab.polymethod import Polynomial, poly_mul
+from reference import entropy_report, incidence_report, polycert_report
 
 HEADERS = ["2 1 2", "3 1 1", "5 1 2", "2 2 2\n1 1 1", "3 1 2", "2 1 1",
            "", "x 1 2", "2 1", "2 1 2 7", "4 1 2", "2 2 2", "2 2 2\n1 0 1",
@@ -182,9 +185,8 @@ def test_verify_report_matches_pointwise_reference(case):
     assert json.loads(out.getvalue()) == reference_verify(S, k, m)
 
 
-# (lowest, highest) flat rank, --l or --k of each check in F_q^n; haemers
-# refuses a family of n-flats
-RANKS = {"count": lambda n: (0, n), "haemers": lambda n: (0, n - 1),
+# (lowest, highest) flat rank, --l or --k of each check in F_q^n
+RANKS = {"count": lambda n: (0, n), "haemers": lambda n: (0, n),
          "poor": lambda n: (1, n - 1), "becks": lambda n: (1, n)}
 
 
@@ -258,3 +260,75 @@ def test_incidence_report_matches_brute_force_reference(case):
     assert json.loads(out.getvalue()) == {
         key: f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction)
         else v for key, v in want.items()}
+
+
+def _report(argv, name, text) -> dict:
+    """The JSON report of the CLI run argv + [path], path a file of text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv + [path, "--format", "json"])
+    assert code == 0
+    return json.loads(out.getvalue())
+
+
+@st.composite
+def audit_cases(draw):
+    """A nonzero polynomial of degree <= 4 over F_2, F_3, F_4 or F_5 in at
+    most 3 variables: a power of a polynomial of degree <= 1 times a
+    cofactor, so some points have multiplicity past 1."""
+    F = field_build(*draw(st.sampled_from(VALID_FIELDS[:4])))
+    n = draw(st.integers(1, 3))
+
+    def drawn(deg):
+        expo = st.tuples(*[st.integers(0, deg)] * n).filter(
+            lambda e: sum(e) <= deg)
+        return Polynomial.make(F, n, draw(st.dictionaries(
+            expo, st.integers(1, F.q - 1), min_size=1, max_size=4)))
+
+    power = draw(st.integers(0, 4))
+    base, P = drawn(1), drawn(4 - power)
+    for _ in range(power):
+        P = poly_mul(P, base)
+    return P
+
+
+@given(audit_cases())
+@settings(max_examples=150, deadline=None)
+def test_polycert_audit_report_matches_hasse_reference(P):
+    F = P.field
+    argv = ["polycert", "--p", str(F.p), "--e", str(F.e), "--n", str(P.n),
+            "--poly"]
+    got = _report(argv, "p.poly", formats.serialize_polynomial(P))
+    assert got == polycert_report(P)
+
+
+@st.composite
+def entropy_cases(draw):
+    """(distribution over F_2, F_3, F_4 or F_5 in dimension 2 or 3 with
+    small weights, so kernels tie, check, k with 1 <= k < n)."""
+    F = field_build(*draw(st.sampled_from(VALID_FIELDS[:4])))
+    n = draw(st.integers(2, 3))
+    space = all_points(F, n)
+    rnd = draw(st.randoms(use_true_random=False))
+    support = rnd.sample(space, draw(st.integers(1, min(len(space), 12))))
+    weights = {x: draw(st.integers(1, 3)) for x in support}
+    return (RationalDistribution.of(F, n, weights),
+            draw(st.sampled_from(["bound", "recursion"])),
+            draw(st.integers(1, n - 1)))
+
+
+# the chain's first kernel ties with later ones, and the first in walk
+# order leads to a composed max weight of 4, the last to 5
+@given(entropy_cases())
+@example((RationalDistribution.of(field_build(2, 1), 3, {
+    (0, 0, 0): 3, (0, 1, 0): 1, (0, 1, 1): 3, (1, 0, 1): 1}), "recursion", 2))
+@settings(max_examples=150, deadline=None)
+def test_entropy_report_matches_pointwise_reference(case):
+    dist, check, k = case
+    argv = ["entropy", "--check", check, "--k", str(k), "--dist"]
+    got = _report(argv, "d.dist", formats.serialize_distribution(dist))
+    assert got == entropy_report(dist, check, k)
