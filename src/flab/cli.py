@@ -188,8 +188,8 @@ def _cmd_entropy(args) -> dict:
 
 
 def _cmd_polycert(args) -> dict:
-    from .polymethod import (find_vanishing_poly, multiplicity,
-                             NoSolutionCertificate, sz_mult_audit)
+    from .polymethod import (find_vanishing_poly, NoSolutionCertificate,
+                             sz_mult_audit, vanishes_to)
     F = field_build(args.p, args.e)
     if args.poly:
         _mode(args, "polycert --poly", reads=["budget"])
@@ -208,8 +208,8 @@ def _cmd_polycert(args) -> dict:
     if isinstance(result, NoSolutionCertificate):
         return {"found": False, "equations": result.equations,
                 "unknowns": result.unknowns, "rank": result.rank}
-    verified = all(multiplicity(result, x) >= N for x, N in targets.items())
-    return {"found": True, "degree": result.degree, "verified": verified,
+    return {"found": True, "degree": result.degree,
+            "verified": vanishes_to(result, targets),
             "polynomial": formats.serialize_polynomial(result).rstrip("\n")}
 
 

@@ -2,8 +2,8 @@
 
 Supports multiplicity queries, the Schwartz-Zippel multiplicity audit, and
 interpolation of polynomials that vanish with prescribed multiplicities.
-All three read the Hasse values D^i(x^a) at a point x off a _HasseTable of
-per-coordinate rows.
+All three read D^i(x^a) = binom(a, i) x^(a-i) off one column kernel
+(_Block), each value a column over a block of at most BLOCK points.
 """
 
 from __future__ import annotations
@@ -11,12 +11,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Mapping, NamedTuple, Sequence
+import operator
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import FlabError
 from .geometry import DEFAULT_BUDGET, charge, rref
 
 Expo = tuple[int, ...]
+BLOCK = 512   # points per kernel block, so U^n is never held at once
 
 
 class Polynomial(NamedTuple):
@@ -34,9 +36,7 @@ class Polynomial(NamedTuple):
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms), default=-1)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -58,70 +58,83 @@ def poly_mul(P: Polynomial, Q: Polynomial) -> Polynomial:
     out: dict[Expo, int] = {}
     for e1, c1 in P.terms.items():
         for e2, c2 in Q.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = F.add(out.get(e, 0), F.mul(c1, c2))
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return Polynomial(F, P.n, out)
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = F.add(out.get(e, 0), F.mul(c1, c2))
+    return Polynomial.make(F, P.n, out)
 
 
-class _HasseTable:
-    """D^i(x^a) at one point x for every monomial a of a fixed list, read
-    off per-coordinate rows.
+class _Block:
+    """Columns over at most BLOCK points.  x_j^k is built through F.mul from
+    x_j^(k-1), or x_j^(k/2) if that is missing; x^b is b's column with its
+    last b_j zeroed times x_j^(b_j), cached by b.  Over F_p the monomials and
+    sums are plain ints through operator, reduced once per column."""
 
-    Per coordinate j it keeps the powers of x_j up to the largest exponent
-    that coordinate uses, and for each order i_j asked for a row, built on
-    first use: each exponent a_j used at j maps to binom(a_j, i_j) x_j^(a_j
-    - i_j), and to 0 when a_j < i_j.  D^i(x^a) = prod_j row_j[i_j][a_j] is
-    formed one coordinate at a time over the whole list.  An order with some
-    i_j above every exponent used at j is all zero and never built; a row
-    whose every entry is 1 is skipped in the product.
-    """
+    def __init__(self, F, points: Sequence[Expo]):
+        self.F, self.mul = F, F.mul if F.e > 1 else operator.mul
+        self.ones = [1] * len(points)
+        self.powers = [{0: self.ones, 1: list(col)} for col in zip(*points)]
+        self.monos = {(0,) * len(self.powers): self.ones}
 
-    __slots__ = ("F", "monos", "used", "tops", "powers", "rows")
+    def power(self, j: int, k: int) -> list[int]:
+        pw = self.powers[j]
+        if k not in pw:
+            h = k // 2 if k % 2 == 0 and k - 1 not in pw else k - 1
+            pw[k] = list(map(self.F.mul, self.power(j, h),
+                             self.power(j, k - h)))
+        return pw[k]
 
-    def __init__(self, F, x: Sequence[int], monos: Sequence[Expo]):
-        self.F = F
-        self.monos = monos
-        # used[j]: the exponents that coordinate j takes in the monomials
-        self.used = ([set(col) for col in zip(*monos)] if monos
-                     else [set() for _ in x])
-        self.tops = [max(u, default=-1) for u in self.used]
-        self.powers = []
-        for xj, top in zip(x, self.tops):
-            pw = [1]
-            for _ in range(top):
-                pw.append(F.mul(pw[-1], xj))
-            self.powers.append(pw)
-        self.rows: list[dict[int, dict[int, int] | None]] = [{} for _ in x]
+    def monomial(self, b: Expo) -> list[int]:
+        col = self.monos.get(b)
+        if col is None:
+            j = max(itertools.compress(range(len(b)), b))
+            head = self.monomial(b[:j] + (0,) + b[j + 1:])
+            col = self.power(j, b[j])
+            if head is not self.ones:
+                col = list(map(self.mul, head, col))
+            self.monos[b] = col
+        return col
 
-    def _row(self, j: int, i: int) -> dict[int, int] | None:
-        """Row i of coordinate j; None when every entry is 1, as for order
-        0 at a coordinate that no monomial uses or at x_j = 1."""
-        if i not in self.rows[j]:
-            F, pw = self.F, self.powers[j]
-            row = {}
-            for a in self.used[j]:
-                c = math.comb(a, i) % F.p
-                row[a] = F.mul(F.from_int(c), pw[a - i]) if c else 0
-            self.rows[j][i] = (None if all(v == 1 for v in row.values())
-                               else row)
-        return self.rows[j][i]
+    def column(self, terms: Mapping[Expo, int], i: Expo) -> list[int]:
+        """D^i of sum_a terms[a] x^a at each point x: terms[a] binom(a, i)
+        x^(a-i) for each a with binom(a, i) nonzero mod p (so a >= i)."""
+        F, D = self.F, {}
+        for a, c in terms.items():
+            if b := math.prod(map(math.comb, a, i)) % F.p:
+                D[tuple(map(operator.sub, a, i))] = (
+                    c * b if F.e == 1 else F.mul(c, F.from_int(b)))
+        if not D:
+            return [0] * len(self.ones)
+        cols, coeffs = [self.monomial(b) for b in D], list(D.values())
+        if F.e > 1:
+            return [functools.reduce(F.add, map(F.mul, coeffs, v))
+                    for v in zip(*cols)]
+        if len(cols) == 1:
+            return [coeffs[0] * v % F.p for v in cols[0]]
+        return [sum(map(operator.mul, coeffs, v)) % F.p for v in zip(*cols)]
 
-    def values(self, i: Expo) -> list[int] | None:
-        """D^i(x^a) for every monomial a of the list, or None when every
-        one is 0 because some i_j exceeds each exponent used at j."""
-        if any(ij > top for ij, top in zip(i, self.tops)):
-            return None
-        out = None
-        for j, ij in enumerate(i):
-            row = self._row(j, ij)
-            if row is not None:
-                col = [row[a[j]] for a in self.monos]
-                out = col if out is None else list(map(self.F.mul, out, col))
-        return [1] * len(self.monos) if out is None else out
+
+def _blocks(items: Iterable) -> Iterator[list]:
+    """Successive lists of at most BLOCK items."""
+    it = iter(items)
+    while block := list(itertools.islice(it, BLOCK)):
+        yield block
+
+
+def _multiplicities(P: Polynomial, points: Sequence[Expo],
+                    caps: Sequence[int]) -> list[int]:
+    """min(multiplicity of P at x, cap) per point x of a block: x leaves at
+    its cap or at its first nonzero D^i P, by deg P when P is nonzero."""
+    out, live = list(caps), None
+    for w in itertools.count():
+        kept = [k for k, m in enumerate(out) if m > w]
+        if not kept:
+            return out
+        if kept != live:    # the kernel over the points still in the block
+            live, block = kept, _Block(P.field, [points[k] for k in kept])
+        for i in exponents_of_weight(P.n, w):
+            for k, v in zip(live, block.column(P.terms, i)):
+                if v:
+                    out[k] = w
 
 
 @functools.cache
@@ -142,21 +155,14 @@ def multiplicity(P: Polynomial, a: Sequence[int]) -> int:
     """
     if P.is_zero():
         raise FlabError("the zero polynomial has no finite multiplicity")
-    F = P.field
-    coeffs = P.terms.values()
-    table = _HasseTable(F, a, list(P.terms))
-    for w in range(P.degree + 1):
-        for i in exponents_of_weight(P.n, w):
-            values = table.values(i)
-            if values is None:
-                continue
-            acc = 0
-            for c, v in zip(coeffs, values):
-                if v:
-                    acc = F.add(acc, F.mul(c, v))
-            if acc != 0:
-                return w
-    raise AssertionError("nonzero polynomial with multiplicity beyond degree")
+    return _multiplicities(P, [tuple(a)], [P.degree + 1])[0]
+
+
+def vanishes_to(P: Polynomial, targets: Mapping[Sequence[int], int]) -> bool:
+    """Whether P has multiplicity >= N_x at each target x: only the Hasse
+    derivatives of weight below N_x are formed at x."""
+    return all(m >= N for block in _blocks(targets.items())
+               for m, (_, N) in zip(_multiplicities(P, *zip(*block)), block))
 
 
 class SzAudit(NamedTuple):
@@ -175,7 +181,8 @@ def sz_mult_audit(P: Polynomial, U: Sequence[int],
         raise FlabError("audit requires a nonzero polynomial")
     charge(len(U) ** P.n * _monomial_count(P.n, P.degree), "audit pairs",
            budget)
-    total = sum(multiplicity(P, a) for a in itertools.product(U, repeat=P.n))
+    total = sum(sum(_multiplicities(P, block, [P.degree + 1] * len(block)))
+                for block in _blocks(itertools.product(U, repeat=P.n)))
     bound = P.degree * len(U) ** (P.n - 1)
     return SzAudit(sum=total, bound=bound, ok=total <= bound)
 
@@ -187,10 +194,7 @@ def _monomial_count(n: int, d: int) -> int:
 
 def monomials_upto(n: int, d: int) -> list[Expo]:
     """Exponent tuples of weight <= d in graded lexicographic order."""
-    out: list[Expo] = []
-    for w in range(d + 1):
-        out.extend(exponents_of_weight(n, w))
-    return out
+    return [a for w in range(d + 1) for a in exponents_of_weight(n, w)]
 
 
 def vanishing_hypothesis_holds(targets: Mapping[Expo, int], n: int,
@@ -219,8 +223,8 @@ def find_vanishing_poly(F, n: int, targets: Mapping[Sequence[int], int],
     C(d+n, n) unknowns times the larger of the sum_x C(N_x+n-1, n)
     equations and n, each C(a+b, b) at least 2^min(a, b).  A multiplicity
     N_x = 0 is a vacuous condition; a negative one, or a negative d, raises
-    FlabError, before the charge.  The rows of each point x are read off one
-    _HasseTable.
+    FlabError, before the charge.  The rows (by sorted x, weight w < N_x,
+    order; zero rows dropped) are read off the kernel, a block per weight.
     """
     if d < 0:
         raise FlabError(f"degree {d} < 0")
@@ -233,24 +237,25 @@ def find_vanishing_poly(F, n: int, targets: Mapping[Sequence[int], int],
                                   for N in targets.values()), n)
             * _monomial_count(n, d)), "interpolation entries", budget)
     monos = monomials_upto(n, d)
-    rows: list[list[int]] = []
-    for x in sorted(tuple(pt) for pt in targets):
-        table = _HasseTable(F, x, monos)
-        for w in range(targets[x]):
+    rows: list[tuple[int, ...]] = []
+    for block in _blocks(sorted((tuple(x), N) for x, N in targets.items())):
+        found: dict[Expo, list] = {x: [] for x, _ in block}
+        live = None
+        for w in range(max(N for _, N in block)):
+            if (kept := [x for x, N in block if N > w]) != live:
+                live, kernel = kept, _Block(F, kept)
             for i in exponents_of_weight(n, w):
-                row = table.values(i)
-                if row is not None and any(row):
-                    rows.append(row)
+                cols = [kernel.column({a: 1}, i) for a in monos]
+                for x, row in zip(live, zip(*cols)):
+                    if any(row):
+                        found[x].append(row)
+        rows.extend(itertools.chain.from_iterable(found.values()))
     reduced, rank = rref(F, rows)
     pivots = [next(j for j, v in enumerate(r) if v != 0) for r in reduced]
     free = [j for j in range(len(monos)) if j not in pivots]
     if not free:
         return NoSolutionCertificate(n=n, degree=d, equations=len(rows),
                                      unknowns=len(monos), rank=rank)
-    j0 = free[0]
-    coeffs = [0] * len(monos)
-    coeffs[j0] = 1
-    for r, pc in zip(reduced, pivots):
-        coeffs[pc] = F.neg(r[j0])
-    return Polynomial(F, n, {monos[j]: c
-                             for j, c in enumerate(coeffs) if c != 0})
+    coeffs = {pc: F.neg(r[free[0]]) for r, pc in zip(reduced, pivots)}
+    coeffs[free[0]] = 1
+    return Polynomial.make(F, n, {monos[j]: coeffs[j] for j in sorted(coeffs)})

@@ -1,8 +1,8 @@
 """Condensed invariant battery behind the `flab selftest` command.
 
-A quick cross-section of the full pytest suite: field axioms on small
-fields, q-binomial identities, enumeration counts, tiny extremal values,
-entropic and incidence checks.  Prints one line per group.
+A quick cross-section of the full pytest suite: field axioms, q-binomial
+identities, enumeration counts, tiny extremal values, entropic, incidence
+and polynomial-method checks.  Prints one line per group.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from .geometry import (PointSet, all_points, enumerate_flats,
                        enumerate_subspaces, q_flat_count, qbinomial)
 from .gf import field_build
 from .incidence import FlatFamily, haemers_check
+from .polymethod import (Polynomial, find_vanishing_poly, poly_mul,
+                         sz_mult_audit, vanishes_to)
 
 
 def _field_axioms(F) -> bool:
@@ -77,6 +79,14 @@ def run_selftest(out) -> bool:
     lines = FlatFamily.of(F2, 2, list(enumerate_flats(F2, 2, 1)))
     full = PointSet.of(F2, 2, all_points(F2, 2))
     report("Haemers bound on (F_2^2, all lines)", haemers_check(full, lines).ok)
+
+    cube = Polynomial.make(field_build(3, 1), 2, {(3, 0): 1, (1, 0): 2})
+    targets = {(0, 0): 2, (1, 2): 2, (3, 1): 2, (4, 4): 2}
+    P = find_vanishing_poly(field_build(5, 1), 2, targets, 4)
+    report("polymethod: (x_1^3 - x_1)^2 audits to 18 on F_3^2; a "
+           "multiplicity-2 interpolant at 4 points of F_5^2 verifies",
+           sz_mult_audit(poly_mul(cube, cube), range(3)).sum == 18
+           and isinstance(P, Polynomial) and vanishes_to(P, targets))
 
     out.write("selftest: " + ("all groups passed\n" if ok_all
                               else "FAILURES present\n"))

@@ -6,12 +6,17 @@ compare the two without sharing code.
   against the column kernel (geometry._column_histogram), the one coset
   reduction of the program.
 - Polynomial evaluation and Hasse derivatives, term by term, against the
-  per-coordinate rows of polymethod._HasseTable.
+  Hasse columns of polymethod's kernel (polymethod._Block).
+- Textbook Gauss-Jordan elimination, one field call per entry, against
+  geometry.rref.
 - The incidence reports, from flat_points, enumerate_flats and set
-  membership only.
+  membership only; for subflats, the K factor from its closed form.
 - The polycert --poly audit report, from Hasse derivatives taken term by
   term and evaluated at every point, the orders of each weight listed by
   filtering all exponent tuples.
+- The polycert --targets report, its rows built entry by entry from
+  hasse_coefficient and each point's powers, solved by Gauss-Jordan and
+  verified through hasse_derivative and evaluate.
 - The entropy --check bound and recursion reports, each kernel's heaviest
   coset found by reducing every point of the support.
 
@@ -89,6 +94,40 @@ def hasse_derivative(P: Polynomial, i) -> Polynomial:
     return Polynomial.make(F, P.n, out)
 
 
+def gauss_jordan(F, rows):
+    """Textbook Gauss-Jordan over all columns of every row, one field call
+    per entry: the elimination rref used before its row kernel."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return (), 0
+    ncols = len(mat[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = F.inv(mat[rank][col])
+        if inv != 1:
+            mat[rank] = [F.mul(inv, x) for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                c = mat[r][col]
+                mat[r] = [F.sub(x, F.mul(c, y))
+                          for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return tuple(tuple(r) for r in mat[:rank]), rank
+
+
+def _orders(n: int, w: int) -> list:
+    """The exponent tuples of weight w, lexicographic, by filtering all
+    tuples with entries up to w."""
+    return [i for i in itertools.product(range(w + 1), repeat=n)
+            if sum(i) == w]
+
+
 def incidence_report(S, check: str, flats, r: int, delta: Fraction) -> dict:
     """The report of incidence --check count or haemers (of the distinct
     flats), poor (--l r) or becks (--k r), from each flat's points."""
@@ -127,14 +166,31 @@ def incidence_report(S, check: str, flats, r: int, delta: Fraction) -> dict:
             / (1 - delta) ** 2}
 
 
+def subflats_report(F, n: int, flats, l: int) -> dict:
+    """The report of incidence --check subflats --l l for one (l+1)-flat per
+    rank-(l+1) direction of F_q^(l+2): the l-flats whose points all lie
+    among one family flat's points, against K(q, 2, 1, q) binom(n, l)_q,
+    K(q, 2, 1, q) the planar Kakeya minimum (Blokhuis and Mazzocca, 2008),
+    which the exact search reaches for q^2 within its limit."""
+    q = F.q
+    if flats[0].direction.k != l + 1 or n != l + 2:
+        raise ValueError(f"no closed-form K factor for n={n}, l={l}")
+    members = [set(flat_points(F, f)) for f in flats]
+    contained = sum(any(set(flat_points(F, g)) <= s for s in members)
+                    for g in enumerate_flats(F, n, l))
+    k_factor = q * (q + 1) // 2 + (q % 2) * (q - 1) // 2
+    bound = Fraction(k_factor * qbinomial(n, l, q))
+    return {"contained": contained, "bound": bound, "ok": contained >= bound,
+            "k_factor": k_factor}
+
+
 def polycert_report(P: Polynomial) -> dict:
     """The report of polycert --poly: the multiplicity at a of nonzero P is
     the least weight w with some D^i P, i of weight w, nonzero at a, summed
     over all of F_q^n, against the bound deg(P) q^(n-1)."""
     F, n = P.field, P.n
     d = max(sum(e) for e in P.terms)
-    orders = [[i for i in itertools.product(range(w + 1), repeat=n)
-               if sum(i) == w] for w in range(d + 1)]
+    orders = [_orders(n, w) for w in range(d + 1)]
     derivatives = {i: hasse_derivative(P, i) for by_w in orders for i in by_w}
 
     def mult(a):
@@ -145,6 +201,44 @@ def polycert_report(P: Polynomial) -> dict:
     bound = d * F.q ** (n - 1)
     return {"degree": d, "terms": len(P.terms), "mult_sum": total,
             "bound": bound, "ok": total <= bound}
+
+
+def interpolation_report(F, n: int, targets: dict, d: int) -> dict:
+    """The report of polycert --targets --degree d, with the polynomial
+    itself in place of its serialization.  One row per target x in sorted
+    order, weight w < N_x and order i of weight w, over the monomials a of
+    degree <= d in graded lex order: binom(a, i) mod p times x^(a-i), from
+    x's powers; zero rows dropped.  The interpolant is the kernel vector
+    with its first free coefficient 1 and each pivot coefficient minus that
+    column's entry in the pivot's row; it verifies when every D^i P of
+    weight below N_x evaluates to 0 at x."""
+    monos = [a for w in range(d + 1) for a in _orders(n, w)]
+    rows = []
+    for x in sorted(targets):
+        powers = [[F.pow(xj, k) for k in range(d + 1)] for xj in x]
+        for w in range(targets[x]):
+            for i in _orders(n, w):
+                row = []
+                for a in monos:
+                    v = F.from_int(hasse_coefficient(a, i, F.p))
+                    for pw, aj, ij in zip(powers, a, i):
+                        v = F.mul(v, pw[aj - ij]) if v else 0
+                    row.append(v)
+                if any(row):
+                    rows.append(row)
+    reduced, rank = gauss_jordan(F, rows)
+    pivots = [next(j for j, v in enumerate(r) if v) for r in reduced]
+    free = [j for j in range(len(monos)) if j not in pivots]
+    if not free:
+        return {"found": False, "equations": len(rows),
+                "unknowns": len(monos), "rank": rank}
+    terms = {monos[j]: F.neg(r[free[0]]) for r, j in zip(reduced, pivots)}
+    P = Polynomial.make(F, n, {**terms, monos[free[0]]: 1})
+    verified = all(evaluate(hasse_derivative(P, i), x) == 0
+                   for x, N in targets.items()
+                   for w in range(N) for i in _orders(n, w))
+    return {"found": True, "degree": P.degree, "verified": verified,
+            "polynomial": P}
 
 
 def _cosets(F, weights: dict, kernel: Subspace) -> dict:

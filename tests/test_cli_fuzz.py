@@ -1,7 +1,7 @@
 """Malformed files and flags never make the CLI exit 1 ("internal error"),
-valid point sets verify as a per-point reference says, and the incidence,
-polycert --poly and entropy reports of valid input match a brute-force
-recount.
+valid point sets verify as a per-point reference says, and the incidence
+(subflats too), polycert --poly, polycert --targets and entropy reports of
+valid input match a brute-force recount.
 
 Every input is small (q <= 5, n <= 2, multiplicities and degrees below 8),
 so no case starts a large enumeration; the files mix random tokens with
@@ -29,8 +29,9 @@ from flab.geometry import (Flat, PointSet, all_points, enumerate_flats,
                            enumerate_subspaces, flat_points)
 from flab.gf import field_build
 from flab.incidence import FlatFamily
-from flab.polymethod import Polynomial, poly_mul
-from reference import entropy_report, incidence_report, polycert_report
+from flab.polymethod import Polynomial, poly_mul, vanishing_hypothesis_holds
+from reference import (entropy_report, incidence_report, interpolation_report,
+                       polycert_report, subflats_report)
 
 HEADERS = ["2 1 2", "3 1 1", "5 1 2", "2 2 2\n1 1 1", "3 1 2", "2 1 1",
            "", "x 1 2", "2 1", "2 1 2 7", "4 1 2", "2 2 2", "2 2 2\n1 0 1",
@@ -262,6 +263,48 @@ def test_incidence_report_matches_brute_force_reference(case):
         else v for key, v in want.items()}
 
 
+@st.composite
+def subflats_cases(draw):
+    """(F_2, F_3 or F_4, n, one k-flat per rank-k direction, l, a Random)
+    with k = n - 1 and l = n - 2: lines in planes of F_q^3, or planes in
+    hyperplanes of F_2^4, so the K factor is a planar Kakeya minimum that
+    the exact search reaches."""
+    F = field_build(*draw(st.sampled_from(VALID_FIELDS[:3])))
+    n = draw(st.integers(3, 4 if F.q == 2 else 3))
+    k, l = n - 1, n - 2
+    rnd = draw(st.randoms(use_true_random=False))
+    by_direction: dict = {}
+    for f in enumerate_flats(F, n, k):
+        by_direction.setdefault(f.direction, []).append(f)
+    flats = [rnd.choice(fs) for fs in by_direction.values()]
+    return F, n, flats, l, rnd
+
+
+@given(subflats_cases())
+@settings(max_examples=60, deadline=None)
+def test_subflats_report_matches_brute_force_reference(case):
+    F, n, flats, l, rnd = case
+    lines = [_respelled(F, f, rnd) for f in flats]
+    argv = ["incidence", "--check", "subflats", "--l", str(l), "--format",
+            "json"]
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"--points": formats.serialize_pointset(PointSet.of(F, n, [])),
+                 "--flats": formats.serialize_flat_family(
+                     FlatFamily(F, n, flats[0].direction.k, tuple(lines)))}
+        for flag, body in files.items():
+            path = os.path.join(tmp, flag[2:])
+            with open(path, "w") as fh:
+                fh.write(body)
+            argv += [flag, path]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code == 0
+    want = subflats_report(F, n, flats, l)
+    want["bound"] = f"{want['bound'].numerator}/{want['bound'].denominator}"
+    assert json.loads(out.getvalue()) == want
+
+
 def _report(argv, name, text) -> dict:
     """The JSON report of the CLI run argv + [path], path a file of text."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -304,6 +347,37 @@ def test_polycert_audit_report_matches_hasse_reference(P):
             "--poly"]
     got = _report(argv, "p.poly", formats.serialize_polynomial(P))
     assert got == polycert_report(P)
+
+
+@st.composite
+def interpolation_cases(draw):
+    """(field F_2, F_3, F_4, F_5 or F_9, n <= 3, 1 to 4 targets with N_x
+    in 0..3, a degree from 2 below to 1 above the least one meeting the
+    dimension-count hypothesis, so both found and full-rank reports
+    occur)."""
+    F = field_build(*draw(st.sampled_from(VALID_FIELDS)))
+    n = draw(st.integers(1, 3))
+    space = all_points(F, n)
+    rnd = draw(st.randoms(use_true_random=False))
+    points = rnd.sample(space, draw(st.integers(1, min(len(space), 4))))
+    targets = {x: draw(st.integers(0, 3)) for x in points}
+    least = next(d for d in range(20)
+                 if vanishing_hypothesis_holds(targets, n, d))
+    return F, n, targets, draw(st.integers(max(least - 2, 0), least + 1))
+
+
+@given(interpolation_cases())
+@settings(max_examples=150, deadline=None)
+def test_polycert_targets_report_matches_entrywise_reference(case):
+    F, n, targets, d = case
+    argv = ["polycert", "--p", str(F.p), "--e", str(F.e), "--n", str(n),
+            "--degree", str(d), "--targets"]
+    got = _report(argv, "t.targets", formats.serialize_targets(F, n, targets))
+    want = interpolation_report(F, n, targets, d)
+    if want["found"]:
+        want["polynomial"] = formats.serialize_polynomial(
+            want["polynomial"]).rstrip("\n")
+    assert got == want
 
 
 @st.composite

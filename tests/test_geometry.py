@@ -14,8 +14,8 @@ from flab.geometry import (Flat, PointSet, all_points, charge,
 from flab.gf import PrimeField, field_build
 from flab.incidence import FlatFamily, haemers_check
 from flab.polymethod import Polynomial, monomials_upto
-from reference import (evaluate, hasse_derivative, reduce_mod_subspace, span,
-                       subspace_contains)
+from reference import (evaluate, gauss_jordan, hasse_derivative,
+                       reduce_mod_subspace, span, subspace_contains)
 
 
 def test_rref_identity(F2):
@@ -274,33 +274,6 @@ def test_scan_directions_matches_pointwise_reduction(p, e, n, k):
                 pointwise_histogram(F, items, d).items())
 
 
-def _reference_rref(F, rows):
-    """Textbook Gauss-Jordan over all columns of every row, one field call
-    per entry: the elimination rref used before its row kernel."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return (), 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = F.inv(mat[rank][col])
-        if inv != 1:
-            mat[rank] = [F.mul(inv, x) for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                c = mat[r][col]
-                mat[r] = [F.sub(x, F.mul(c, y))
-                          for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return tuple(tuple(r) for r in mat[:rank]), rank
-
-
 # the prime fields draw every slot width of the packed path, which grows
 # with min(rows, cols): F_2 8 bits; F_251 16 bits at 1 and 32 from 2;
 # F_65521 32 bits at 1 and 64 from 2
@@ -342,7 +315,7 @@ def rref_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_rref_matches_reference_gauss_jordan(case):
     F, rows = case
-    assert rref(F, rows) == _reference_rref(F, rows)
+    assert rref(F, rows) == gauss_jordan(F, rows)
 
 
 def test_rref_interpolation_system_matches_reference():
@@ -359,7 +332,7 @@ def test_rref_interpolation_system_matches_reference():
     rows = [[evaluate(D, x) for D in ds] for x in points
             for ds in derivs.values()]
     reduced, rank = rref(F, rows)
-    assert (reduced, rank) == _reference_rref(F, rows)
+    assert (reduced, rank) == gauss_jordan(F, rows)
     assert rank == len(rows)
 
 
@@ -379,7 +352,7 @@ def test_rref_falls_back_when_no_slot_fits():
     rng = random.Random(61)
     rows = [[rng.randrange(F.p) for _ in range(6)] for _ in range(5)]
     rows.append([F.add(x, y) for x, y in zip(rows[0], rows[1])])
-    assert rref(F, rows) == _reference_rref(F, rows)
+    assert rref(F, rows) == gauss_jordan(F, rows)
     assert rref(F, rows)[1] == 5
 
 

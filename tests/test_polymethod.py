@@ -5,13 +5,16 @@ import random
 import pytest
 
 from conftest import mult_oracle, random_poly
+from flab import polymethod
 from flab.errors import BudgetExceeded, FlabError
 from flab.geometry import all_points
 from flab.gf import field_build
-from flab.polymethod import (NoSolutionCertificate, Polynomial, _HasseTable,
+from flab.polymethod import (BLOCK, NoSolutionCertificate, Polynomial, _Block,
+                             _blocks, _multiplicities,
                              exponents_of_weight, find_vanishing_poly,
                              monomials_upto, multiplicity, poly_mul,
-                             sz_mult_audit, vanishing_hypothesis_holds)
+                             sz_mult_audit, vanishes_to,
+                             vanishing_hypothesis_holds)
 from reference import evaluate, hasse_coefficient, hasse_derivative
 
 
@@ -32,8 +35,8 @@ def _power_table(F, x, d):
 
 
 def _hasse_values(F, monos, i, powers):
-    """Reference for _HasseTable.values, entry by entry: D^i(x^a) at the
-    point of the power table is binom(a, i) mod p times x^(a-i)."""
+    """Reference for the kernel's Hasse columns, entry by entry: D^i(x^a)
+    at the point of the power table is binom(a, i) mod p times x^(a-i)."""
     out = []
     for a in monos:
         v = hasse_coefficient(a, i, F.p)
@@ -57,35 +60,95 @@ def _field_power_poly(F, n, j, power=4):
     return Q
 
 
+def _kernel_rows(F, points, monos, orders):
+    """{i: [[D^i(x^a) for a in monos] for x in points]}, read off one kernel
+    per block of points, each block checked to fit BLOCK."""
+    rows = {i: [] for i in orders}
+    for block in _blocks(points):
+        assert 0 < len(block) <= BLOCK
+        kernel = _Block(F, block)
+        for i in orders:
+            cols = [kernel.column({a: 1}, i) for a in monos]
+            rows[i] += map(list, zip(*cols))
+    return rows
+
+
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (13, 1)]
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_hasse_table_matches_entrywise_reference(p, e):
-    """Every order of weight <= 4 at random points, on dense monomial lists
-    of low degree and on the sparse terms of (x_j^q - x_j)^4, so that some
-    orders exceed every exponent used at a coordinate: the table's values
-    equal the entry-by-entry reference, and it skips exactly the orders
-    whose reference row is zero for that reason."""
+    """Every order of weight <= 4, on dense monomial lists of low degree and
+    on the sparse terms of (x_j^q - x_j)^4, so that some orders exceed every
+    exponent used at a coordinate, over one point and over a list with
+    repeated points; and the orders of weight <= 2 of the degree-2
+    monomials over more points than one block: the kernel's columns equal
+    the entry-by-entry reference at every point."""
     F = field_build(p, e)
     rng = random.Random(F.q)
+
+    def check(n, monos, points, top_weight):
+        orders = [i for w in range(top_weight + 1)
+                  for i in exponents_of_weight(n, w)]
+        got = _kernel_rows(F, points, monos, orders)
+        d = max(sum(a) for a in monos)
+        for k, x in enumerate(points):
+            powers = _power_table(F, x, d)
+            for i in orders:
+                assert got[i][k] == _hasse_values(F, monos, i, powers), (
+                    monos, x, i)
+
     for n in (1, 2, 3):
         lists = [monomials_upto(n, d) for d in (0, 2, 3)]
         lists += [list(_field_power_poly(F, n, j).terms) for j in range(n)]
         for monos in lists:
-            tops = [max(a[j] for a in monos) for j in range(n)]
-            for _ in range(3):
-                x = tuple(rng.randrange(F.q) for _ in range(n))
-                table = _HasseTable(F, x, monos)
-                powers = _power_table(F, x, max(sum(a) for a in monos))
-                for w in range(5):
-                    for i in exponents_of_weight(n, w):
-                        ref = _hasse_values(F, monos, i, powers)
-                        got = table.values(i)
-                        if any(ij > t for ij, t in zip(i, tops)):
-                            assert got is None and not any(ref)
-                        else:
-                            assert got == ref, (monos, x, i)
+            x, y = (tuple(rng.randrange(F.q) for _ in range(n))
+                    for _ in range(2))
+            check(n, monos, [x], 4)
+            check(n, monos, [x, y, x, x, y], 4)
+    points = [tuple(rng.randrange(F.q) for _ in range(2))
+              for _ in range(BLOCK + 5)]
+    check(2, monomials_upto(2, 2), points, 2)
+
+
+def _dense_poly(rng, F, n, d):
+    """Every monomial of degree <= d with a random coefficient, one of them
+    nonzero."""
+    monos = monomials_upto(n, d)
+    terms = {a: rng.randrange(F.q) for a in monos}
+    terms[rng.choice(monos)] = rng.randrange(1, F.q)
+    return Polynomial.make(F, n, terms)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 2), (3, 1, 3),
+                                   (2, 2, 2), (5, 1, 2), (2, 3, 2),
+                                   (3, 2, 2), (23, 1, 2)])
+def test_kernel_multiplicities_match_shift_oracle_everywhere(p, e, n):
+    """At every point of F_q^n (529 of them, more than one block, over
+    F_23^2), dense random polynomials and their products with x_1^q - x_1
+    have the oracle's multiplicities; capped at N_x, the kernel reads
+    min(multiplicity, N_x), and vanishes_to holds exactly where every
+    multiplicity reaches its N_x, for N_x in 0..3."""
+    F = field_build(p, e)
+    rng = random.Random(F.q * 10 + n)
+    points = all_points(F, n)
+    frob = _field_power_poly(F, n, 0, power=1)
+    for P in (_dense_poly(rng, F, n, 2), _dense_poly(rng, F, n, 3)):
+        for Q in (P, poly_mul(P, frob)):
+            want = [mult_oracle(F, Q, x) for x in points]
+            got = [m for block in _blocks(points) for m in _multiplicities(
+                Q, block, [Q.degree + 1] * len(block))]
+            assert got == want
+            caps = [rng.randrange(4) for _ in points]
+            got = [m for block in _blocks(zip(points, caps))
+                   for m in _multiplicities(Q, *zip(*block))]
+            assert got == list(map(min, want, caps))
+            met = {x: N for x, N, m in zip(points, caps, want) if m >= N}
+            assert vanishes_to(Q, met)
+            short = next((x for x, m in zip(points, want) if m < 3), None)
+            if short is not None:
+                met[short] = want[points.index(short)] + 1
+                assert not vanishes_to(Q, met)
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
@@ -196,7 +259,7 @@ def test_multiplicity_agrees_with_shift_oracle(q, n):
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
 def test_extension_field_multiplicities_match_shift_oracle(p, e):
-    """F_4, F_8 and F_9: multiplicities read off the per-point Hasse tables
+    """F_4, F_8 and F_9: multiplicities read off the kernel's Hasse columns
     agree with the binomial expansion of P(y + a), for random polynomials
     and for a found interpolant at its targets."""
     F = field_build(p, e)
@@ -244,6 +307,22 @@ def test_sz_audit_charges_points_times_derivatives(F3):
     assert sz_mult_audit(P, [0, 1, 2], budget=54).sum == 6
     with pytest.raises(BudgetExceeded):
         sz_mult_audit(P, [0, 1, 2], budget=53)
+
+
+def test_sz_audit_streams_its_points_in_blocks(monkeypatch):
+    """Over F_23^2 the audit hands the kernel blocks of at most BLOCK
+    points whose sizes sum to q^n: U^n is never held at once."""
+    F = field_build(23, 1)
+    sizes = []
+
+    def recording(P, points, caps):
+        sizes.append(len(points))
+        return _multiplicities(P, points, caps)
+
+    monkeypatch.setattr(polymethod, "_multiplicities", recording)
+    P = _field_power_poly(F, 2, 1, power=2)
+    assert sz_mult_audit(P, list(F.elements())).sum == 2 * 23 ** 2
+    assert sizes and max(sizes) <= BLOCK and sum(sizes) == 23 ** 2
 
 
 def test_sz_audit_rejects_zero(F2):
