@@ -217,11 +217,12 @@ def _cmd_incidence(args) -> dict:
     from .incidence import (contained_subflats, count_incidences,
                             haemers_check, kakeya_becks_census,
                             poor_flat_census)
-    with open(args.points) as fh:
-        S = formats.parse_pointset(fh.read())
+    if args.points is not None:     # subflats reads no points
+        with open(args.points) as fh:
+            S = formats.parse_pointset(fh.read())
     context = f"incidence --check {args.check}"
     if args.check in ("count", "haemers"):
-        _mode(args, context, ["flats"])
+        _mode(args, context, ["points", "flats"])
         with open(args.flats) as fh:
             L = formats.parse_flat_family(fh.read())
         if args.check == "count":
@@ -230,13 +231,13 @@ def _cmd_incidence(args) -> dict:
         return {"incidences": r.incidences, "rhs": r.rhs,
                 "radicand": r.radicand, "ok": r.ok}
     if args.check == "poor":
-        _mode(args, context, ["l"], ["delta", "budget"])
+        _mode(args, context, ["points", "l"], ["delta", "budget"])
         r = poor_flat_census(S, args.l, _fraction(args.delta, "--delta"),
                              budget=args.budget)
         return {"poor_flats": r.incidences, "bound": r.rhs, "ok": r.ok,
                 "threshold": r.extra["threshold"]}
     if args.check == "becks":
-        _mode(args, context, ["k"], ["delta", "budget"])
+        _mode(args, context, ["points", "k"], ["delta", "budget"])
         r = kakeya_becks_census(S, args.k, _fraction(args.delta, "--delta"),
                                 budget=args.budget)
         return {"rich_flats": r.incidences, "bound": r.rhs, "ok": r.ok,
@@ -317,7 +318,7 @@ def _parser(budget: str) -> argparse.ArgumentParser:
 
     p = command("incidence", "incidence counts and censuses", _cmd_incidence,
                 field=False)
-    p.add_argument("--points", required=True)
+    p.add_argument("--points", default=None)
     p.add_argument("--flats", default=None, action=_Given)
     p.add_argument("--check", required=True,
                    choices=["count", "haemers", "poor", "becks", "subflats"])

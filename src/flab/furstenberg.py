@@ -300,8 +300,10 @@ def search_extremal(instance: FurstenbergInstance,
     Each size from the larger of d + 1 and the bound table's lower bound is
     ruled out over the sets that hold those points (d = 0 when m = 1, where
     K = 1).  At the first size left, the plain search from {0} returns the
-    lex-first set that holds the origin as the witness.  The bound table's
-    largest number, q^((k+1)n), is charged in bits before it is built.
+    lex-first set that holds the origin as the witness; its node test
+    packs a byte count per coset of every direction into one int, for
+    q^n < 128.  The bound table's largest number, q^((k+1)n), is charged
+    in bits before it is built.
     """
     F, n, k, m = instance.field, instance.n, instance.k, instance.m
     q = F.q
@@ -348,19 +350,37 @@ def _first_completion(tables, N: int, m: int, budget: int):
     of index at least i and not in mask, that meets m points of some coset
     of every direction, or 0 if there is none.
 
-    A node (mask, i, r) is pruned unless every direction has a coset c with
-    |mask & c| + min(r, |c & {i..N-1}|) >= m; the direction that failed
-    last is checked first.  A node stands for every completion from index
-    i on, so a pruned node ends its later siblings too.  Pruning drops only
-    nodes with no completion, so the sets are met in the order that
-    itertools.combinations gives them.  Nodes are counted over every call,
-    and charged once past the budget.
+    A node (mask, i, r) is pruned unless every direction has a coset c
+    with |open & c| >= m and |mask & c| >= m - r, open = mask | {i..N-1}.
+    A node stands for every completion from index i on, so a pruned node
+    ends its later siblings too.  Pruning drops only nodes with no
+    completion, so the sets are met in the order that
+    itertools.combinations gives them.  Nodes are counted over every
+    call, and charged once past the budget.
+
+    The test takes every direction at once.  vec[i] has a 1 in byte slot
+    t*D + j if coset t of direction j (of D, T cosets each) holds point i;
+    cnt and closed sum vec over mask and over the points below i not in
+    mask.  Cosets have N/T points, so |open & c| >= m is closed <= N/T - m.
+    Each test sets a slot's high bit after one subtraction, exact while
+    N < 128, and an OR-fold of the T blocks reads off each direction.
     """
-    order = list(tables)
-    full = (1 << N) - 1
+    if N >= 128:
+        raise FlabError(f"{N} points overflow the byte slots of the search")
+    D, T, B = len(tables), len(tables[0]), -(-N // 8)   # B bytes per coset
+    wide = int.from_bytes(b"".join(c.to_bytes(B, "little") for row in
+                                   zip(*tables) for c in row), "little")
+    ones = int.from_bytes(b"\1".ljust(B, b"\0") * T * D, "little")
+    vec = [int.from_bytes((wide >> i & ones).to_bytes(T * D * B, "little")
+                          [::B], "little") for i in range(N)]
+    rep = int.from_bytes(b"\1" * T * D, "little")
+    high, guard = rep << 7, int.from_bytes(b"\x80" * D, "little")
+    room = rep * (128 + N // T - m)
+    bar = [high - rep * (m - r) for r in range(m)]
+    folds = [8 * D * -(-T >> s) for s in range(1, (T - 1).bit_length() + 1)]
     nodes = 0
 
-    def first(mask: int, i: int, r: int) -> int:
+    def walk(mask: int, i: int, r: int, cnt: int, closed: int) -> int:
         nonlocal nodes
         while N - i >= r:
             if mask >> i & 1:
@@ -369,24 +389,26 @@ def _first_completion(tables, N: int, m: int, budget: int):
             nodes += 1
             if nodes > budget:
                 charge(nodes, "search nodes", budget)
-            # with open_ = mask | {i..N-1}, the min splits in two tests
-            open_, need = mask | full >> i << i, m - r
-            for j, cosets in enumerate(order):
-                for c in cosets:
-                    if (open_ & c).bit_count() >= m \
-                            and (mask & c).bit_count() >= need:
-                        break
-                else:
-                    if j:
-                        order.insert(0, order.pop(j))
-                    return 0
+            x = (room - closed) & high
+            if r < m:
+                x &= cnt + bar[r]
+            for s in folds:
+                x |= x >> s
+            if x & guard != guard:
+                return 0
             if not r:
                 return mask
-            hit = first(mask | 1 << i, i + 1, r - 1)
+            hit = walk(mask | 1 << i, i + 1, r - 1, cnt + vec[i], closed)
             if hit:
                 return hit
+            closed += vec[i]
             i += 1
         return 0
+
+    def first(mask: int, i: int, r: int) -> int:
+        return walk(mask, i, r,
+                    sum(v for j, v in enumerate(vec) if mask >> j & 1),
+                    sum(v for j, v in enumerate(vec[:i]) if not mask >> j & 1))
 
     return first
 

@@ -114,8 +114,9 @@ def contained_subflats(Ffam: FlatFamily, l: int,
     """Count of l-flats inside a one-per-direction family of k-flats.
 
     Lower bound K(q, n-l, k-l, q^{k-l}) * binom(n,l)_q; the K factor is
-    exact when the reduced instance fits the exhaustive search, otherwise
-    the general m^{n/k}-style lower-bound formula is used.
+    q^(n-l), the whole (n-l)-space, when k = n, exact when the reduced
+    instance fits the exhaustive search, otherwise the general
+    m^{n/k}-style lower-bound formula is used.
     """
     F = Ffam.field
     n, k, q = Ffam.n, Ffam.rank, F.q
@@ -141,9 +142,12 @@ def contained_subflats(Ffam: FlatFamily, l: int,
                   if vectors[f].issuperset(E.basis)
                   for p in points[f]]
         count += len(coset_histogram(F, inside, E))
-    sub = FurstenbergInstance(field=F, n=n - l, k=k - l, m=q ** (k - l))
-    res = search_extremal(sub, budget=budget)
-    kfac = res.exact if res.exact is not None else res.lower
+    if k == n:      # the one family flat is the whole space
+        kfac = q ** (n - l)
+    else:
+        res = search_extremal(FurstenbergInstance(
+            field=F, n=n - l, k=k - l, m=q ** (k - l)), budget=budget)
+        kfac = res.exact if res.exact is not None else res.lower
     bound = kfac * qbinomial(n, l, q)
     return IncidenceReport(incidences=count, rhs=Fraction(bound),
                            ok=count >= bound, extra={"k_factor": kfac})

@@ -11,6 +11,10 @@ compare the two without sharing code.
   geometry.rref.
 - The incidence reports, from flat_points, enumerate_flats and set
   membership only; for subflats, the K factor from its closed form.
+- The search report and the search's completion step, from per-direction
+  coset bitmasks built by the per-point reduction: sets walked in
+  itertools.combinations order, and the pruned walk with its test taken
+  coset by coset, against furstenberg._first_completion.
 - The polycert --poly audit report, from Hasse derivatives taken term by
   term and evaluated at every point, the orders of each weight listed by
   filtering all exponent tuples.
@@ -32,7 +36,8 @@ import math
 from fractions import Fraction
 
 from flab.errors import FlabError
-from flab.geometry import (Flat, Subspace, enumerate_flats,
+from flab.furstenberg import bound_table
+from flab.geometry import (Flat, Subspace, all_points, enumerate_flats,
                            enumerate_subspaces, flat_points, qbinomial)
 from flab.polymethod import Polynomial
 
@@ -167,21 +172,97 @@ def incidence_report(S, check: str, flats, r: int, delta: Fraction) -> dict:
 
 
 def subflats_report(F, n: int, flats, l: int) -> dict:
-    """The report of incidence --check subflats --l l for one (l+1)-flat per
-    rank-(l+1) direction of F_q^(l+2): the l-flats whose points all lie
-    among one family flat's points, against K(q, 2, 1, q) binom(n, l)_q,
-    K(q, 2, 1, q) the planar Kakeya minimum (Blokhuis and Mazzocca, 2008),
-    which the exact search reaches for q^2 within its limit."""
-    q = F.q
-    if flats[0].direction.k != l + 1 or n != l + 2:
-        raise ValueError(f"no closed-form K factor for n={n}, l={l}")
+    """The report of incidence --check subflats --l l for one k-flat per
+    rank-k direction of F_q^n: the l-flats whose points all lie among one
+    family flat's points, against K binom(n, l)_q.  For k = l + 1 and
+    n = l + 2, K = K(q, 2, 1, q), the planar Kakeya minimum (Blokhuis and
+    Mazzocca, 2008), which the exact search reaches for q^2 within its
+    limit; for k = n, K = q^(n-l), the whole (n-l)-space."""
+    q, k = F.q, flats[0].direction.k
+    if k == n:
+        k_factor = q ** (n - l)
+    elif (k, n) == (l + 1, l + 2):
+        k_factor = q * (q + 1) // 2 + (q % 2) * (q - 1) // 2
+    else:
+        raise ValueError(f"no closed-form K factor for n={n}, k={k}, l={l}")
     members = [set(flat_points(F, f)) for f in flats]
     contained = sum(any(set(flat_points(F, g)) <= s for s in members)
                     for g in enumerate_flats(F, n, l))
-    k_factor = q * (q + 1) // 2 + (q % 2) * (q - 1) // 2
     bound = Fraction(k_factor * qbinomial(n, l, q))
     return {"contained": contained, "bound": bound, "ok": contained >= bound,
             "k_factor": k_factor}
+
+
+def coset_tables(F, n: int, k: int) -> list:
+    """Per rank-k direction, the tuple of its cosets as bitmasks over F_q^n,
+    bit i for the i-th point in lex order, by reducing every point."""
+    bits = {p: 1 << i for i, p in enumerate(all_points(F, n))}
+    return [tuple(_cosets(F, bits, d).values())
+            for d in enumerate_subspaces(F, n, k)]
+
+
+def first_completion(tables, N: int, m: int, mask: int, i: int,
+                     r: int) -> int:
+    """The first mask | R that meets m points of some coset of every
+    direction, R walked over the r-sets of points of index at least i and
+    not in mask in itertools.combinations order; 0 if there is none."""
+    free = [j for j in range(i, N) if not mask >> j & 1]
+    for combo in itertools.combinations(free, r):
+        s = mask | sum(1 << j for j in combo)
+        if all(any((s & c).bit_count() >= m for c in cosets)
+               for cosets in tables):
+            return s
+    return 0
+
+
+def pruned_walk(tables, N: int, m: int, mask: int, i: int,
+                r: int) -> tuple:
+    """(set, nodes) of the lex-order walk of furstenberg._first_completion
+    from one entry point, its node test taken coset by coset: a node
+    (mask, i, r) passes when every direction has a coset c with
+    |open & c| >= m and |mask & c| >= m - r, open = mask | {i..N-1}."""
+    nodes = 0
+
+    def walk(mask, i, r):
+        nonlocal nodes
+        while N - i >= r:
+            if mask >> i & 1:
+                i += 1
+                continue
+            nodes += 1
+            open_ = mask | ((1 << N) - 1) >> i << i
+            if not all(any((open_ & c).bit_count() >= m
+                           and (mask & c).bit_count() >= m - r
+                           for c in cosets) for cosets in tables):
+                return 0
+            if not r:
+                return mask
+            hit = walk(mask | 1 << i, i + 1, r - 1)
+            if hit:
+                return hit
+            i += 1
+        return 0
+
+    return walk(mask, i, r), nodes
+
+
+def search_report(instance) -> dict:
+    """The report of search --format json at q^n <= 16, the witness as
+    points: K is the first size, from the bound table's lower bound up, at
+    which the combinations walk over sets that hold the origin finds one,
+    and the witness is the first set it finds."""
+    F, n, k, m = instance
+    pts = all_points(F, n)
+    tables = coset_tables(F, n, k)
+    lower = bound_table(instance, printable=False).best_integer_lower()
+    for size in range(lower, m * F.q ** (n - k) + 1):
+        mask = first_completion(tables, len(pts), m, 1, 1, size - 1)
+        if mask:
+            return {"q": F.q, "n": n, "k": k, "m": m, "exact": size,
+                    "lower": lower, "upper": size,
+                    "witness": [p for i, p in enumerate(pts)
+                                if mask >> i & 1]}
+    raise AssertionError("no witness")
 
 
 def polycert_report(P: Polynomial) -> dict:

@@ -607,10 +607,16 @@ def test_emit_report_text_fractions():
     ["polycert", "--p", "2", "--n", "2", "--poly", "@p.poly", "--degree",
      "7"],
     ["entropy", "--dist", "@d.dist", "--check", "none", "--k", "1"],
+    ["incidence", "--flats", "@l.flats", "--check", "count"],
+    ["incidence", "--flats", "@l.flats", "--check", "haemers"],
+    ["incidence", "--check", "poor", "--l", "1"],
+    ["incidence", "--check", "becks", "--k", "1"],
 ], ids=["poor-without-l", "becks-without-k", "count-without-flats",
         "targets-without-degree", "neither-poly-nor-targets",
         "count-with-census-options", "haemers-with-budget", "poor-with-k",
-        "poly-with-degree", "entropy-none-with-k"])
+        "poly-with-degree", "entropy-none-with-k", "count-without-points",
+        "haemers-without-points", "poor-without-points",
+        "becks-without-points"])
 def test_missing_required_option_is_a_user_error(capsys, tmp_path,
                                                  three_point_file, argv):
     # a mode rejects an option it needs and lacks, or is given and ignores
@@ -627,6 +633,21 @@ def test_missing_required_option_is_a_user_error(capsys, tmp_path,
     assert code == 2, err
     assert out == "" and "internal error" not in err
     assert "--" in err
+
+
+def test_subflats_reads_no_points(capsys, tmp_path):
+    # F_2^2 is its own one 2-flat: it holds all 6 lines, and the K factor
+    # of a family of n-flats is q^(n-l), the whole (n-l)-space
+    path = tmp_path / "plane.flats"
+    path.write_text("2 1 2\n1 | 0 , 0 | 1 ; 0 | 0\n")
+    code, out, err = run(capsys, ["incidence", "--check", "subflats",
+                                  "--l", "1", "--flats", str(path)])
+    assert (code, err) == (0, "")
+    assert out == "contained = 6\nbound = 6/1\nok = True\nk_factor = 2\n"
+    code, _, err = run(capsys, ["incidence", "--check", "count",
+                                "--flats", str(path)])
+    assert (code, err) == (2, "error: incidence --check count needs "
+                              "--points\n")
 
 
 @pytest.mark.parametrize("argv, name, text", [

@@ -1,7 +1,7 @@
 """Malformed files and flags never make the CLI exit 1 ("internal error"),
 valid point sets verify as a per-point reference says, and the incidence
-(subflats too), polycert --poly, polycert --targets and entropy reports of
-valid input match a brute-force recount.
+(subflats too), polycert --poly, polycert --targets, entropy and exact
+search reports of valid input match a brute-force recount.
 
 Every input is small (q <= 5, n <= 2, multiplicities and degrees below 8),
 so no case starts a large enumeration; the files mix random tokens with
@@ -25,13 +25,14 @@ from conftest import pointwise_histogram
 from flab import formats
 from flab.cli import main
 from flab.entropy import RationalDistribution
+from flab.furstenberg import FurstenbergInstance
 from flab.geometry import (Flat, PointSet, all_points, enumerate_flats,
                            enumerate_subspaces, flat_points)
 from flab.gf import field_build
 from flab.incidence import FlatFamily
 from flab.polymethod import Polynomial, poly_mul, vanishing_hypothesis_holds
 from reference import (entropy_report, incidence_report, interpolation_report,
-                       polycert_report, subflats_report)
+                       polycert_report, search_report, subflats_report)
 
 HEADERS = ["2 1 2", "3 1 1", "5 1 2", "2 2 2\n1 1 1", "3 1 2", "2 1 1",
            "", "x 1 2", "2 1", "2 1 2 7", "4 1 2", "2 2 2", "2 2 2\n1 0 1",
@@ -265,25 +266,31 @@ def test_incidence_report_matches_brute_force_reference(case):
 
 @st.composite
 def subflats_cases(draw):
-    """(F_2, F_3 or F_4, n, one k-flat per rank-k direction, l, a Random)
-    with k = n - 1 and l = n - 2: lines in planes of F_q^3, or planes in
-    hyperplanes of F_2^4, so the K factor is a planar Kakeya minimum that
-    the exact search reaches."""
+    """(F_2, F_3 or F_4, n, one k-flat per rank-k direction, l, a Random,
+    whether to pass --points) with k = n - 1 and l = n - 2: lines in
+    planes of F_q^3, or planes in hyperplanes of F_2^4, so the K factor is
+    a planar Kakeya minimum that the exact search reaches; or with k = n,
+    the whole space, whose K factor is q^(n-l)."""
     F = field_build(*draw(st.sampled_from(VALID_FIELDS[:3])))
     n = draw(st.integers(3, 4 if F.q == 2 else 3))
-    k, l = n - 1, n - 2
+    k = draw(st.sampled_from([n - 1, n]))
+    l = n - 2 if k < n else draw(st.integers(1, n - 1))
     rnd = draw(st.randoms(use_true_random=False))
     by_direction: dict = {}
     for f in enumerate_flats(F, n, k):
         by_direction.setdefault(f.direction, []).append(f)
     flats = [rnd.choice(fs) for fs in by_direction.values()]
-    return F, n, flats, l, rnd
+    return F, n, flats, l, rnd, draw(st.booleans())
 
 
+# subflats reads no points, so --points may be given or left out; the
+# example is the one 2-flat of F_2^2, which holds all six lines
 @given(subflats_cases())
+@example((FULL_PLANE.field, 2, list(enumerate_flats(FULL_PLANE.field, 2, 2)),
+          1, random.Random(0), False))
 @settings(max_examples=60, deadline=None)
 def test_subflats_report_matches_brute_force_reference(case):
-    F, n, flats, l, rnd = case
+    F, n, flats, l, rnd, points = case
     lines = [_respelled(F, f, rnd) for f in flats]
     argv = ["incidence", "--check", "subflats", "--l", str(l), "--format",
             "json"]
@@ -291,6 +298,8 @@ def test_subflats_report_matches_brute_force_reference(case):
         files = {"--points": formats.serialize_pointset(PointSet.of(F, n, [])),
                  "--flats": formats.serialize_flat_family(
                      FlatFamily(F, n, flats[0].direction.k, tuple(lines)))}
+        if not points:
+            del files["--points"]
         for flag, body in files.items():
             path = os.path.join(tmp, flag[2:])
             with open(path, "w") as fh:
@@ -302,6 +311,32 @@ def test_subflats_report_matches_brute_force_reference(case):
     assert code == 0
     want = subflats_report(F, n, flats, l)
     want["bound"] = f"{want['bound'].numerator}/{want['bound'].denominator}"
+    assert json.loads(out.getvalue()) == want
+
+
+@st.composite
+def search_cases(draw):
+    """An exact instance: q in {2, 3, 4}, q^n <= 16, 1 <= k < n and
+    1 <= m <= q^k."""
+    p, e = draw(st.sampled_from(VALID_FIELDS[:3]))
+    q = p ** e
+    n = draw(st.integers(2, {2: 4, 3: 2, 4: 2}[q]))
+    k = draw(st.integers(1, n - 1))
+    return p, e, n, k, draw(st.integers(1, q ** k))
+
+
+@given(search_cases())
+@settings(max_examples=40, deadline=None)
+def test_search_report_matches_combinations_reference(case):
+    p, e, n, k, m = case
+    F = field_build(p, e)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["search", "--p", str(p), "--e", str(e), "--n", str(n),
+                     "--k", str(k), "--m", str(m), "--format", "json"])
+    assert code == 0
+    want = search_report(FurstenbergInstance(F, n, k, m))
+    want["witness"] = [_spelled(F, x) for x in want["witness"]]
     assert json.loads(out.getvalue()) == want
 
 

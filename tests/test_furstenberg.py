@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,10 @@ from flab.furstenberg import (BoundRow, FurstenbergInstance, bound_table,
                               coverage_over_directions, iroot, is_furstenberg,
                               lift_construction, lifted_direction_subspaces,
                               search_extremal, sqrt_up, trivial_construction)
-from flab.geometry import (PointSet, Subspace, all_points, coset_histogram,
-                           scan_directions)
+from flab.geometry import PointSet, Subspace, all_points, coset_histogram
 from flab.gf import ExtensionField, field_build
-from reference import flat_contains, span
+from reference import (coset_tables, first_completion, flat_contains,
+                       pruned_walk, search_report, span)
 
 
 def inst(F, n, k, m):
@@ -187,32 +188,14 @@ def test_search_frozen_witnesses(key):
     assert res.witness.sorted() == expected
 
 
-def combinations_search(instance):
-    """Reference for search_extremal: (K, lex-first witness holding the
-    origin), by walking every subset that holds the origin, size by size in
-    itertools.combinations order, from the same lower bound."""
-    F, n, k, m = instance
-    pts = all_points(F, n)
-    bits = [1 << i for i in range(len(pts))]
-    tables = [tuple(hist.values()) for _, hist in scan_directions(
-        F, n, k, list(zip(pts, bits)), 10 ** 7)]
-    lower = bound_table(instance, printable=False).best_integer_lower()
-    for size in range(lower, m * F.q ** (n - k) + 1):
-        for combo in itertools.combinations(bits[1:], size - 1):
-            mask = 1 + sum(combo)   # bit 0 is the origin
-            if all(any((mask & c).bit_count() >= m for c in cosets)
-                   for cosets in tables):
-                return size, PointSet.of(F, n, (p for p, b in zip(pts, bits)
-                                                if mask & b))
-    raise AssertionError("no witness")
-
-
 @pytest.mark.parametrize("key", sorted(FROZEN_WITNESS))
 def test_search_matches_combinations_walk(key):
     p, e, n, k, m = key
     I = inst(field_build(p, e), n, k, m)
     res = search_extremal(I)
-    assert (res.exact, res.witness) == combinations_search(I)
+    want = search_report(I)
+    assert (res.exact, res.lower, res.witness.sorted()) == \
+        (want["exact"], want["lower"], want["witness"])
 
 
 @pytest.fixture
@@ -227,7 +210,9 @@ def test_search_matches_combinations_walk_past_the_limit(limit_32, q, n, k,
                                                          m):
     I = inst(field_build(q, 1), n, k, m)
     res = search_extremal(I)
-    assert (res.exact, res.witness) == combinations_search(I)
+    want = search_report(I)
+    assert (res.exact, res.lower, res.witness.sorted()) == \
+        (want["exact"], want["lower"], want["witness"])
 
 
 # K(q,n,k,m) past EXACT_SEARCH_LIMIT = 16, through a limit raised to 32.
@@ -267,6 +252,50 @@ def test_search_charges_its_nodes(F2):
                        match="^380 search nodes exceed budget 379$"):
         search_extremal(I, budget=379)
     assert search_extremal(I, budget=380).exact == 9
+
+
+# the nodes search_extremal visits: a budget of that many passes and one
+# less is refused at the last node, so the node test prunes the same nodes
+NODE_COUNTS = {
+    (2, 1, 4, 2, 4): 908, (2, 2, 2, 1, 3): 824, (2, 1, 4, 3, 4): 239,
+    (2, 1, 4, 1, 2): 183, (3, 1, 2, 1, 3): 57,
+}
+
+
+@pytest.mark.parametrize("key", sorted(NODE_COUNTS))
+def test_search_node_counts_are_budget_edges(key):
+    p, e, n, k, m = key
+    I, count = inst(field_build(p, e), n, k, m), NODE_COUNTS[key]
+    assert search_extremal(I, budget=count).exact is not None
+    with pytest.raises(BudgetExceeded, match=f"^{count} search nodes "
+                       f"exceed budget {count - 1}$"):
+        search_extremal(I, budget=count - 1)
+
+
+# F_5^2 and F_3^3 with k = 1 have 5 and 9 cosets per direction, so the
+# fold over the coset blocks does not halve a power of two
+@pytest.mark.parametrize("p,e,n,k", [
+    (2, 1, 3, 1), (2, 1, 3, 2), (2, 1, 4, 1), (2, 1, 4, 2), (2, 1, 4, 3),
+    (3, 1, 2, 1), (2, 2, 2, 1), (5, 1, 2, 1), (3, 1, 3, 1)])
+def test_first_completion_at_any_entry_point(p, e, n, k):
+    # masks hold points at and past i; each draw takes one r below m and
+    # one at or above it, and the walk must find the combinations walk's
+    # set after the same nodes as the walk that tests coset by coset
+    F = field_build(p, e)
+    tables, N = coset_tables(F, n, k), F.q ** n
+    rnd = random.Random(f"{p} {e} {n} {k}")
+    for _ in range(12):
+        m, i, mask = rnd.randint(1, F.q ** k), rnd.randint(2, N), \
+            rnd.getrandbits(N)
+        for r in (rnd.randrange(m), rnd.randint(m, m + 1)):
+            want, nodes = pruned_walk(tables, N, m, mask, i, r)
+            assert want == first_completion(tables, N, m, mask, i, r)
+            first = furstenberg._first_completion(tables, N, m, nodes)
+            assert first(mask, i, r) == want, (m, mask, i, r)
+            if nodes:
+                with pytest.raises(BudgetExceeded):
+                    furstenberg._first_completion(tables, N, m,
+                                                  nodes - 1)(mask, i, r)
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])

@@ -198,6 +198,16 @@ def test_contained_subflats_all_128_families(F2):
         assert r.ok and r.rhs == 21
 
 
+def test_contained_subflats_of_the_whole_space(F2, F3):
+    # a family of n-flats is the whole space, which holds every l-flat;
+    # its K factor is q^(n-l), with no sub-instance searched
+    for F, n, l in [(F2, 2, 1), (F3, 2, 1), (F2, 3, 1), (F2, 3, 2)]:
+        r = contained_subflats(FlatFamily.of(F, n, enumerate_flats(F, n, n)),
+                               l)
+        assert r.extra["k_factor"] == F.q ** (n - l)
+        assert r.incidences == r.rhs == F.q ** (n - l) * qbinomial(n, l, F.q)
+
+
 def test_contained_subflats_requires_direction_family(F2):
     planes = list(enumerate_flats(F2, 3, 2))
     with pytest.raises(FlabError,
