@@ -2,9 +2,10 @@
 
 Subspaces are kept canonical as reduced-row-echelon bases, flats as a
 direction subspace plus the unique coset representative with zeros in the
-pivot coordinates.  The column kernel (_column_histogram) is the one coset
-reduction: the direction scans, coset_histogram and Flat.through run it.
-All enumeration orders are deterministic.
+pivot coordinates.  The one coset reduction is a column op (_column_op):
+the direction walk (_walk) makes one per direction, stepping its free entries
+as an odometer, and coset_histogram and Flat.through one per nonzero free
+entry.  All enumeration orders are deterministic.
 """
 
 from __future__ import annotations
@@ -170,27 +171,23 @@ class Subspace(NamedTuple):
                      for row in self.basis)
 
 
-def _columns(items: Iterable[tuple[Sequence[int], int]]) -> tuple:
-    """The items' points as columns, and their weights (None if all 1)."""
+def _columns(items: Iterable[tuple[Sequence[int], int]], n: int) -> tuple:
+    """The items' points as n columns, and their weights (None if all 1)."""
     pts, weights = tuple(zip(*items)) or ((), ())
-    return list(zip(*pts)), None if set(weights) <= {1} else weights
+    return (list(zip(*pts)) or [()] * n,
+            None if set(weights) <= {1} else weights)
 
 
-def _column_histogram(F, cols: list, weights: tuple[int, ...] | None,
-                      direction: Subspace) -> Counter[Point]:
-    """Coset kernel: each RREF row (pivot column c) turns each column j where
-    it holds y != 0 into col_j - y col_c, then zeroes column c; the keys
-    zip(*cols) are the shifts, each listed where it first appears."""
-    if not cols:    # no items, whatever n is
-        return Counter()
-    cols = cols.copy()
-    for row, c in zip(direction.basis, direction.pivots()):
-        col_c = cols[c]
-        for j, y in enumerate(row):
-            if y and j != c:
-                cols[j] = list(map(F.sub, cols[j], col_c if y == 1 else
-                                   map(F.mul, col_c, itertools.repeat(y))))
-        cols[c] = (0,) * len(col_c)
+def _column_op(F, col_j: Sequence[int], y: int,
+               col_c: Sequence[int]) -> list[int]:
+    """col_j - y col_c, the one step of the coset reduction."""
+    return list(map(F.sub, col_j, col_c if y == 1 else
+                    map(F.mul, col_c, itertools.repeat(y))))
+
+
+def _histogram(cols: list, weights: tuple[int, ...] | None) -> Counter[Point]:
+    """Summed weight per shift, the keys zip(*cols) of the reduced columns,
+    each listed where it first appears."""
     if weights is None:
         return Counter(zip(*cols))
     hist: dict[Point, int] = {}    # a plain dict sums faster than a Counter
@@ -202,8 +199,57 @@ def _column_histogram(F, cols: list, weights: tuple[int, ...] | None,
 def coset_histogram(F, items: Iterable[tuple[Sequence[int], int]],
                     direction: Subspace) -> Counter[Point]:
     """Summed weight of the (point, weight) items per coset of direction,
-    keyed by canonical shift; weights 1 << i give each coset its bitmask."""
-    return _column_histogram(F, *_columns(items), direction)
+    keyed by canonical shift; weights 1 << i give each coset its bitmask.
+    One column op per nonzero free entry; pivot columns are zeroed."""
+    cols, weights = _columns(items, direction.n)
+    reduced = cols.copy()
+    for row, c in zip(direction.basis, direction.pivots()):
+        reduced[c] = (0,) * len(cols[c])
+        for j, y in enumerate(row):
+            if y and j != c:
+                reduced[j] = _column_op(F, reduced[j], y, cols[c])
+    return _histogram(reduced, weights)
+
+
+def _walk(F, n: int, k: int, cols: list | None,
+          weights: tuple[int, ...] | None
+          ) -> Iterator[tuple[Subspace, Counter[Point] | None]]:
+    """The one enumeration: each rank-k RREF basis, pivot set first, then the
+    free entries lexicographically in F.elements() order, with the histogram
+    of the columns reduced modulo it (None when cols is None).
+
+    The free entries run as an odometer (Knuth, TAOCP 4A, 7.2.1.1): a step
+    sets one entry e to a nonzero value and zeroes every later one.  Each op
+    reads a pivot column, which no op changes, so the ops commute: the new
+    columns are states[e], the columns reduced by entries 0..e-1, with one
+    op, and the stack holds at most one new column per free entry.
+    """
+    elements = F.elements()
+    for pivots in itertools.combinations(range(n), k):
+        free = [(i, c, j) for i, c in enumerate(pivots)
+                for j in range(c + 1, n) if j not in pivots]
+        rows = [[int(j == c) for j in range(n)] for c in pivots]
+        digits = [0] * len(free)
+        if cols is not None:
+            states = [[(0,) * len(col) if j in pivots else col
+                       for j, col in enumerate(cols)]] * (len(free) + 1)
+        while True:
+            yield (Subspace(n, k, tuple(map(tuple, rows))),
+                   None if cols is None else _histogram(states[-1], weights))
+            e = len(free) - 1
+            while e >= 0 and digits[e] == len(elements) - 1:
+                i, _, j = free[e]
+                digits[e] = rows[i][j] = 0
+                e -= 1
+            if e < 0:
+                break
+            digits[e] += 1
+            i, c, j = free[e]
+            rows[i][j] = y = elements[digits[e]]
+            if cols is not None:
+                state = states[e].copy()
+                state[j] = _column_op(F, state[j], y, cols[c])
+                states[e + 1:] = [state] * (len(free) - e)
 
 
 def scan_directions(F, n: int, k: int,
@@ -215,17 +261,16 @@ def scan_directions(F, n: int, k: int,
     When called it refuses k outside [0, n], then charges the q^(n-k)
     binom(n,k)_q flats (binom(n,k)_q >= q^(k(n-k)) bounds their bits) and
     the k n basis entries, past the flats only at k = n.  The items become
-    coordinate columns once; per direction the column kernel
-    (_column_histogram) reduces them all, one RREF row at a time.
+    coordinate columns once; the walk (_walk) then reduces them with one
+    column op per direction, from the columns of an earlier direction, and
+    holds at most one new column per free entry.
     """
     if not 0 <= k <= n:
         raise FlabError(f"k = {k} outside [0, {n}]")
     charge(((k + 1) * (n - k) * (F.q.bit_length() - 1),
             lambda: q_flat_count(F.q, n, k)), "flats", budget)
     charge(k * n, "basis entries", budget)
-    cols, weights = _columns(items)
-    return ((d, _column_histogram(F, cols, weights, d))
-            for d in enumerate_subspaces(F, n, k))
+    return _walk(F, n, k, *_columns(items, n))
 
 
 class Flat(NamedTuple):
@@ -243,22 +288,13 @@ class Flat(NamedTuple):
 
 
 def enumerate_subspaces(F, n: int, k: int) -> Iterator[Subspace]:
-    """All rank-k subspaces, 0 <= k <= n, one per RREF basis; unchecked
-    and uncharged, as scan_directions guards every walk a user can size.
+    """All rank-k subspaces, 0 <= k <= n, one per RREF basis: the walk
+    (_walk) without columns; unchecked and uncharged, as scan_directions
+    guards every walk a user can size.
 
     Order: lexicographic on the pivot-column set, then on the free entries.
     """
-    for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
-                if j not in pivot_set]
-        for vals in itertools.product(F.elements(), repeat=len(free)):
-            rows = [[0] * n for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free, vals):
-                rows[i][j] = v
-            yield Subspace(n=n, k=k, basis=tuple(tuple(r) for r in rows))
+    return (d for d, _ in _walk(F, n, k, None, None))
 
 
 def enumerate_flats(F, n: int, k: int,

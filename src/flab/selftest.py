@@ -1,16 +1,18 @@
 """Condensed invariant battery behind the `flab selftest` command.
 
 A quick cross-section of the full pytest suite: field axioms, q-binomial
-identities, enumeration counts, tiny extremal values, entropic, incidence
-and polynomial-method checks.  Prints one line per group.
+identities, enumeration counts, the direction walk against single-direction
+coset histograms, tiny extremal values, entropic, incidence and
+polynomial-method checks.  Prints one line per group.
 """
 
 from __future__ import annotations
 
 from .entropy import RationalDistribution, check_entropic_bound
 from .furstenberg import FurstenbergInstance, is_furstenberg, search_extremal
-from .geometry import (PointSet, all_points, enumerate_flats,
-                       enumerate_subspaces, q_flat_count, qbinomial)
+from .geometry import (DEFAULT_BUDGET, PointSet, all_points,
+                       coset_histogram, enumerate_flats, enumerate_subspaces,
+                       q_flat_count, qbinomial, scan_directions)
 from .gf import field_build
 from .incidence import FlatFamily, haemers_check
 from .polymethod import (Polynomial, find_vanishing_poly, poly_mul,
@@ -61,6 +63,18 @@ def run_selftest(out) -> bool:
         ok &= sum(1 for _ in enumerate_subspaces(F2, n, k)) == qbinomial(n, k, 2)
         ok &= sum(1 for _ in enumerate_flats(F2, n, k)) == q_flat_count(2, n, k)
     report("enumeration counts over F_2", ok)
+
+    ok = True
+    for (p, e), k in [((3, 1), 1), ((3, 1), 2), ((2, 2), 1)]:
+        F = field_build(p, e)
+        pts = all_points(F, 3)
+        for items in ([(x, 1) for x in pts[::2]],
+                      [(x, i % 5 - 2) for i, x in enumerate(pts)]):
+            ok &= all(list(hist.items()) ==
+                      list(coset_histogram(F, items, d).items())
+                      for d, hist in scan_directions(F, 3, k, items,
+                                                     DEFAULT_BUDGET))
+    report("direction walk equals coset_histogram (F_3^3, F_4^3)", ok)
 
     inst = FurstenbergInstance(field=F2, n=2, k=1, m=2)
     report("K(2,2,1,2) = 3", search_extremal(inst).exact == 3)

@@ -88,8 +88,9 @@ def pointwise_histogram(F, items, direction) -> dict:
     """Reference coset histogram: one reduce_mod_subspace per point, its
     weight summed per shift, each shift listed where it first appears.
 
-    Independent of the column kernel that geometry.coset_histogram and
-    geometry.scan_directions run.
+    Independent of the column ops (geometry._column_op) that
+    geometry.coset_histogram and the direction walk under
+    geometry.scan_directions make.
     """
     hist: dict = {}
     for p, w in items:

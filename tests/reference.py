@@ -3,8 +3,11 @@ point by point or term by term, what flab computes fast, so a test can
 compare the two without sharing code.
 
 - The per-point coset reduction, the affine span and flat membership,
-  against the column kernel (geometry._column_histogram), the one coset
-  reduction of the program.
+  against the column ops (geometry._column_op) that coset_histogram and
+  the direction walk (geometry._walk) make, the one coset reduction of
+  the program.
+- The rank-k RREF bases built whole, one itertools.product over the free
+  entries per pivot set, against the walk's odometer.
 - Polynomial evaluation and Hasse derivatives, term by term, against the
   Hasse columns of polymethod's kernel (polymethod._Block).
 - Textbook Gauss-Jordan elimination, one field call per entry, against
@@ -51,6 +54,22 @@ def reduce_mod_subspace(F, v, sub: Subspace) -> tuple:
         if c:
             w = tuple(F.sub(x, F.mul(c, y)) if y else x for x, y in zip(w, row))
     return w
+
+
+def rref_bases(F, n: int, k: int) -> list:
+    """Every rank-k subspace of F_q^n, each basis built whole: per pivot set
+    in itertools.combinations order, its free entries (right of the row's
+    pivot, off the pivot columns) in itertools.product order."""
+    out = []
+    for pivots in itertools.combinations(range(n), k):
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
+                if j not in pivots]
+        for vals in itertools.product(F.elements(), repeat=len(free)):
+            rows = [[int(j == p) for j in range(n)] for p in pivots]
+            for (i, j), v in zip(free, vals):
+                rows[i][j] = v
+            out.append(Subspace(n, k, tuple(map(tuple, rows))))
+    return out
 
 
 def subspace_contains(F, sub: Subspace, v) -> bool:

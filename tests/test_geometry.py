@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,8 @@ from flab.gf import PrimeField, field_build
 from flab.incidence import FlatFamily, haemers_check
 from flab.polymethod import Polynomial, monomials_upto
 from reference import (evaluate, gauss_jordan, hasse_derivative,
-                       reduce_mod_subspace, span, subspace_contains)
+                       reduce_mod_subspace, rref_bases, span,
+                       subspace_contains)
 
 
 def test_rref_identity(F2):
@@ -127,6 +129,45 @@ def test_scan_directions_pairs_each_direction_with_its_histogram(F3):
     items = [(p, i + 1) for i, p in enumerate(all_points(F3, 3)[::5])]
     assert list(scan_directions(F3, 3, 2, items, 10 ** 4)) == [
         (d, coset_histogram(F3, items, d)) for d in enumerate_subspaces(F3, 3, 2)]
+
+
+@pytest.mark.parametrize("p, e, n", [(2, 1, 5), (3, 1, 4), (2, 2, 3),
+                                     (5, 1, 3), (3, 2, 2)])
+def test_walk_matches_bases_built_whole(p, e, n):
+    F = field_build(p, e)
+    for k in range(n + 1):
+        bases = rref_bases(F, n, k)
+        assert list(enumerate_subspaces(F, n, k)) == bases
+        assert [d for d, _ in scan_directions(F, n, k, (), 10 ** 6)] == bases
+
+
+def test_abandoned_scan_leaves_no_state(F3):
+    items = [(p, i % 7 - 3) for i, p in enumerate(all_points(F3, 4)[::3])]
+    want = [(d, coset_histogram(F3, items, d)) for d in rref_bases(F3, 4, 2)]
+    head = list(itertools.islice(scan_directions(F3, 4, 2, items, 10 ** 6), 5))
+    assert head == want[:5]
+    assert list(scan_directions(F3, 4, 2, items, 10 ** 6)) == want
+    # two scans stepped in lockstep share nothing either
+    twins = zip(scan_directions(F3, 4, 2, items, 10 ** 6),
+                scan_directions(F3, 4, 2, items[::-1], 10 ** 6))
+    assert [a for a, _ in twins] == want
+
+
+def test_scan_makes_one_column_op_per_direction(F3, monkeypatch):
+    # a full F_3^4 rank-2 scan: 130 directions over binom(4,2) = 6 pivot
+    # sets, the first direction of each set unreduced; reducing every
+    # direction row by row takes 296 ops
+    ops = []
+    column_op = geometry._column_op
+
+    def counting(*args):
+        ops.append(args)
+        return column_op(*args)
+    monkeypatch.setattr(geometry, "_column_op", counting)
+    items = [(p, 1) for p in all_points(F3, 4)[::4]]
+    scan = list(scan_directions(F3, 4, 2, items, 10 ** 6))
+    assert len(scan) == qbinomial(4, 2, 3) == 130
+    assert len(ops) == 130 - 6
 
 
 def _never():
@@ -259,7 +300,9 @@ def test_coset_histogram_matches_pointwise_reduction(case):
 @pytest.mark.parametrize("p, e, n, k", [(2, 1, 4, 2), (3, 1, 3, 1),
                                         (5, 1, 2, 1), (2, 2, 3, 2),
                                         (3, 2, 2, 1), (2, 3, 2, 2),
-                                        (3, 1, 3, 0)])
+                                        (3, 1, 3, 0), (3, 1, 4, 2),
+                                        (2, 2, 3, 1), (5, 1, 3, 2),
+                                        (2, 1, 5, 2), (3, 2, 3, 2)])
 def test_scan_directions_matches_pointwise_reduction(p, e, n, k):
     F = field_build(p, e)
     rng = random.Random(f"{p} {e} {n} {k}")

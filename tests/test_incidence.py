@@ -342,6 +342,18 @@ def _no_scan(*args):
     raise AssertionError("scanned before the budget check")
 
 
+def _spy_walk(monkeypatch, step):
+    """Calls step(direction) on each direction the direction walk steps to,
+    before it is handed on: with _no_scan, the first direction fails."""
+    walk = geometry._walk
+
+    def spied(*args):
+        for d, hist in walk(*args):
+            step(d)
+            yield d, hist
+    monkeypatch.setattr(geometry, "_walk", spied)
+
+
 @pytest.mark.parametrize("n, k", [(15000, 0), (240, 120)])
 def test_haemers_refuses_huge_terms_before_any_power(F2, monkeypatch, n, k):
     # q^(n-k) = 2^15000, and q^k binom(n-1,k)_q >= 2^14400, are past
@@ -357,7 +369,7 @@ def test_censuses_check_budget_before_scanning(F3, monkeypatch):
     S = PointSet.of(F3, 3, all_points(F3, 3))
     lines = q_flat_count(3, 3, 1)                       # 117
     fam = _direction_family(F3, 3, 2, lambda i, s: s[0])
-    monkeypatch.setattr(geometry, "_column_histogram", _no_scan)
+    _spy_walk(monkeypatch, _no_scan)
     monkeypatch.setattr(incidence, "flat_points", _no_scan)
     with pytest.raises(BudgetExceeded, match=f"{lines} flats exceed"):
         poor_flat_census(S, 1, Fraction(1, 2), budget=lines - 1)
@@ -370,13 +382,7 @@ def test_becks_checks_rich_budget_before_scanning(F3, monkeypatch):
     # rich census over the 117 lines must stop before its first scan
     S = PointSet.of(F3, 3, all_points(F3, 3))
     calls = []
-
-    kernel = geometry._column_histogram
-
-    def counting(F, cols, weights, direction):
-        calls.append(direction)
-        return kernel(F, cols, weights, direction)
-    monkeypatch.setattr(geometry, "_column_histogram", counting)
+    _spy_walk(monkeypatch, calls.append)
     with pytest.raises(BudgetExceeded, match="117 flats exceed budget 116"):
         kakeya_becks_census(S, 2, Fraction(1, 2), budget=116)
     assert len(calls) == qbinomial(3, 2, 3)
@@ -387,7 +393,7 @@ def test_becks_charges_its_direction_scan_as_flats(F3, monkeypatch):
     # the m-loop is a full verification scan over the 39 planes of F_3^3
     S = PointSet.of(F3, 3, all_points(F3, 3))
     planes = q_flat_count(3, 3, 2)
-    monkeypatch.setattr(geometry, "_column_histogram", _no_scan)
+    _spy_walk(monkeypatch, _no_scan)
     with pytest.raises(BudgetExceeded,
                        match=f"{planes} flats exceed budget {planes - 1}"):
         kakeya_becks_census(S, 2, Fraction(1, 2), budget=planes - 1)
@@ -396,6 +402,6 @@ def test_becks_charges_its_direction_scan_as_flats(F3, monkeypatch):
 @pytest.mark.parametrize("k", [0, 4])
 def test_becks_checks_k_range_first(F2, monkeypatch, k):
     S = PointSet.of(F2, 3, all_points(F2, 3))
-    monkeypatch.setattr(geometry, "_column_histogram", _no_scan)
+    _spy_walk(monkeypatch, _no_scan)
     with pytest.raises(FlabError, match=rf"k = {k} outside \[1, 3\]"):
         kakeya_becks_census(S, k, Fraction(0), budget=0)
