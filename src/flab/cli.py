@@ -6,6 +6,9 @@ dict; ``main`` renders it once and writes it to ``--output`` or stdout.
 The parser is built once per process for each ``FLAB_BUDGET`` value, so a
 sweep that calls ``main`` many times pays for building argparse once.
 Output is deterministic byte-for-byte for identical inputs and flags.
+JSON renders in one pass of json.dumps, whose hook prints a Fraction as
+"num/den".  A Fraction is found by its denominator, not its class, so a
+command that makes none (polycert) never loads ``fractions``.
 Exit codes: 0 success; 2 for a FlabError (BudgetExceeded included), an
 OSError or a flag argparse rejects; 1 for anything else (a bug) or a
 failed selftest.
@@ -19,7 +22,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import formats
 from .errors import FlabError
@@ -27,9 +29,17 @@ from .geometry import DEFAULT_BUDGET
 from .gf import field_build
 
 
+def _ratio(v) -> str:
+    """A Fraction as "num/den": json.dumps calls it for what it cannot
+    encode, and reports hold no other such value."""
+    return f"{v.numerator}/{v.denominator}"
+
+
 def _jsonable(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+    """The value with Fractions as "num/den", tuples as lists and dict keys
+    as str, for the text and CSV renderers."""
+    if hasattr(v, "denominator") and not isinstance(v, int):
+        return _ratio(v)
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
@@ -45,7 +55,7 @@ def _is_table(v) -> bool:
 def emit_report(report: dict, fmt: str) -> str:
     """Render a report dict; CSV renders its one table (list of dicts)."""
     if fmt == "json":
-        return json.dumps(_jsonable(report), indent=2, sort_keys=False) + "\n"
+        return json.dumps(report, indent=2, default=_ratio) + "\n"
     if fmt == "csv":
         import csv
         tables = [v for v in report.values() if _is_table(v)]
@@ -72,8 +82,9 @@ def emit_report(report: dict, fmt: str) -> str:
     raise FlabError(f"unknown format {fmt!r}")
 
 
-def _fraction(text: str, flag: str) -> Fraction:
+def _fraction(text: str, flag: str):
     """The exact rational a flag spells, or a user error."""
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -5,12 +5,14 @@ direction subspace plus the unique coset representative with zeros in the
 pivot coordinates.  The one coset reduction is a column op (_column_op):
 the direction walk (_walk) makes one per direction, stepping its free entries
 as an odometer, and coset_histogram and Flat.through one per nonzero free
-entry.  All enumeration orders are deterministic.
+entry.  In characteristic 2 the op subtracts by XOR of the encodings.  All
+enumeration orders are deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import struct
 from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -180,26 +182,31 @@ def _columns(items: Iterable[tuple[Sequence[int], int]], n: int) -> tuple:
 
 def _column_op(F, col_j: Sequence[int], y: int,
                col_c: Sequence[int]) -> list[int]:
-    """col_j - y col_c, the one step of the coset reduction."""
-    return list(map(F.sub, col_j, col_c if y == 1 else
+    """col_j - y col_c, the one step of the coset reduction; subtraction is
+    XOR in characteristic 2 (F_2, F_2^e and towers over them)."""
+    return list(map(operator.xor if F.p == 2 else F.sub, col_j,
+                    col_c if y == 1 else
                     map(F.mul, col_c, itertools.repeat(y))))
 
 
-def _histogram(cols: list, weights: tuple[int, ...] | None) -> Counter[Point]:
+def _histogram(cols: list,
+               weights: tuple[int, ...] | None) -> dict[Point, int]:
     """Summed weight per shift, the keys zip(*cols) of the reduced columns,
-    each listed where it first appears."""
+    each listed where it first appears: a Counter for unit weights, else the
+    plain dict it sums into (faster than a Counter, and not copied)."""
     if weights is None:
         return Counter(zip(*cols))
-    hist: dict[Point, int] = {}    # a plain dict sums faster than a Counter
+    hist: dict[Point, int] = {}
     for key, w in zip(zip(*cols), weights):
         hist[key] = hist.get(key, 0) + w
-    return Counter(hist)
+    return hist
 
 
 def coset_histogram(F, items: Iterable[tuple[Sequence[int], int]],
-                    direction: Subspace) -> Counter[Point]:
+                    direction: Subspace) -> dict[Point, int]:
     """Summed weight of the (point, weight) items per coset of direction,
     keyed by canonical shift; weights 1 << i give each coset its bitmask.
+    With unit weights it is a Counter, so an empty coset's shift reads 0.
     One column op per nonzero free entry; pivot columns are zeroed."""
     cols, weights = _columns(items, direction.n)
     reduced = cols.copy()
@@ -213,7 +220,7 @@ def coset_histogram(F, items: Iterable[tuple[Sequence[int], int]],
 
 def _walk(F, n: int, k: int, cols: list | None,
           weights: tuple[int, ...] | None
-          ) -> Iterator[tuple[Subspace, Counter[Point] | None]]:
+          ) -> Iterator[tuple[Subspace, dict[Point, int] | None]]:
     """The one enumeration: each rank-k RREF basis, pivot set first, then the
     free entries lexicographically in F.elements() order, with the histogram
     of the columns reduced modulo it (None when cols is None).
@@ -254,7 +261,8 @@ def _walk(F, n: int, k: int, cols: list | None,
 
 def scan_directions(F, n: int, k: int,
                     items: Iterable[tuple[Sequence[int], int]],
-                    budget: int) -> Iterator[tuple[Subspace, Counter[Point]]]:
+                    budget: int
+                    ) -> Iterator[tuple[Subspace, dict[Point, int]]]:
     """Each rank-k direction of F_q^n, in enumeration order, with the
     coset_histogram of the (point, weight) items: the one guarded walk.
 

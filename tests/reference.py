@@ -26,6 +26,9 @@ compare the two without sharing code.
   verified through hasse_derivative and evaluate.
 - The entropy --check bound and recursion reports, each kernel's heaviest
   coset found by reducing every point of the support.
+- JSON rendering: a walk that turns Fractions into "num/den", tuples into
+  lists and keys into str before json.dumps, against the one-pass
+  json.dumps hook of cli.emit_report.
 
 A name that anything outside the tests imports stays in src/flab, even
 when only tests check it: poly_mul and gf.coeffs, which the benchmark
@@ -35,6 +38,7 @@ heavy_flats_lower_bound, ab_constants and the like).
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -396,3 +400,18 @@ def entropy_report(dist, check: str, k: int) -> dict:
                    "composed_le_direct": composed >= direct,
                    "composed_ok": c_lhs <= c_rhs, "direct_ok": d_lhs <= d_rhs})
     return report
+
+
+def _jsonable(v):
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): _jsonable(x) for k, x in v.items()}
+    return v
+
+
+def json_report(report: dict) -> str:
+    """A report as --format json prints it, rendered from the walked copy."""
+    return json.dumps(_jsonable(report), indent=2) + "\n"

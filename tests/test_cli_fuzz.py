@@ -1,7 +1,8 @@
 """Malformed files and flags never make the CLI exit 1 ("internal error"),
 valid point sets verify as a per-point reference says, and the incidence
 (subflats too), polycert --poly, polycert --targets, entropy and exact
-search reports of valid input match a brute-force recount.
+search reports of valid input match a brute-force recount, and drawn
+nested reports render to the JSON bytes of a walk-then-dump reference.
 
 Every input is small (q <= 5, n <= 2, multiplicities and degrees below 8),
 so no case starts a large enumeration; the files mix random tokens with
@@ -18,12 +19,13 @@ import os
 import random
 import tempfile
 from fractions import Fraction
+from typing import NamedTuple
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import pointwise_histogram
 from flab import formats
-from flab.cli import main
+from flab.cli import emit_report, main
 from flab.entropy import RationalDistribution
 from flab.furstenberg import FurstenbergInstance
 from flab.geometry import (Flat, PointSet, all_points, enumerate_flats,
@@ -32,7 +34,8 @@ from flab.gf import field_build
 from flab.incidence import FlatFamily
 from flab.polymethod import Polynomial, poly_mul, vanishing_hypothesis_holds
 from reference import (entropy_report, incidence_report, interpolation_report,
-                       polycert_report, search_report, subflats_report)
+                       json_report, polycert_report, search_report,
+                       subflats_report)
 
 HEADERS = ["2 1 2", "3 1 1", "5 1 2", "2 2 2\n1 1 1", "3 1 2", "2 1 1",
            "", "x 1 2", "2 1", "2 1 2 7", "4 1 2", "2 2 2", "2 2 2\n1 0 1",
@@ -441,3 +444,39 @@ def test_entropy_report_matches_pointwise_reference(case):
     argv = ["entropy", "--check", check, "--k", str(k), "--dist"]
     got = _report(argv, "d.dist", formats.serialize_distribution(dist))
     assert got == entropy_report(dist, check, k)
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+# every CLI report key is a str; int keys are drawn too, never beside a str
+# key that spells the same number (the walk would merge the two)
+keys = st.one_of(st.text(max_size=4), st.integers(-99, 99))
+# ints of up to 63 digits, and fractions of such ints
+huge = st.tuples(st.integers(-999, 999), st.integers(0, 60)).map(
+    lambda cd: cd[0] * 10 ** cd[1])
+leaves = st.one_of(st.booleans(), st.none(), st.text(max_size=6), huge,
+                   st.tuples(huge, st.integers(1, 10 ** 60)).map(
+                       lambda nd: Fraction(*nd)))
+
+
+@st.composite
+def _dicts(draw, values):
+    return {k: draw(values)
+            for k in draw(st.lists(keys, max_size=4, unique_by=str))}
+
+
+reports = _dicts(st.recursive(leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.tuples(inner, inner).map(lambda lr: _Pair(*lr)), _dicts(inner)),
+    max_leaves=16))
+
+
+@given(reports)
+@example({"rhs": Fraction(-7, 3), 5: [(-10 ** 4000, None), True],
+          "\u00e9t\u00e9": _Pair(Fraction(4, 1), {-1: "\u2200"})})
+@settings(max_examples=100, deadline=None)
+def test_json_report_matches_walked_reference(report):
+    assert emit_report(report, "json") == json_report(report)

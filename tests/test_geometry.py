@@ -12,7 +12,7 @@ from flab.geometry import (Flat, PointSet, all_points, charge,
                            enumerate_subspaces, flat_points, q_flat_count,
                            qbinomial, rref, scan_directions, Subspace,
                            _slot_code)
-from flab.gf import PrimeField, field_build
+from flab.gf import ExtensionField, PrimeField, field_build
 from flab.incidence import FlatFamily, haemers_check
 from flab.polymethod import Polynomial, monomials_upto
 from reference import (evaluate, gauss_jordan, hasse_derivative,
@@ -286,6 +286,8 @@ def _identity(n):
 @example((field_build(2, 3), Subspace(2, 2, _identity(2)), [(7, 1), (2, 5)],
           [0, 4]))                                             # k = n, F_8
 @example((field_build(2, 2), Subspace(2, 1, ((1, 3),)), [], []))  # no items
+@example((ExtensionField(field_build(2, 2), 2), Subspace(3, 1, ((1, 7, 1),)),
+          [(3, 9, 14), (0, 5, 2), (15, 15, 0)], [2, -1, 5]))   # tower F_4^2
 @settings(max_examples=150, deadline=None)
 def test_coset_histogram_matches_pointwise_reduction(case):
     F, d, pts, weights = case
@@ -302,9 +304,14 @@ def test_coset_histogram_matches_pointwise_reduction(case):
                                         (3, 2, 2, 1), (2, 3, 2, 2),
                                         (3, 1, 3, 0), (3, 1, 4, 2),
                                         (2, 2, 3, 1), (5, 1, 3, 2),
-                                        (2, 1, 5, 2), (3, 2, 3, 2)])
+                                        (2, 1, 5, 2), (3, 2, 3, 2),
+                                        (2, 4, 2, 1), (2, 4, 3, 2),
+                                        pytest.param(2, (2, 2), 3, 1,
+                                                     id="tower-4^2-3-1")])
 def test_scan_directions_matches_pointwise_reduction(p, e, n, k):
-    F = field_build(p, e)
+    # e = (e1, d) is the degree-d tower over F_(p^e1)
+    F = (field_build(p, e) if isinstance(e, int)
+         else ExtensionField(field_build(p, e[0]), e[1]))
     rng = random.Random(f"{p} {e} {n} {k}")
     pts = rng.sample(all_points(F, n), min(12, F.q ** n))
     weights = [rng.randint(-9, 9) for _ in pts]

@@ -1,7 +1,8 @@
 """Source hygiene: every name a flab or test module imports is used in that
 module; one function writes stdout and one raises BudgetExceeded; flab has
 two exception classes and raises only those and a few builtins; a command
-loads only the flab modules it runs, and no module loads dataclasses."""
+loads only the flab modules it runs, only a command that makes a Fraction
+loads fractions, and no module loads dataclasses."""
 
 import ast
 import builtins
@@ -154,15 +155,18 @@ def test_no_module_imports_dataclasses():
 
 
 # Runs `flab` with argv in a fresh interpreter; prints the exit code, then
-# the flab modules loaded by `import flab.cli` and those the command added.
+# the flab modules (and fractions) loaded by `import flab.cli` and those the
+# command added.
 LOADS = """import contextlib, io, sys
+def loaded():
+    return {m for m in sys.modules if m.startswith("flab") or m == "fractions"}
 import flab.cli
-before = {m for m in sys.modules if m.startswith("flab")}
+before = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     code = flab.cli.main(sys.argv[1:])
 print(code)
 print(*sorted(before))
-print(*sorted({m for m in sys.modules if m.startswith("flab")} - before))
+print(*sorted(loaded() - before))
 """
 
 
@@ -185,16 +189,19 @@ INPUTS = {
 FIELD = ["--p", "2", "--n", "2", "--k", "1", "--m", "2"]
 
 
+# polycert makes no Fraction, so it never loads fractions (nor the decimal
+# and numbers modules that fractions imports)
 @pytest.mark.parametrize("argv, added", [
     (["verify", "--points", "@s.pts", "--k", "1", "--m", "2"],
-     {"flab.furstenberg"}),
-    (["search", *FIELD], {"flab.furstenberg"}),
-    (["bounds", *FIELD], {"flab.furstenberg"}),
-    (["entropy", "--dist", "@d.dist"], {"flab.entropy"}),
+     {"flab.furstenberg", "fractions"}),
+    (["search", *FIELD], {"flab.furstenberg", "fractions"}),
+    (["bounds", *FIELD], {"flab.furstenberg", "fractions"}),
+    (["entropy", "--dist", "@d.dist"], {"flab.entropy", "fractions"}),
     (["polycert", "--p", "3", "--n", "2", "--poly", "@p.poly"],
      {"flab.polymethod"}),
     (["incidence", "--points", "@s.pts", "--flats", "@l.flats",
-      "--check", "count"], {"flab.incidence", "flab.furstenberg"}),
+      "--check", "count"],
+     {"flab.incidence", "flab.furstenberg", "fractions"}),
 ], ids=["verify", "search", "bounds", "entropy", "polycert", "incidence"])
 def test_each_command_loads_only_its_own_module(tmp_path, argv, added):
     for name, text in INPUTS.items():
