@@ -311,12 +311,9 @@ def enumerate_flats(F, n: int, k: int,
     columns) in lexicographic order of the free coordinates."""
     for sub, _ in scan_directions(F, n, k, (), budget):
         pivots = sub.pivots()
-        freecols = [j for j in range(n) if j not in pivots]
-        for vals in itertools.product(F.elements(), repeat=len(freecols)):
-            shift = [0] * n
-            for j, v in zip(freecols, vals):
-                shift[j] = v
-            yield Flat(sub, tuple(shift))
+        for shift in itertools.product(*[(0,) if j in pivots else F.elements()
+                                         for j in range(n)]):
+            yield Flat(sub, shift)
 
 
 def q_flat_count(q: int, n: int, k: int) -> int:
@@ -324,17 +321,16 @@ def q_flat_count(q: int, n: int, k: int) -> int:
 
 
 def flat_points(F, flat: Flat, budget: int = DEFAULT_BUDGET) -> list[Point]:
-    """All q^k points of the flat, deterministic order."""
+    """The q^k points shift + c B of the flat (basis B), each at the index
+    sum_j c_j q^(k-1-j) of c in all_points(F, k): F.elements() is range(q)."""
     k = flat.direction.k
     charge(F.q ** k, "flat points", budget)
-    out = []
-    for coeffs in itertools.product(F.elements(), repeat=k):
-        p = list(flat.shift)
-        for c, row in zip(coeffs, flat.direction.basis):
-            if c:
-                p = [F.add(x, F.mul(c, y)) for x, y in zip(p, row)]
-        out.append(tuple(p))
-    return out
+    cols = [[x] * F.q ** k for x in flat.shift]
+    for row, coeffs in zip(flat.direction.basis, zip(*all_points(F, k))):
+        for j, y in enumerate(row):
+            if y:
+                cols[j] = _column_op(F, cols[j], F.sub(0, y), coeffs)
+    return list(zip(*cols))
 
 
 def all_points(F, n: int) -> list[Point]:

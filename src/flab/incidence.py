@@ -1,4 +1,4 @@
-"""Point-flat incidence counting and the incidence-lemma census checks.
+"""Point-flat incidences, incidence-lemma censuses and contained subflats.
 
 Every square root on the bound side of an inequality is rounded up by
 furstenberg.sqrt_up (ceil(sqrt(ab))/b for a/b, exact on rational squares),
@@ -8,15 +8,15 @@ falsely accuse it.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import FlabError
 from .furstenberg import FurstenbergInstance, search_extremal, sqrt_up
 from .geometry import (CAP_BITS, DEFAULT_BUDGET, DIGIT_CAP, Flat, PointSet,
-                       coset_histogram, flat_points, qbinomial,
-                       scan_directions)
+                       Subspace, charge, coset_histogram, flat_points,
+                       qbinomial, scan_directions)
 
 
 class FlatFamily(NamedTuple):
@@ -29,15 +29,13 @@ class FlatFamily(NamedTuple):
 
     @classmethod
     def of(cls, F, n: int, flats: Iterable[Flat]) -> "FlatFamily":
-        uniq = sorted(set(flats),
-                      key=lambda f: (f.direction.basis, f.shift))
+        uniq = sorted(set(flats))   # by direction basis, then shift
         ranks = {f.direction.k for f in uniq}
         if len(ranks) > 1:
             raise FlabError(f"mixed flat ranks {sorted(ranks)}")
         rank = ranks.pop() if ranks else 0
-        for f in uniq:
-            if f.direction.n != n:
-                raise FlabError("ambient dimension mismatch")
+        if any(f.direction.n != n for f in uniq):
+            raise FlabError("ambient dimension mismatch")
         return cls(field=F, n=n, rank=rank, flats=tuple(uniq))
 
     def __len__(self) -> int:
@@ -111,37 +109,43 @@ def poor_flat_census(S: PointSet, l: int, delta: Fraction,
 
 def contained_subflats(Ffam: FlatFamily, l: int,
                        budget: int = DEFAULT_BUDGET) -> IncidenceReport:
-    """Count of l-flats inside a one-per-direction family of k-flats.
+    """Count of l-flats inside a one-per-direction family of k-flats, against
+    K(q, n-l, k-l, q^{k-l}) binom(n,l)_q: K is q^(n-l), the whole
+    (n-l)-space, when k = n, exact when the reduced instance fits the
+    exhaustive search, otherwise the search's bound-table lower bound.
 
-    Lower bound K(q, n-l, k-l, q^{k-l}) * binom(n,l)_q; the K factor is
-    q^(n-l), the whole (n-l)-space, when k = n, exact when the reduced
-    instance fits the exhaustive search, otherwise the general
-    m^{n/k}-style lower-bound formula is used.
+    Only l-flats inside family flats are built: C + s in F_q^k maps into
+    shift + span(B) as C B + shift + s B (C B is RREF: B's pivot columns
+    carry C).  The |family| binom(k,l)_q q^(k-l) pairs are charged first.
     """
     F = Ffam.field
     n, k, q = Ffam.n, Ffam.rank, F.q
     if not 0 < l < k:
         raise FlabError(f"l = {l} outside (0, {k})")
-    directions = Counter(f.direction for f in Ffam.flats)
-    expected = qbinomial(n, k, q)
-    if len(directions) != expected or any(c != 1 for c in directions.values()):
-        raise FlabError(
-            f"need exactly one flat per rank-{k} direction")
-    # an l-flat lies in a family flat iff its direction E lies in the
-    # flat's direction (each basis row of E is a vector of it) and it is
-    # one of the E-cosets the flat's points meet (a scan of no items
-    # charges the l-flats and yields each E)
-    scan = scan_directions(F, n, l, (), budget)
-    points = {f: frozenset(flat_points(F, f, budget=budget))
-              for f in Ffam.flats}
-    vectors = {f: frozenset(tuple(map(F.sub, p, f.shift)) for p in points[f])
-               for f in Ffam.flats}
-    count = 0
-    for E, _ in scan:
-        inside = [(p, 1) for f in Ffam.flats
-                  if vectors[f].issuperset(E.basis)
-                  for p in points[f]]
-        count += len(coset_histogram(F, inside, E))
+    if len({f.direction for f in Ffam.flats}) != len(Ffam) \
+            or len(Ffam) != qbinomial(n, k, q):
+        raise FlabError(f"need exactly one flat per rank-{k} direction")
+    # binom(k,l)_q q^(k-l) >= q^((l+1)(k-l)) bounds the pairs' bits
+    charge(((l + 1) * (k - l) * (q.bit_length() - 1),
+            lambda: len(Ffam) * qbinomial(k, l, q) * q ** (k - l)),
+           "subflat pairs", budget)
+    # C's rows and shifts (zero at its pivots) as indices into flat_points
+    place = [q ** (k - 1 - j) for j in range(k)]
+    local = []
+    for C, _ in scan_directions(F, k, l, (), budget):
+        shifts = [0]
+        for j in set(range(k)) - set(C.pivots()):
+            shifts = [s + x * place[j] for s in shifts for x in range(q)]
+        local.append(([sum(map(mul, r, place)) for r in C.basis], shifts))
+    images: dict[tuple, list] = {}      # E's rows -> its items
+    for f in Ffam.flats:
+        items = [(p, 1) for p in flat_points(F, f, budget)]
+        vectors = flat_points(F, Flat(f.direction, (0,) * n), budget)
+        for rows, shifts in local:
+            images.setdefault(tuple(map(vectors.__getitem__, rows)),
+                              []).extend(map(items.__getitem__, shifts))
+    count = sum(len(coset_histogram(F, reps, Subspace(n, l, rows)))
+                for rows, reps in images.items())
     if k == n:      # the one family flat is the whole space
         kfac = q ** (n - l)
     else:

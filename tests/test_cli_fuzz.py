@@ -269,14 +269,16 @@ def test_incidence_report_matches_brute_force_reference(case):
 
 @st.composite
 def subflats_cases(draw):
-    """(F_2, F_3 or F_4, n, one k-flat per rank-k direction, l, a Random,
-    whether to pass --points) with k = n - 1 and l = n - 2: lines in
-    planes of F_q^3, or planes in hyperplanes of F_2^4, so the K factor is
-    a planar Kakeya minimum that the exact search reaches; or with k = n,
-    the whole space, whose K factor is q^(n-l)."""
-    F = field_build(*draw(st.sampled_from(VALID_FIELDS[:3])))
-    n = draw(st.integers(3, 4 if F.q == 2 else 3))
-    k = draw(st.sampled_from([n - 1, n]))
+    """(F_2, F_3, F_4 or F_9, n, one k-flat per rank-k direction, l, a
+    Random, whether to pass --points) with k = n - 1 and l = n - 2: lines
+    in planes of F_q^3, or planes in hyperplanes of F_2^4, so the K factor
+    is a planar Kakeya minimum that the exact search reaches; or with
+    k = n, the whole space, whose K factor is q^(n-l).  F_9 comes only as
+    the whole plane: for k < n its instance is past the search's limit, so
+    the K factor is not the planar Kakeya value."""
+    F = field_build(*draw(st.sampled_from(VALID_FIELDS[:3] + [(3, 2)])))
+    n = 2 if F.q == 9 else draw(st.integers(3, 4 if F.q == 2 else 3))
+    k = n if F.q == 9 else draw(st.sampled_from([n - 1, n]))
     l = n - 2 if k < n else draw(st.integers(1, n - 1))
     rnd = draw(st.randoms(use_true_random=False))
     by_direction: dict = {}
@@ -287,10 +289,13 @@ def subflats_cases(draw):
 
 
 # subflats reads no points, so --points may be given or left out; the
-# example is the one 2-flat of F_2^2, which holds all six lines
+# examples are the one 2-flat of F_2^2, which holds all six lines, and of
+# F_9^2, which holds all ninety
 @given(subflats_cases())
 @example((FULL_PLANE.field, 2, list(enumerate_flats(FULL_PLANE.field, 2, 2)),
           1, random.Random(0), False))
+@example((field_build(3, 2), 2, list(enumerate_flats(field_build(3, 2), 2, 2)),
+          1, random.Random(0), True))
 @settings(max_examples=60, deadline=None)
 def test_subflats_report_matches_brute_force_reference(case):
     F, n, flats, l, rnd, points = case

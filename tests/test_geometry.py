@@ -219,6 +219,31 @@ def test_flat_points_cardinality(F3):
         assert span(F3, pts) == f
 
 
+@pytest.mark.parametrize("p, e, n, k", [(2, 1, 4, 2), (3, 1, 3, 2),
+                                        (5, 1, 3, 1), (2, 2, 3, 2),
+                                        (3, 2, 2, 1), (2, 3, 3, 2),
+                                        (3, 1, 3, 0), (3, 1, 3, 3),
+                                        pytest.param(2, (2, 2), 3, 2,
+                                                     id="tower-4^2-3-2")])
+def test_flat_points_match_pointwise_sums(p, e, n, k):
+    # the point of coefficients c is shift + sum c_i B_i, summed one point
+    # at a time with F.add and F.mul, in all_points(F, k) order
+    F = (field_build(p, e) if isinstance(e, int)
+         else ExtensionField(field_build(p, e[0]), e[1]))
+    rng = random.Random(f"{p} {e} {n} {k}")
+    pts = all_points(F, n)
+    dirs = list(enumerate_subspaces(F, n, k))
+    for d in rng.sample(dirs, min(3, len(dirs))):
+        f = Flat.through(F, d, rng.choice(pts))
+        want = []
+        for coeffs in all_points(F, k):
+            x = f.shift
+            for c, row in zip(coeffs, d.basis):
+                x = tuple(F.add(a, F.mul(c, b)) for a, b in zip(x, row))
+            want.append(x)
+        assert flat_points(F, f) == want
+
+
 def test_dim_span_formula_exhaustive_f2_cubed(F2):
     # dim(A + B) = dim A + dim B - dim(A n B), with A n B counted point by
     # point: 2^dim(A+B) |A n B| = 2^(dim A + dim B)

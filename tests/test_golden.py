@@ -3,9 +3,16 @@ same SHA-256 of stdout, SHA-256 of stderr and exit code, replayed in one
 process through cli.main.
 
 Each file maps an argv, its words joined by spaces, to
-{"stdout": sha256, "stderr": sha256, "exit": code}.  search_bounds.json
-holds the exact search instances in json and text, and the bounds of the
-same instances in json, csv and text.
+{"stdout": sha256, "stderr": sha256, "exit": code}, run in tests/golden,
+so a file named in an argv is read from there.  search_bounds.json holds
+the exact search instances in json and text, and the bounds of the same
+instances in json, csv and text.  subflats.json holds incidence --check
+subflats on the *.family files: one k-flat per direction of F_2^3 to F_2^6,
+F_3^3, F_3^4, F_4^3 and F_5^3 for k = n - 1, n - 2 (n >= 4) and n, each l
+in [1, k - 1], in json and text; and its refusals of an l out of range, of
+a family that is not one flat per direction, and of a bare header.  F_2^6
+runs in json only and without k = n - 2, whose 651 4-flats would double the
+replay's time of about 1 s.
 """
 
 import contextlib
@@ -34,6 +41,7 @@ def digests(argv: list[str]) -> dict:
 @pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])
 def test_golden_outputs_replay(path, monkeypatch):
     monkeypatch.delenv("FLAB_BUDGET", raising=False)
+    monkeypatch.chdir(path.parent)
     frozen = json.loads(path.read_text())
     changed = [argv for argv, want in frozen.items()
                if digests(argv.split()) != want]

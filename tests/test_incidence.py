@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flab import geometry, incidence
 from flab.errors import BudgetExceeded, FlabError
@@ -318,23 +318,39 @@ def test_rich_census_matches_point_sets(S, data):
                                  if c >= rep.extra["threshold"])
 
 
-@given(st.sampled_from([(F, 3) for F in FIELDS] + [(FIELDS[0], 4)]),
-       st.data())
+@st.composite
+def direction_families(draw):
+    """(F, n, k, l, seed): one k-flat per rank-k direction of F_q^n, each
+    through a point drawn from Random(seed), or through the origin when
+    seed is None; 2 <= k < n, as the K factor's instance needs k - l < n - l,
+    and 1 <= l < k."""
+    F = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(3, 4 if F.q == 2 else 3))
+    k = draw(st.integers(2, n - 1))
+    return F, n, k, draw(st.integers(1, k - 1)), draw(st.integers(0, 2 ** 16))
+
+
+# every plane of F_2^4 through the origin, where each line through it lies in
+# seven family planes; a family over F_4; a family over F_9
+@given(direction_families())
+@example((FIELDS[0], 4, 2, 1, None))
+@example((FIELDS[2], 3, 2, 1, 1))
+@example((field_build(3, 2), 3, 2, 1, 1))
 @settings(max_examples=25, deadline=None)
-def test_contained_subflats_matches_point_sets(Fn, data):
-    # the K factor needs 1 <= k - l < n - l, so k < n
+def test_contained_subflats_matches_point_sets(case):
     # shifts come from one drawn seed, so a failure shrinks in few steps
-    F, n = Fn
-    k = data.draw(st.integers(2, n - 1))
-    l = data.draw(st.integers(1, k - 1))
-    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
-    pts = all_points(F, n)
+    F, n, k, l, seed = case
+    rng = random.Random(seed)
+    pts = all_points(F, n) if seed is not None else [(0,) * n]
     fam = FlatFamily.of(F, n, [Flat.through(F, d, rng.choice(pts))
                                for d in enumerate_subspaces(F, n, k)])
-    pointsets = [frozenset(flat_points(F, f)) for f in fam.flats]
+    holders: dict = {}      # point -> the family flats through it
+    for i, f in enumerate(fam.flats):
+        for p in flat_points(F, f):
+            holders.setdefault(p, set()).add(i)
     expected = sum(1 for g in enumerate_flats(F, n, l)
-                   if any(frozenset(flat_points(F, g)) <= P
-                          for P in pointsets))
+                   if set.intersection(*(holders.get(p, set())
+                                         for p in flat_points(F, g))))
     assert contained_subflats(fam, l).incidences == expected
 
 
@@ -368,13 +384,72 @@ def test_haemers_refuses_huge_terms_before_any_power(F2, monkeypatch, n, k):
 def test_censuses_check_budget_before_scanning(F3, monkeypatch):
     S = PointSet.of(F3, 3, all_points(F3, 3))
     lines = q_flat_count(3, 3, 1)                       # 117
+    pairs = 13 * q_flat_count(3, 2, 1)      # 13 planes x 12 lines of F_3^2
     fam = _direction_family(F3, 3, 2, lambda i, s: s[0])
     _spy_walk(monkeypatch, _no_scan)
     monkeypatch.setattr(incidence, "flat_points", _no_scan)
     with pytest.raises(BudgetExceeded, match=f"{lines} flats exceed"):
         poor_flat_census(S, 1, Fraction(1, 2), budget=lines - 1)
-    with pytest.raises(BudgetExceeded, match=f"{lines} flats exceed"):
-        contained_subflats(fam, 1, budget=lines - 1)
+    with pytest.raises(BudgetExceeded,
+                       match=f"^{pairs} subflat pairs exceed budget 155$"):
+        contained_subflats(fam, 1, budget=pairs - 1)
+
+
+# (p, e, n, k, l): a family of each field whose K factor's search fits in
+# the pair count, and a whole space (k = n), which takes no search
+SUBFLAT_BUDGETS = [(2, 1, 3, 2, 1), (2, 1, 4, 3, 1), (2, 1, 4, 3, 2),
+                   (3, 1, 3, 2, 1), (5, 1, 3, 2, 1), (2, 1, 3, 3, 1),
+                   (2, 2, 3, 3, 2)]
+
+
+def _seeded_family(p, e, n, k):
+    rng = random.Random(24)
+    return _direction_family(field_build(p, e), n, k,
+                             lambda i, s: rng.choice(s))
+
+
+@pytest.mark.parametrize("p, e, n, k, l", SUBFLAT_BUDGETS)
+def test_subflats_charge_is_the_pair_count(monkeypatch, p, e, n, k, l):
+    # |family| binom(k,l)_q q^(k-l) (l-flat, family flat) pairs: one short
+    # is refused before any walk or flat point, and the count itself runs
+    fam = _seeded_family(p, e, n, k)
+    pairs = len(fam) * q_flat_count(p ** e, k, l)
+    want = contained_subflats(fam, l)
+    assert contained_subflats(fam, l, budget=pairs) == want
+    _spy_walk(monkeypatch, _no_scan)
+    monkeypatch.setattr(incidence, "flat_points", _no_scan)
+    with pytest.raises(BudgetExceeded, match=(
+            f"^{pairs} subflat pairs exceed budget {pairs - 1}$")):
+        contained_subflats(fam, l, budget=pairs - 1)
+
+
+def test_subflats_refuses_huge_pair_counts_on_bit_length(F2):
+    # the whole of F_2^240 with l = 120: binom(240,120)_2 2^120 pairs, at
+    # least 2^(121 * 120) = 2^14520, past CAP_BITS, so refused as a power
+    n = 240
+    basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    fam = FlatFamily.of(F2, n, [Flat(Subspace(n, n, basis), (0,) * n)])
+    with pytest.raises(BudgetExceeded, match=(
+            r"^2\^14520 or more subflat pairs exceed budget 10000000$")):
+        contained_subflats(fam, 120)
+
+
+@pytest.mark.parametrize("p, e, n, k, l", SUBFLAT_BUDGETS)
+def test_subflats_store_one_image_per_charged_pair(monkeypatch, p, e, n, k,
+                                                   l):
+    # the images handed to the coset histograms are the work the charge
+    # counts: one per (l-flat of F_q^k, family flat) pair
+    fam = _seeded_family(p, e, n, k)
+    stored = []
+    histogram = incidence.coset_histogram
+
+    def spied(F, items, direction):
+        items = list(items)
+        stored.append(len(items))
+        return histogram(F, items, direction)
+    monkeypatch.setattr(incidence, "coset_histogram", spied)
+    contained_subflats(fam, l)
+    assert sum(stored) == len(fam) * q_flat_count(p ** e, k, l)
 
 
 def test_becks_checks_rich_budget_before_scanning(F3, monkeypatch):
