@@ -173,11 +173,10 @@ class Subspace(NamedTuple):
                      for row in self.basis)
 
 
-def _columns(items: Iterable[tuple[Sequence[int], int]], n: int) -> tuple:
-    """The items' points as n columns, and their weights (None if all 1)."""
+def _columns(items: Iterable[tuple[Sequence[int], int]]) -> tuple:
+    """The items' columns (none if no items) and weights (None if all 1)."""
     pts, weights = tuple(zip(*items)) or ((), ())
-    return (list(zip(*pts)) or [()] * n,
-            None if set(weights) <= {1} else weights)
+    return list(zip(*pts)), None if set(weights) <= {1} else weights
 
 
 def _column_op(F, col_j: Sequence[int], y: int,
@@ -206,9 +205,11 @@ def coset_histogram(F, items: Iterable[tuple[Sequence[int], int]],
                     direction: Subspace) -> dict[Point, int]:
     """Summed weight of the (point, weight) items per coset of direction,
     keyed by canonical shift; weights 1 << i give each coset its bitmask.
-    With unit weights it is a Counter, so an empty coset's shift reads 0.
+    With unit weights or no items it is a Counter: an empty coset reads 0.
     One column op per nonzero free entry; pivot columns are zeroed."""
-    cols, weights = _columns(items, direction.n)
+    cols, weights = _columns(items)
+    if not cols:
+        return Counter()
     reduced = cols.copy()
     for row, c in zip(direction.basis, direction.pivots()):
         reduced[c] = (0,) * len(cols[c])
@@ -218,12 +219,13 @@ def coset_histogram(F, items: Iterable[tuple[Sequence[int], int]],
     return _histogram(reduced, weights)
 
 
-def _walk(F, n: int, k: int, cols: list | None,
+def _walk(F, n: int, k: int, cols: list,
           weights: tuple[int, ...] | None
-          ) -> Iterator[tuple[Subspace, dict[Point, int] | None]]:
-    """The one enumeration: each rank-k RREF basis, pivot set first, then the
-    free entries lexicographically in F.elements() order, with the histogram
-    of the columns reduced modulo it (None when cols is None).
+          ) -> Iterator[tuple[Subspace, dict[Point, int]]]:
+    """The one enumeration, run by scan_directions: each rank-k RREF basis,
+    pivot set first, then its free entries (row i, pivot c, non-pivot j > c)
+    lexicographically in F.elements() order, with the histogram of the
+    columns reduced modulo it (without columns, {} and no column op).
 
     The free entries run as an odometer (Knuth, TAOCP 4A, 7.2.1.1): a step
     sets one entry e to a nonzero value and zeroes every later one.  Each op
@@ -233,16 +235,16 @@ def _walk(F, n: int, k: int, cols: list | None,
     """
     elements = F.elements()
     for pivots in itertools.combinations(range(n), k):
+        others = [j for j in range(n) if j not in pivots]
         free = [(i, c, j) for i, c in enumerate(pivots)
-                for j in range(c + 1, n) if j not in pivots]
+                for j in others if j > c]
         rows = [[int(j == c) for j in range(n)] for c in pivots]
         digits = [0] * len(free)
-        if cols is not None:
-            states = [[(0,) * len(col) if j in pivots else col
-                       for j, col in enumerate(cols)]] * (len(free) + 1)
+        states = [[(0,) * len(col) if j in pivots else col
+                   for j, col in enumerate(cols)]] * (len(free) + 1)
         while True:
             yield (Subspace(n, k, tuple(map(tuple, rows))),
-                   None if cols is None else _histogram(states[-1], weights))
+                   _histogram(states[-1], weights) if cols else {})
             e = len(free) - 1
             while e >= 0 and digits[e] == len(elements) - 1:
                 i, _, j = free[e]
@@ -253,7 +255,7 @@ def _walk(F, n: int, k: int, cols: list | None,
             digits[e] += 1
             i, c, j = free[e]
             rows[i][j] = y = elements[digits[e]]
-            if cols is not None:
+            if cols:
                 state = states[e].copy()
                 state[j] = _column_op(F, state[j], y, cols[c])
                 states[e + 1:] = [state] * (len(free) - e)
@@ -270,15 +272,15 @@ def scan_directions(F, n: int, k: int,
     binom(n,k)_q flats (binom(n,k)_q >= q^(k(n-k)) bounds their bits) and
     the k n basis entries, past the flats only at k = n.  The items become
     coordinate columns once; the walk (_walk) then reduces them with one
-    column op per direction, from the columns of an earlier direction, and
-    holds at most one new column per free entry.
+    column op per direction, from the columns of an earlier direction.  No
+    items give no columns, so each direction comes with {} and no op.
     """
     if not 0 <= k <= n:
         raise FlabError(f"k = {k} outside [0, {n}]")
     charge(((k + 1) * (n - k) * (F.q.bit_length() - 1),
             lambda: q_flat_count(F.q, n, k)), "flats", budget)
     charge(k * n, "basis entries", budget)
-    return _walk(F, n, k, *_columns(items, n))
+    return _walk(F, n, k, *_columns(items))
 
 
 class Flat(NamedTuple):
@@ -296,13 +298,11 @@ class Flat(NamedTuple):
 
 
 def enumerate_subspaces(F, n: int, k: int) -> Iterator[Subspace]:
-    """All rank-k subspaces, 0 <= k <= n, one per RREF basis: the walk
-    (_walk) without columns; unchecked and uncharged, as scan_directions
-    guards every walk a user can size.
-
-    Order: lexicographic on the pivot-column set, then on the free entries.
-    """
-    return (d for d, _ in _walk(F, n, k, None, None))
+    """All rank-k subspaces, one per RREF basis, lexicographic on the pivot
+    set, then on the free entries: the directions of scan_directions over no
+    items, so when called it refuses k outside [0, n] and charges the walk
+    against DEFAULT_BUDGET."""
+    return (d for d, _ in scan_directions(F, n, k, (), DEFAULT_BUDGET))
 
 
 def enumerate_flats(F, n: int, k: int,

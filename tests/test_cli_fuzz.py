@@ -4,12 +4,15 @@ valid point sets verify as a per-point reference says, and the incidence
 search reports of valid input match a brute-force recount, and drawn
 nested reports render to the JSON bytes of a walk-then-dump reference.
 
-Every input is small (q <= 5, n <= 2, multiplicities and degrees below 8),
-so no case starts a large enumeration; the files mix random tokens with
-lines in the right shape, so some cases get past parsing.  A file may also
-be a bare header of dimension 25 to 10^9: 2^25 is past the default budget,
-so every scan of it must be refused, and refused without counting the
-flats of F_q^(10^9) in full.
+Half the fuzz cases are malformed: every input is small (q <= 5, n <= 2,
+multiplicities and degrees below 8), so no case starts a large
+enumeration, and the files mix random tokens with lines in the right
+shape.  A file may also be a bare header of dimension 25 to 10^9: 2^25 is
+past the default budget, so every scan of it must be refused, and refused
+without counting the flats of F_q^(10^9) in full.  The other half are the
+valid runs of the report tests below, as drawn or with one flag value,
+header token or coordinate replaced, so about a quarter of all cases run
+an algorithm to exit 0.
 """
 
 import contextlib
@@ -71,7 +74,7 @@ flag = st.sampled_from(SMALL)
 
 
 @st.composite
-def invocations(draw):
+def malformed_invocations(draw):
     """(argv with @a/@b placeholders, text of file a, text of file b)."""
     cmd = draw(st.sampled_from(["verify", "entropy", "targets", "poly",
                                 "incidence", "search", "bounds"]))
@@ -105,22 +108,6 @@ def invocations(draw):
     if cmd != "bounds" and draw(st.booleans()):
         argv += ["--budget", draw(st.sampled_from(["-1", "0", "50", "x"]))]
     return argv, draw(text), draw(text)
-
-
-@given(invocations())
-@settings(max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_malformed_input_exits_0_or_2(case):
-    argv, a, b = case
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = {"@a": os.path.join(tmp, "a"), "@b": os.path.join(tmp, "b")}
-        for key, body in (("@a", a), ("@b", b)):
-            with open(paths[key], "w") as fh:
-                fh.write(body)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([paths.get(t, t) for t in argv])
-    assert code in (0, 2), (argv, a, b, err.getvalue())
 
 
 # -- valid input ------------------------------------------------------------
@@ -449,6 +436,120 @@ def test_entropy_report_matches_pointwise_reference(case):
     argv = ["entropy", "--check", check, "--k", str(k), "--dist"]
     got = _report(argv, "d.dist", formats.serialize_distribution(dist))
     assert got == entropy_report(dist, check, k)
+
+
+# -- valid runs, at most one token changed ----------------------------------
+
+def _field_flags(F, n: int) -> list[str]:
+    return ["--p", str(F.p), "--e", str(F.e), "--n", str(n)]
+
+
+def _verify_run(case):
+    S, k, m = case
+    return (["verify", "--points", "@a", "--k", str(k), "--m", str(m)],
+            formats.serialize_pointset(S), "")
+
+
+def _incidence_run(case):
+    S, check, r, flats, delta, _ = case
+    argv = ["incidence", "--check", check, "--points", "@a"]
+    if check not in ("count", "haemers"):
+        return (argv + ["--l" if check == "poor" else "--k", str(r),
+                        "--delta", str(delta)],
+                formats.serialize_pointset(S), "")
+    return (argv + ["--flats", "@b"], formats.serialize_pointset(S),
+            formats.serialize_flat_family(
+                FlatFamily(S.field, S.n, r, tuple(flats))))
+
+
+def _subflats_run(case):
+    F, n, flats, l, _, points = case
+    argv = ["incidence", "--check", "subflats", "--l", str(l), "--flats", "@b"]
+    return (argv + ["--points", "@a"] * points,
+            formats.serialize_pointset(PointSet.of(F, n, [])),
+            formats.serialize_flat_family(
+                FlatFamily(F, n, flats[0].direction.k, tuple(flats))))
+
+
+def _search_run(case):
+    p, e, n, k, m = case
+    return (["search", *_field_flags(field_build(p, e), n), "--k", str(k),
+             "--m", str(m)], "", "")
+
+
+def _audit_run(P):
+    return (["polycert", *_field_flags(P.field, P.n), "--poly", "@a"],
+            formats.serialize_polynomial(P), "")
+
+
+def _targets_run(case):
+    F, n, targets, d = case
+    return (["polycert", *_field_flags(F, n), "--degree", str(d),
+             "--targets", "@a"], formats.serialize_targets(F, n, targets), "")
+
+
+def _entropy_run(case):
+    dist, check, k = case
+    return (["entropy", "--dist", "@a", "--check", check, "--k", str(k)],
+            formats.serialize_distribution(dist), "")
+
+
+valid_runs = st.one_of(
+    verify_cases().map(_verify_run), incidence_cases().map(_incidence_run),
+    subflats_cases().map(_subflats_run), search_cases().map(_search_run),
+    audit_cases().map(_audit_run), interpolation_cases().map(_targets_run),
+    entropy_cases().map(_entropy_run))
+SEPARATORS = ("|", ";", ",", ":")
+
+
+@st.composite
+def mutated_runs(draw):
+    """A valid run as (argv, text of a, text of b): as it is in half the
+    draws, else with one flag value, or one header token or one coordinate
+    (a token of a later line) of a file it reads, replaced."""
+    argv, *texts = draw(valid_runs)
+    if draw(st.booleans()):
+        return argv, *texts
+    read = [f for f, key in enumerate(("@a", "@b")) if key in argv]
+    f = draw(st.sampled_from(read)) if read else None
+    lines = texts[f].split("\n") if read else []
+    body = [i for i, ln in enumerate(lines[1:], 1)
+            if set(ln.split()) - set(SEPARATORS)]
+    where = draw(st.sampled_from(["flag", "header", "coordinate"][
+        :1 + bool(read) + bool(body)]))
+    if where == "flag":
+        i = draw(st.sampled_from([i for i in range(1, len(argv))
+                                  if argv[i - 1].startswith("--")
+                                  and not argv[i].startswith("@")]))
+        return (argv[:i] + [draw(st.sampled_from(SMALL + RATIONALS))]
+                + argv[i + 1:], *texts)
+    i = 0 if where == "header" else draw(st.sampled_from(body))
+    toks = lines[i].split()
+    j = draw(st.sampled_from([j for j, t in enumerate(toks)
+                              if t not in SEPARATORS]))
+    toks[j] = draw(st.sampled_from(SMALL if where == "header" else DIGITS))
+    lines[i] = " ".join(toks)
+    texts[f] = "\n".join(lines)
+    return argv, *texts
+
+
+invocations = st.one_of(malformed_invocations(), mutated_runs())
+
+
+@given(invocations)
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_malformed_input_exits_0_or_2(case):
+    argv, a, b = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"@a": os.path.join(tmp, "a"), "@b": os.path.join(tmp, "b")}
+        for key, body in (("@a", a), ("@b", b)):
+            with open(paths[key], "w") as fh:
+                fh.write(body)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([paths.get(t, t) for t in argv])
+    assert code in (0, 2), (argv, a, b, err.getvalue())
 
 
 class _Pair(NamedTuple):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -168,6 +169,57 @@ def test_scan_makes_one_column_op_per_direction(F3, monkeypatch):
     scan = list(scan_directions(F3, 4, 2, items, 10 ** 6))
     assert len(scan) == qbinomial(4, 2, 3) == 130
     assert len(ops) == 130 - 6
+
+
+def _spy_kernel(monkeypatch) -> list[str]:
+    """The names of the column op and histogram calls made from now on."""
+    calls = []
+    for name in ("_column_op", "_histogram"):
+        def spied(*args, name=name, fn=getattr(geometry, name)):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(geometry, name, spied)
+    return calls
+
+
+@pytest.mark.parametrize("p, e, n, k", [(2, 1, 4, 2), (3, 1, 3, 1),
+                                        (2, 2, 3, 2), (5, 1, 2, 0),
+                                        (2, 1, 3, 3)])
+def test_walk_over_no_points_makes_no_column_work(monkeypatch, p, e, n, k):
+    F = field_build(p, e)
+    calls = _spy_kernel(monkeypatch)
+    scan = list(scan_directions(F, n, k, (), 10 ** 6))
+    dirs = list(enumerate_subspaces(F, n, k))
+    hists = [coset_histogram(F, [], d) for d in dirs]
+    assert calls == []
+    assert [d for d, _ in scan] == dirs
+    # the walk's {} equals the empty Counter of the pointwise reference
+    empty = [pointwise_histogram(F, [], d) for d in dirs]
+    assert [h for _, h in scan] == hists == empty == [Counter()] * len(dirs)
+    # count_incidences reads an empty coset's shift off coset_histogram
+    assert all(type(h) is Counter and h[(0,) * n] == 0 for h in hists)
+    # the spies see the work of a walk over one point
+    list(scan_directions(F, n, k, [((1,) * n, 1)], 10 ** 6))
+    assert "_histogram" in calls
+    assert ("_column_op" in calls) == (0 < k < n)
+
+
+@pytest.mark.parametrize("k", [-1, 4])
+def test_enumerate_subspaces_refuses_k_out_of_range(F2, k):
+    with pytest.raises(FlabError, match=rf"^k = {k} outside \[0, 3\]$"):
+        enumerate_subspaces(F2, 3, k)
+
+
+def test_enumerate_subspaces_is_charged_when_called(F2, monkeypatch):
+    # 35 planes of F_2^4 with 4 shifts each: one short is refused by the
+    # call itself, before a first direction is asked for
+    flats = q_flat_count(2, 4, 2)
+    monkeypatch.setattr(geometry, "DEFAULT_BUDGET", flats - 1)
+    with pytest.raises(BudgetExceeded,
+                       match=f"^{flats} flats exceed budget {flats - 1}$"):
+        enumerate_subspaces(F2, 4, 2)
+    monkeypatch.setattr(geometry, "DEFAULT_BUDGET", flats)
+    assert sum(1 for _ in enumerate_subspaces(F2, 4, 2)) == 35
 
 
 def _never():

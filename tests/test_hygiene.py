@@ -99,6 +99,13 @@ def test_only_geometry_charge_raises_budget_exceeded():
     assert raisers == ["geometry.charge"]
 
 
+def test_only_scan_directions_runs_the_walk():
+    # one entry point, so every direction walk is range-checked and charged
+    callers = [name for name, m in _definitions() for n in ast.walk(m)
+               if isinstance(n, ast.Call) and _name(n.func) == "_walk"]
+    assert callers == ["geometry.scan_directions"]
+
+
 def _src_nodes():
     """(module, node) of every AST node in src/flab."""
     for path in sorted(Path(flab.__file__).parent.glob("*.py")):
