@@ -19,6 +19,12 @@ from flab.geometry import all_points
 from flab.gf import field_build
 
 
+def decimals3(x: Fraction) -> str:
+    """x >= 0 to three decimals, rounded half up in integer arithmetic."""
+    t = (2000 * x.numerator + x.denominator) // (2 * x.denominator)
+    return f"{t // 1000}.{t % 1000:03d}"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--q", type=int, default=2)
@@ -49,7 +55,7 @@ def main() -> int:
         floor = Fraction(r ** n * q ** n, floor_den)
         ratio = Fraction(best[r]) / floor
         print(f"  r={r:2d}  min power sum {best[r]:4d}  "
-              f"floor {floor}  ratio {float(ratio):.3f}")
+              f"floor {floor}  ratio {decimals3(ratio)}")
     return 0
 
 

@@ -9,9 +9,9 @@ Output is deterministic byte-for-byte for identical inputs and flags.
 JSON renders in one pass of json.dumps, whose hook prints a Fraction as
 "num/den".  A Fraction is found by its denominator, not its class, so a
 command that makes none (polycert) never loads ``fractions``.
-Exit codes: 0 success; 2 for a FlabError (BudgetExceeded included), an
-OSError or a flag argparse rejects; 1 for anything else (a bug) or a
-failed selftest.
+Exit codes: 0 success; 2 for a FlabError (BudgetExceeded and
+check_printable's refusals included), an OSError or a flag argparse
+rejects; 1 for anything else (a bug) or a failed selftest.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ import sys
 
 from . import formats
 from .errors import FlabError
-from .geometry import DEFAULT_BUDGET
+from .geometry import CAP_BITS, DEFAULT_BUDGET, DIGIT_CAP
 from .gf import field_build
+
+_DIGIT_LIMIT = 10 ** DIGIT_CAP
 
 
 def _ratio(v) -> str:
@@ -45,6 +47,27 @@ def _jsonable(v):
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     return v
+
+
+def _too_long(v) -> bool:
+    """Whether v holds an int, or a Fraction part, past DIGIT_CAP digits."""
+    if isinstance(v, str):
+        return False
+    if isinstance(v, int):
+        return v.bit_length() >= CAP_BITS and abs(v) >= _DIGIT_LIMIT
+    if isinstance(v, (list, tuple, dict)):
+        return any(map(_too_long, v.values() if isinstance(v, dict) else v))
+    return v is not None and _too_long((v.numerator, v.denominator))
+
+
+def check_printable(report: dict) -> None:
+    """The one decision whether a report prints: FlabError naming the first
+    top-level key whose value holds a number past DIGIT_CAP digits, found
+    by comparing numbers, so Python's own limit on printing never decides."""
+    for key, v in report.items():
+        if _too_long(v):
+            raise FlabError(f"{key} has a number of more than {DIGIT_CAP} "
+                            "digits")
 
 
 def _is_table(v) -> bool:
@@ -175,11 +198,10 @@ def _cmd_entropy(args) -> dict:
     with open(args.dist) as fh:
         dist = formats.parse_distribution(fh.read())
     ev = min_entropy(dist)
-    report = {
-        "n": dist.n, "q": dist.field.q, "total": dist.total,
-        "max_weight": ev.max_weight,
-        "entropy": f"H = log_q({ev.total}/{ev.max_weight})",
-    }
+    report = {"n": dist.n, "q": dist.field.q, "total": dist.total,
+              "max_weight": ev.max_weight}
+    check_printable(report)     # before the entropy line spells them
+    report["entropy"] = f"H = log_q({ev.total}/{ev.max_weight})"
     if args.check == "none":
         _mode(args, "entropy --check none")
     elif args.check == "bound":
@@ -352,7 +374,9 @@ def main(argv=None) -> int:
             # the battery streams its lines as it goes
             from .selftest import run_selftest
             return 0 if run_selftest(sys.stdout) else 1
-        text = emit_report(args.fn(args), args.format)
+        report = args.fn(args)
+        check_printable(report)
+        text = emit_report(report, args.format)
         if args.output:
             with open(args.output, "w") as fh:
                 fh.write(text)

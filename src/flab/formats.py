@@ -9,7 +9,7 @@ append one extra ``|``-separated field holding the integer weight.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import FlabError
 from .geometry import Flat, PointSet, Subspace
@@ -37,11 +37,18 @@ def _int(tok: str) -> int:
 
 
 def _coord_parse(F, tok: str) -> int:
+    """The element whose e base-p digits, low digit first, tok spells: the
+    encoding gf defines and _coord_strs prints, read high digit first."""
     digits = [_int(t) for t in tok.split()]
-    if len(digits) != F.e or not all(0 <= d < F.p for d in digits):
-        raise FlabError(
-            f"expected {F.e} digits in [0, {F.p}), got {tok!r}")
-    return F.from_coeffs(digits)
+    p, a = F.p, 0
+    for d in reversed(digits):
+        if not 0 <= d < p:
+            break
+        a = a * p + d
+    else:       # every digit in range
+        if len(digits) == F.e:
+            return a
+    raise FlabError(f"expected {F.e} digits in [0, {p}), got {tok!r}")
 
 
 def _point_str(coord: Callable[[int], str], p: Sequence[int]) -> str:
@@ -52,14 +59,18 @@ def _point_parse(F, line: str) -> tuple[int, ...]:
     return tuple(_coord_parse(F, tok) for tok in line.split("|"))
 
 
-def _header_lines(F, n: int) -> list[str]:
+def _file(F, n: int, body: Iterable[str]) -> str:
+    """The 'p e n' header, the modulus line when e > 1, then the body."""
     lines = [f"{F.p} {F.e} {n}"]
     if F.e > 1:
         lines.append(" ".join(str(c) for c in F.modulus))
-    return lines
+    return "\n".join([*lines, *body]) + "\n"
 
 
-def _parse_header(lines: list[str]):
+def _parse_header(text: str):
+    """Field, dimension and body lines of a file that opens with a 'p e n'
+    header, and a modulus line when e > 1; blank lines are dropped."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FlabError("empty file: expected a 'p e n' header")
     toks = lines[0].split()
@@ -82,37 +93,32 @@ def _parse_header(lines: list[str]):
 
 def serialize_pointset(S: PointSet) -> str:
     coord = _coord_strs(S.field)
-    lines = _header_lines(S.field, S.n)
-    lines += [_point_str(coord, p) for p in S.sorted()]
-    return "\n".join(lines) + "\n"
+    return _file(S.field, S.n, (_point_str(coord, p) for p in S.sorted()))
 
 
 def parse_pointset(text: str) -> PointSet:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    F, n, body = _parse_header(lines)
+    F, n, body = _parse_header(text)
     pts = [_point_parse(F, ln) for ln in body]
     if len(set(pts)) != len(pts):
         raise FlabError("duplicate point")
     return PointSet.of(F, n, pts)
 
 
-def _serialize_weighted(F, n: int, weights) -> str:
-    """A point-plus-weight file: point format plus a trailing integer."""
+def serialize_targets(F, n: int, weights) -> str:
+    """A point-plus-weight file, the format of multiplicity targets and of
+    distributions: point format plus a trailing integer."""
     coord = _coord_strs(F)
-    lines = _header_lines(F, n)
-    lines += [f"{_point_str(coord, p)} | {weights[p]}"
-              for p in sorted(weights)]
-    return "\n".join(lines) + "\n"
+    return _file(F, n, (f"{_point_str(coord, p)} | {weights[p]}"
+                        for p in sorted(weights)))
 
 
 def serialize_distribution(dist: RationalDistribution) -> str:
-    return _serialize_weighted(dist.field, dist.n, dist.weights)
+    return serialize_targets(dist.field, dist.n, dist.weights)
 
 
-def _parse_weighted(text: str):
+def parse_targets(text: str):
     """Field, dimension and {point: integer} of a point-plus-weight file."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    F, n, body = _parse_header(lines)
+    F, n, body = _parse_header(text)
     weights = {}
     for ln in body:
         toks = ln.split("|")
@@ -127,7 +133,7 @@ def _parse_weighted(text: str):
 
 def parse_distribution(text: str) -> RationalDistribution:
     from .entropy import RationalDistribution
-    return RationalDistribution.of(*_parse_weighted(text))
+    return RationalDistribution.of(*parse_targets(text))
 
 
 def serialize_polynomial(P: Polynomial) -> str:
@@ -145,9 +151,7 @@ def parse_polynomial(F, n: int, text: str) -> Polynomial:
     if n < 1:
         raise FlabError(f"dimension n = {n} < 1")
     terms = {}
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
+    for ln in filter(str.strip, text.splitlines()):
         try:
             coeff_s, expo_s = ln.split(":")
         except ValueError:
@@ -184,22 +188,11 @@ def parse_flat(F, n: int, line: str) -> Flat:
 
 def serialize_flat_family(fam) -> str:
     coord = _coord_strs(fam.field)
-    lines = _header_lines(fam.field, fam.n)
-    lines += [serialize_flat(fam.field, f, coord) for f in fam.flats]
-    return "\n".join(lines) + "\n"
+    return _file(fam.field, fam.n,
+                 (serialize_flat(fam.field, f, coord) for f in fam.flats))
 
 
 def parse_flat_family(text: str):
     from .incidence import FlatFamily
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    F, n, body = _parse_header(lines)
+    F, n, body = _parse_header(text)
     return FlatFamily.of(F, n, [parse_flat(F, n, ln) for ln in body])
-
-
-def serialize_targets(F, n: int, targets: dict) -> str:
-    """Multiplicity targets, in the distribution format."""
-    return _serialize_weighted(F, n, targets)
-
-
-def parse_targets(text: str):
-    return _parse_weighted(text)

@@ -107,9 +107,6 @@ class PrimeField:
     def coeffs(self, a: int) -> tuple[int, ...]:
         return (a % self.p,)
 
-    def from_coeffs(self, cs: Sequence[int]) -> int:
-        return cs[0] % self.p
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -234,12 +231,6 @@ class ExtensionField:
         for d in self.digits(a):
             out.extend(self.base.coeffs(d))
         return tuple(out)
-
-    def from_coeffs(self, cs: Sequence[int]) -> int:
-        eb = self.base.e
-        ds = [self.base.from_coeffs(cs[i * eb:(i + 1) * eb])
-              for i in range(self.degree)]
-        return self.undigits(ds)
 
     # -- table construction -------------------------------------------------
 

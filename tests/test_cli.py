@@ -528,6 +528,41 @@ def test_bounds_past_the_digit_cap_exit_2(capsys, n, k):
     assert "4300 digits" in err
 
 
+NINES = "9" * 4300      # the longest int a default Python parses
+ORIGIN = " | ".join(["0"] * 9100)
+
+
+@pytest.mark.parametrize("argv, files, key", [
+    (["entropy", "--check", "bound", "--dist", "@d"],
+     {"d": f"2 1 2\n0 | 0 | {NINES[:4000]}\n0 | 1 | 1\n"}, "lhs"),
+    (["entropy", "--check", "none", "--dist", "@d"],
+     {"d": f"2 1 2\n0 | 0 | {NINES}\n0 | 1 | {NINES}\n"}, "total"),
+    (["incidence", "--check", "poor", "--l", "1", "--delta",
+      "1/1" + "0" * 4000, "--points", "@s"],
+     {"s": "2 1 2\n0 | 0\n0 | 1\n1 | 0\n"}, "bound"),
+    (["bounds", "--p", "3", "--n", "4700", "--k", "2", "--m", "5"], {},
+     "rows"),
+    (["bounds", "--p", "3", "--n", "3", "--k", "2", "--m", "5",
+      "--epsilon", f"1/{NINES}"], {}, "rows"),
+    (["incidence", "--check", "haemers", "--points", "@s", "--flats", "@l"],
+     {"s": f"3 1 9100\n{ORIGIN}\n", "l": f"3 1 9100\n ; {ORIGIN}\n"},
+     "rhs"),
+], ids=["entropy-bound", "entropy-total", "poor-bound", "bounds-rows",
+        "bounds-epsilon-rows", "haemers-rhs"])
+def test_digit_cap_refuses_a_report_before_it_prints(capsys, tmp_path, argv,
+                                                     files, key):
+    # each number read has at most 4300 digits, and the report holds one of
+    # more: refused by comparing numbers, so the outcome is the same
+    # whatever PYTHONINTMAXSTRDIGITS says (CI runs these under 0 too)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, argv + ["--format", fmt])
+        assert (code, out) == (2, ""), err
+        assert err == f"error: {key} has a number of more than 4300 digits\n"
+
+
 def test_search_charges_its_nodes(capsys):
     # K(2,4,2,3) = 9 visits 380 search nodes
     argv = ["search", "--p", "2", "--n", "4", "--k", "2", "--m", "3"]
@@ -567,16 +602,24 @@ def test_output_file_flag(capsys, tmp_path, three_point_file):
     assert json.loads(target.read_text())["ok"] is True
 
 
+def _bad_digit(inst, epsilon=None):
+    raise ValueError("bad digit")
+
+
 def test_a_bug_exits_1_as_an_internal_error(capsys, monkeypatch):
     # no input reaches F.inv(0), so a run that does has hit a bug: exit 1,
-    # not the exit 2 of a refused input
+    # not the exit 2 of a refused input; the digit cap catches no
+    # ValueError, so one raised in a handler is a bug too
     from flab import furstenberg
-    monkeypatch.setattr(furstenberg, "bound_table",
-                        lambda inst, epsilon=None: inst.field.inv(0))
-    code, out, err = run(capsys, ["bounds", "--p", "5", "--n", "2",
-                                  "--k", "1", "--m", "2"])
-    assert (code, out) == (1, "")
-    assert err == "internal error: ZeroDivisionError('inverse of 0')\n"
+    for table, shown in (
+            (lambda inst, epsilon=None: inst.field.inv(0),
+             "ZeroDivisionError('inverse of 0')"),
+            (_bad_digit, "ValueError('bad digit')")):
+        monkeypatch.setattr(furstenberg, "bound_table", table)
+        code, out, err = run(capsys, ["bounds", "--p", "5", "--n", "2",
+                                      "--k", "1", "--m", "2"])
+        assert (code, out) == (1, "")
+        assert err == f"internal error: {shown}\n"
 
 
 def test_emit_report_csv_requires_rows():

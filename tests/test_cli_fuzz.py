@@ -12,7 +12,9 @@ past the default budget, so every scan of it must be refused, and refused
 without counting the flats of F_q^(10^9) in full.  The other half are the
 valid runs of the report tests below, as drawn or with one flag value,
 header token or coordinate replaced, so about a quarter of all cases run
-an algorithm to exit 0.
+an algorithm to exit 0.  Now and then a weight, a --delta or an --epsilon
+has 4000 to 4400 digits, so a report path that cannot print a long number
+shows up as exit 1.
 """
 
 import contextlib
@@ -51,12 +53,29 @@ FIELDS = [("2", "1"), ("3", "1"), ("5", "1"), ("2", "2"), ("4", "1"),
           ("1", "1"), ("2", "0"), ("x", "1"), ("3", "-1")]
 RATIONALS = ["1/2", "2/3", "0", "1", "-1", "1/0", "abc", "zz", ""]
 
+
+# a number of 4000 to 4400 digits: a default Python parses 4300 digits and
+# no more, and a report refuses a number of more
+long_number = st.tuples(st.integers(4000, 4400), st.integers(1, 9)).map(
+    lambda lc: str(lc[1]) * lc[0])
+
+
+def _now_and_then_long(tokens, spell):
+    """One of the tokens, or one time in len(tokens) + 1 a long number
+    spelled by spell."""
+    return st.sampled_from([*tokens, None]).flatmap(
+        lambda t: st.just(t) if t is not None else long_number.map(spell))
+
+
+weight = _now_and_then_long(SMALL, str)
+rational = _now_and_then_long(RATIONALS, lambda digits: f"1/{digits}")
+
 coords = st.lists(st.sampled_from(DIGITS), min_size=1, max_size=3)
 point = coords.map(" | ".join)
 line = st.one_of(
     st.lists(st.sampled_from(TOKENS), max_size=8).map(" ".join),
     point,
-    st.tuples(point, st.sampled_from(SMALL)).map(" | ".join),
+    st.tuples(point, weight).map(" | ".join),
     st.tuples(st.lists(point, max_size=2).map(" , ".join), point)
     .map(" ; ".join),
     st.tuples(st.sampled_from(DIGITS), st.lists(st.sampled_from(SMALL),
@@ -97,12 +116,12 @@ def malformed_invocations(draw):
                 draw(st.sampled_from(["count", "haemers", "poor", "becks",
                                       "subflats"])),
                 "--k", draw(flag), "--l", draw(flag),
-                "--delta", draw(st.sampled_from(RATIONALS))]
+                "--delta", draw(rational)]
     elif cmd == "search":
         argv = ["search", *field, "--k", draw(flag), "--m", draw(flag)]
     else:
         argv = ["bounds", *field, "--k", draw(flag), "--m", draw(flag),
-                "--epsilon", draw(st.sampled_from(RATIONALS))]
+                "--epsilon", draw(rational)]
     # bounds takes no --budget, so adding one would stop every bounds case
     # at the argument parser
     if cmd != "bounds" and draw(st.booleans()):
@@ -506,7 +525,8 @@ SEPARATORS = ("|", ";", ",", ":")
 def mutated_runs(draw):
     """A valid run as (argv, text of a, text of b): as it is in half the
     draws, else with one flag value, or one header token or one coordinate
-    (a token of a later line) of a file it reads, replaced."""
+    (a token of a later line) of a file it reads, replaced, or with its
+    --delta, or one weight of a file it reads, made a long number."""
     argv, *texts = draw(valid_runs)
     if draw(st.booleans()):
         return argv, *texts
@@ -515,8 +535,19 @@ def mutated_runs(draw):
     lines = texts[f].split("\n") if read else []
     body = [i for i, ln in enumerate(lines[1:], 1)
             if set(ln.split()) - set(SEPARATORS)]
+    delta = [i for i in range(1, len(argv)) if argv[i - 1] == "--delta"]
+    weighted = body if {"--dist", "--targets"} & set(argv) else []
     where = draw(st.sampled_from(["flag", "header", "coordinate"][
-        :1 + bool(read) + bool(body)]))
+        :1 + bool(read) + bool(body)] + ["long"] * bool(delta or weighted)))
+    if where == "long":
+        number = draw(long_number)
+        if delta:
+            return (argv[:delta[0]] + [f"1/{number}"] + argv[delta[0] + 1:],
+                    *texts)
+        i = draw(st.sampled_from(weighted))
+        lines[i] = f"{lines[i].rpartition('|')[0]}| {number}"
+        texts[f] = "\n".join(lines)
+        return argv, *texts
     if where == "flag":
         i = draw(st.sampled_from([i for i in range(1, len(argv))
                                   if argv[i - 1].startswith("--")

@@ -92,8 +92,8 @@ def test_build_errors():
 
 def test_f4_multiplication():
     F4 = field_build(2, 2)
-    x = F4.from_coeffs((0, 1))
-    assert F4.mul(x, x) == F4.from_coeffs((1, 1))      # x^2 = x + 1
+    x = F4.undigits((0, 1))
+    assert F4.mul(x, x) == F4.undigits((1, 1))      # x^2 = x + 1
 
 
 def test_f5_example():

@@ -20,8 +20,19 @@ not at its first, so the walk order within a pivot set shows in the
 report; entropy --check none, bound and recursion; incidence --check count,
 haemers, poor and becks; the same walks over a bare header; and a short
 point, a --poly file with a blank line, entropy --check recursion at
-k = n and a field past 65536.  scripts/refreeze_golden.py checks or
-rewrites these files.
+k = n and a field past 65536.  polycert.json holds polycert on the
+polycert-* files over F_2, F_3, F_4, F_5 and F_9 at n = 1 to 3, in json
+and text: a --poly audit, and --targets at degrees 0, 1, 3 and 6, found
+and verified or not found; and its refusals of a negative multiplicity, a
+negative degree, a targets field or dimension mismatch and the zero
+polynomial, and a targets file with blank lines.  budgets.json holds two
+runs per budget charge, at --budget work - 1, refused at that charge, and
+at --budget work, past it: verify flats and basis entries (k = n); search
+flats, bound-table bits, construction points and nodes (the counts
+test_search_node_counts_are_budget_edges pins); entropy bound and
+recursion flats; the poor and becks censuses' flats; subflat pairs; and
+polycert interpolation entries and audit pairs.
+scripts/refreeze_golden.py checks or rewrites these files.
 """
 
 import contextlib

@@ -1,5 +1,6 @@
 """Source hygiene: every name a flab or test module imports is used in that
-module; one function writes stdout and one raises BudgetExceeded; flab has
+module; one function writes stdout and one raises BudgetExceeded; only
+cli compares a number with 10^DIGIT_CAP, on the report; flab has
 two exception classes and raises only those and a few builtins; a command
 loads only the flab modules it runs, only a command that makes a Fraction
 loads fractions, and no module loads dataclasses."""
@@ -104,6 +105,15 @@ def test_only_scan_directions_runs_the_walk():
     callers = [name for name, m in _definitions() for n in ast.walk(m)
                if isinstance(n, ast.Call) and _name(n.func) == "_walk"]
     assert callers == ["geometry.scan_directions"]
+
+
+def test_only_cli_builds_the_digit_limit():
+    # whether a report prints is decided once, in cli, on the report: a
+    # module below it refuses only on bit length, before building a number
+    builders = [name for name, m in _definitions() for n in ast.walk(m)
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                and _name(n.right) == "DIGIT_CAP"]
+    assert builders == ["cli.<module>"]
 
 
 def _src_nodes():
