@@ -107,6 +107,11 @@ def emit_report(report: dict, fmt: str) -> str:
 
 def _fraction(text: str, flag: str):
     """The exact rational a flag spells, or a user error."""
+    digits = formats._digits_past_cap(text)
+    if digits:
+        raise FlabError(f"{flag} must be an exact rational of at most "
+                        f"{DIGIT_CAP} digits per number, got a number of "
+                        f"{digits} digits")
     from fractions import Fraction
     try:
         return Fraction(text)

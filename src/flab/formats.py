@@ -8,11 +8,12 @@ append one extra ``|``-separated field holding the integer weight.
 
 from __future__ import annotations
 
+import re
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .errors import FlabError
-from .geometry import Flat, PointSet, Subspace
+from .geometry import DIGIT_CAP, Flat, PointSet, Subspace
 from .gf import field_build
 
 
@@ -29,7 +30,24 @@ def _coord_strs(F) -> Callable[[int], str]:
     return lambda a: f"{low[a % base]} {high[a // base]}"
 
 
+def _digits_past_cap(tok: str) -> int:
+    """The digits of tok's longest number if they are more than DIGIT_CAP,
+    else 0.  A number is a run of decimal digits, its underscores not
+    counted, as int() and Fraction() count them: a caller refuses a long
+    one before they read it, so Python's own limit (PYTHONINTMAXSTRDIGITS)
+    never decides.  A token of at most DIGIT_CAP characters is let through
+    on its length."""
+    if len(tok) <= DIGIT_CAP:
+        return 0
+    longest = max(len(r) - r.count("_") for r in re.split(r"[^\d_]+", tok))
+    return longest if longest > DIGIT_CAP else 0
+
+
 def _int(tok: str) -> int:
+    digits = _digits_past_cap(tok)
+    if digits:
+        raise FlabError(f"expected an integer of at most {DIGIT_CAP} digits, "
+                        f"got {digits} digits")
     try:
         return int(tok)
     except ValueError:

@@ -9,16 +9,19 @@ proving each size below K empty up to affine symmetry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import FlabError
 from .gf import ExtensionField, base_vector_iso
 from .geometry import (CAP_BITS, DEFAULT_BUDGET, DIGIT_CAP, Flat, Point,
                        PointSet, Subspace, all_points, charge,
                        scan_directions)
+
+if TYPE_CHECKING:       # verify builds no Fraction, so loads no fractions
+    from fractions import Fraction
 
 
 class _Instance(NamedTuple):
@@ -99,7 +102,7 @@ class BoundRow(NamedTuple):
     exponent_note: str             # "" for plain rationals
     applicable: bool
     root: int = 1
-    rad: Fraction = Fraction(0)
+    rad: Fraction | int = 0
 
     def satisfied_by(self, t: int) -> bool:
         """Exact test of 't on the correct side of this row's value'.
@@ -116,6 +119,7 @@ class BoundRow(NamedTuple):
         root-th power (at root 1, any rational, negative ones included)
         and rad a rational square.  Otherwise None, as for every
         irrational value."""
+        from fractions import Fraction
         x = Fraction(self.rhs_num, self.rhs_den)
         r = x if self.root == 1 else Fraction(
             iroot(max(x.numerator, 0), self.root),
@@ -164,6 +168,7 @@ def iroot(x: int, k: int) -> int:
 def sqrt_up(x: Fraction) -> Fraction:
     """ceil(sqrt(a b))/b for x = a/b: exact on rational squares, otherwise
     just above sqrt(x), so subtracting it keeps a lower bound valid."""
+    from fractions import Fraction
     x = Fraction(x)
     if x < 0:
         raise FlabError(f"no real square root of {x}")
@@ -182,6 +187,7 @@ def bound_table(instance: FurstenbergInstance,
     more than DIGIT_CAP digits: checked on bit length before any power is
     taken, it guards the work of building the rows, not their printing.
     """
+    from fractions import Fraction
     q, n, k, m = instance.q, instance.n, instance.k, instance.m
     if epsilon is not None and not 0 < epsilon < 1:
         raise FlabError(f"epsilon {epsilon} outside (0,1)")
@@ -293,17 +299,21 @@ def search_extremal(instance: FurstenbergInstance,
     K = 1).  At the first size left, the plain search from {0} returns the
     lex-first set that holds the origin as the witness; its node test
     packs a byte count per coset of every direction into one int, for
-    q^n < 128.  The bound table's largest number, q^((k+1)n), is charged
-    in bits before it is built.
+    q^n < 128.  Those slot vectors depend only on (field, n, k), not on m
+    or the budget, so _node_vectors builds them once per process, and a
+    sweep over m pays for its direction scan once.  Every call charges the
+    same work in the same order, cached or not: the scan's flats and basis
+    entries, then the bound table's largest number, q^((k+1)n), in bits
+    before it is built, then the search nodes.
     """
     F, n, k, m = instance.field, instance.n, instance.k, instance.m
     q = F.q
     # q^j >= 2^j > EXACT_SEARCH_LIMIT for j = its bit length
     exact = q ** min(n, EXACT_SEARCH_LIMIT.bit_length()) <= EXACT_SEARCH_LIMIT
     if exact:
-        pts = all_points(F, n)
-        tables = [tuple(hist.values()) for _, hist in scan_directions(
-            F, n, k, [(p, 1 << i) for i, p in enumerate(pts)], budget)]
+        # the walk's charges, on every call whether or not its vectors are
+        # cached: the scan over no items is charged and never run
+        scan_directions(F, n, k, (), budget)
     charge((k + 1) * n * (q - 1).bit_length(), "bound-table bits", budget)
     # search prints no row, so its table need not print
     lower = bound_table(instance, printable=False).best_integer_lower()
@@ -311,7 +321,8 @@ def search_extremal(instance: FurstenbergInstance,
         construction = trivial_construction(instance, budget=budget)
         return SearchResult(exact=None, lower=lower, upper=len(construction),
                             witness=construction)
-    first = _first_completion(tables, len(pts), m, budget)
+    pts, vec, D, T = _node_vectors(F, n, k)
+    first = _first_completion(vec, D, T, m, budget)
     d = _span_floor(q, n, k, m)
     basis = 1 | sum(1 << q ** j for j in range(d))   # lex 0, 1, q, ...
     for size in range(max(lower, d + 1), m * q ** (n - k) + 1):
@@ -336,7 +347,40 @@ def _span_floor(q: int, n: int, k: int, m: int) -> int:
     return min(n, n - k + c)
 
 
-def _first_completion(tables, N: int, m: int, budget: int):
+@functools.cache
+def _node_vectors(F, n: int, k: int
+                  ) -> tuple[tuple[Point, ...], tuple[int, ...], int, int]:
+    """(points, vec, D, T), the exact search's set-up that depends only on
+    the space, built once per (field, n, k) in a process.
+
+    points are F_q^n in lex order; vec[i] has a 1 in byte slot t*D + j if
+    coset t of direction j (of D, T cosets each) holds point i, packed from
+    one scan with weights 1 << i.  All are tuples and ints, so no caller
+    can change what the next one reads.  q^n >= 128, past the byte slots,
+    is refused before anything is built or kept, so the keys are the few
+    spaces of fewer than 128 points.  The caller charges the scan against
+    its own budget; here it is charged against DEFAULT_BUDGET, which its
+    at most 11,160 flats (F_2^6, k = 3) never reach, so no result depends
+    on a budget.
+    """
+    N = F.q ** n
+    if N >= 128:
+        raise FlabError(f"{N} points overflow the byte slots of the search")
+    pts = all_points(F, n)
+    tables = [tuple(hist.values()) for _, hist in scan_directions(
+        F, n, k, [(p, 1 << i) for i, p in enumerate(pts)], DEFAULT_BUDGET)]
+    D, T, B = len(tables), len(tables[0]), -(-N // 8)   # B bytes per coset
+    wide = int.from_bytes(b"".join(c.to_bytes(B, "little") for row in
+                                   zip(*tables) for c in row), "little")
+    ones = int.from_bytes(b"\1".ljust(B, b"\0") * T * D, "little")
+    vec = tuple(int.from_bytes((wide >> i & ones).to_bytes(T * D * B,
+                                                           "little")[::B],
+                               "little") for i in range(N))
+    return tuple(pts), vec, D, T
+
+
+def _first_completion(vec: tuple[int, ...], D: int, T: int, m: int,
+                      budget: int):
     """first(mask, i, r): the lex-first set mask | R, R a set of r points
     of index at least i and not in mask, that meets m points of some coset
     of every direction, or 0 if there is none.
@@ -349,21 +393,15 @@ def _first_completion(tables, N: int, m: int, budget: int):
     itertools.combinations gives them.  Nodes are counted over every
     call, and charged once past the budget.
 
-    The test takes every direction at once.  vec[i] has a 1 in byte slot
-    t*D + j if coset t of direction j (of D, T cosets each) holds point i;
-    cnt and closed sum vec over mask and over the points below i not in
-    mask.  Cosets have N/T points, so |open & c| >= m is closed <= N/T - m.
-    Each test sets a slot's high bit after one subtraction, exact while
-    N < 128, and an OR-fold of the T blocks reads off each direction.
+    The test takes every direction at once, on the slot vectors of
+    _node_vectors (N = len(vec) points); what depends on m is built here,
+    per call.  cnt and closed sum vec over mask and over the points below
+    i not in mask.  Cosets have N/T points, so |open & c| >= m is
+    closed <= N/T - m.  Each test sets a slot's high bit after one
+    subtraction, exact while N < 128, and an OR-fold of the T blocks reads
+    off each direction.
     """
-    if N >= 128:
-        raise FlabError(f"{N} points overflow the byte slots of the search")
-    D, T, B = len(tables), len(tables[0]), -(-N // 8)   # B bytes per coset
-    wide = int.from_bytes(b"".join(c.to_bytes(B, "little") for row in
-                                   zip(*tables) for c in row), "little")
-    ones = int.from_bytes(b"\1".ljust(B, b"\0") * T * D, "little")
-    vec = [int.from_bytes((wide >> i & ones).to_bytes(T * D * B, "little")
-                          [::B], "little") for i in range(N)]
+    N = len(vec)
     rep = int.from_bytes(b"\1" * T * D, "little")
     high, guard = rep << 7, int.from_bytes(b"\x80" * D, "little")
     room = rep * (128 + N // T - m)

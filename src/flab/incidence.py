@@ -8,15 +8,18 @@ falsely accuse it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import FlabError
-from .furstenberg import FurstenbergInstance, search_extremal, sqrt_up
 from .geometry import (CAP_BITS, DEFAULT_BUDGET, DIGIT_CAP, Flat, PointSet,
                        Subspace, charge, coset_histogram, flat_points,
                        qbinomial, scan_directions)
+
+# count builds no Fraction and runs no search: fractions and furstenberg
+# are loaded by the functions that use them
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class FlatFamily(NamedTuple):
@@ -65,6 +68,8 @@ def haemers_check(S: PointSet, L: FlatFamily) -> IncidenceReport:
     """I(S,L) <= q^{k-n}|S||L| + sqrt(q^k binom(n-1,k)_q |S||L|); FlabError,
     on bit length before any power, if q^(n-k) or q^(k(n-k)) has more than
     DIGIT_CAP digits.  Whether the report prints is the CLI's decision."""
+    from fractions import Fraction
+    from .furstenberg import sqrt_up
     F = S.field
     q, n, k = F.q, S.n, L.rank
     I = count_incidences(S, L)
@@ -86,6 +91,7 @@ def poor_flat_census(S: PointSet, l: int, delta: Fraction,
     S lives in the whole ambient F_q^k (the spec's k is the ambient
     dimension here); poor means strictly fewer points than the threshold.
     """
+    from fractions import Fraction
     F = S.field
     k = S.n
     q = F.q
@@ -117,6 +123,7 @@ def contained_subflats(Ffam: FlatFamily, l: int,
     shift + span(B) as C B + shift + s B (C B is RREF: B's pivot columns
     carry C).  The |family| binom(k,l)_q q^(k-l) pairs are charged first.
     """
+    from fractions import Fraction
     F = Ffam.field
     n, k, q = Ffam.n, Ffam.rank, F.q
     if not 0 < l < k:
@@ -148,6 +155,7 @@ def contained_subflats(Ffam: FlatFamily, l: int,
     if k == n:      # the one family flat is the whole space
         kfac = q ** (n - l)
     else:
+        from .furstenberg import FurstenbergInstance, search_extremal
         res = search_extremal(FurstenbergInstance(
             field=F, n=n - l, k=k - l, m=q ** (k - l)), budget=budget)
         kfac = res.exact if res.exact is not None else res.lower
@@ -165,6 +173,7 @@ def kakeya_becks_census(S: PointSet, k: int, delta: Fraction,
     m rarely holds at desk scale, so hypothesis_met is reported separately
     and the census is returned either way.
     """
+    from fractions import Fraction
     F = S.field
     n, q = S.n, F.q
     if not 1 <= k <= n:
@@ -200,6 +209,8 @@ def heavy_flats_lower_bound(delta: Fraction, gamma: Fraction, l: int,
     lower bound for the exact expression, and equal to it when the radicand
     is a rational square.
     """
+    from fractions import Fraction
+    from .furstenberg import sqrt_up
     delta, gamma = Fraction(delta), Fraction(gamma)
     if delta <= 0 or gamma <= 0:
         raise FlabError("delta and gamma must be positive")

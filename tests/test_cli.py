@@ -563,6 +563,51 @@ def test_digit_cap_refuses_a_report_before_it_prints(capsys, tmp_path, argv,
         assert err == f"error: {key} has a number of more than 4300 digits\n"
 
 
+LONG = "9" * 4400
+TOO_LONG_INT = "expected an integer of at most 4300 digits, got 4400 digits"
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["polycert", "--p", "3", "--n", "1", "--degree", "1", "--targets",
+      "@t"], {"t": f"3 1 1\n0 | {LONG}\n"}, TOO_LONG_INT),
+    (["entropy", "--check", "none", "--dist", "@d"],
+     {"d": f"2 1 2\n0 | 0 | {LONG}\n0 | 1 | 1\n"}, TOO_LONG_INT),
+    (["verify", "--points", "@s", "--k", "1", "--m", "1"],
+     {"s": f"2 1 {LONG}\n"}, TOO_LONG_INT),
+    (["incidence", "--check", "poor", "--l", "1", "--delta",
+      "1/1" + "0" * 4400, "--points", "@s"],
+     {"s": "2 1 2\n0 | 0\n0 | 1\n1 | 0\n"},
+     "--delta must be an exact rational of at most 4300 digits per number, "
+     "got a number of 4401 digits"),
+    (["bounds", "--p", "3", "--n", "3", "--k", "2", "--m", "5",
+      "--epsilon", f"0.{LONG}"], {},
+     "--epsilon must be an exact rational of at most 4300 digits per "
+     "number, got a number of 4400 digits"),
+], ids=["polycert-multiplicity", "entropy-weight", "verify-header",
+        "poor-delta", "bounds-epsilon"])
+def test_digit_cap_refuses_a_long_token_before_reading_it(
+        capsys, tmp_path, argv, files, message):
+    # refused by counting digits before int() or Fraction() reads the
+    # token, whatever PYTHONINTMAXSTRDIGITS says, and the token is not
+    # echoed
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_digit_cap_counts_digits_not_underscores(capsys, tmp_path):
+    # 10^4299 written with an underscore between digits is a token of 8599
+    # characters and 4300 digits, which int() reads under any limit
+    weight = "1" + "_0" * 4299
+    (tmp_path / "d").write_text(f"2 1 2\n0 | 0 | {weight}\n0 | 1 | 1\n")
+    code, out, err = run(capsys, ["entropy", "--check", "none", "--dist",
+                                  str(tmp_path / "d")])
+    assert code == 0, err
+    assert out.startswith(f"n = 2\nq = 2\ntotal = 1{'0' * 4298}1\n")
+
+
 def test_search_charges_its_nodes(capsys):
     # K(2,4,2,3) = 9 visits 380 search nodes
     argv = ["search", "--p", "2", "--n", "4", "--k", "2", "--m", "3"]

@@ -264,12 +264,16 @@ NODE_COUNTS = {
 
 @pytest.mark.parametrize("key", sorted(NODE_COUNTS))
 def test_search_node_counts_are_budget_edges(key):
+    # from a cold cache, then after the same instance has filled it: each
+    # charge is made against the budget of the call
     p, e, n, k, m = key
     I, count = inst(field_build(p, e), n, k, m), NODE_COUNTS[key]
-    assert search_extremal(I, budget=count).exact is not None
-    with pytest.raises(BudgetExceeded, match=f"^{count} search nodes "
-                       f"exceed budget {count - 1}$"):
-        search_extremal(I, budget=count - 1)
+    furstenberg._node_vectors.cache_clear()
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded, match=f"^{count} search nodes "
+                           f"exceed budget {count - 1}$"):
+            search_extremal(I, budget=count - 1)
+        assert search_extremal(I, budget=count).exact is not None
 
 
 # F_5^2 and F_3^3 with k = 1 have 5 and 9 cosets per direction, so the
@@ -283,6 +287,8 @@ def test_first_completion_at_any_entry_point(p, e, n, k):
     # set after the same nodes as the walk that tests coset by coset
     F = field_build(p, e)
     tables, N = coset_tables(F, n, k), F.q ** n
+    _, vec, D, T = furstenberg._node_vectors(F, n, k)
+    assert (len(vec), D, T) == (N, len(tables), len(tables[0]))
     rnd = random.Random(f"{p} {e} {n} {k}")
     for _ in range(12):
         m, i, mask = rnd.randint(1, F.q ** k), rnd.randint(2, N), \
@@ -290,12 +296,57 @@ def test_first_completion_at_any_entry_point(p, e, n, k):
         for r in (rnd.randrange(m), rnd.randint(m, m + 1)):
             want, nodes = pruned_walk(tables, N, m, mask, i, r)
             assert want == first_completion(tables, N, m, mask, i, r)
-            first = furstenberg._first_completion(tables, N, m, nodes)
+            first = furstenberg._first_completion(vec, D, T, m, nodes)
             assert first(mask, i, r) == want, (m, mask, i, r)
             if nodes:
                 with pytest.raises(BudgetExceeded):
-                    furstenberg._first_completion(tables, N, m,
+                    furstenberg._first_completion(vec, D, T, m,
                                                   nodes - 1)(mask, i, r)
+
+
+def test_node_vectors_are_tuples(F2):
+    # the cached values are shared by every later search in the process
+    built = furstenberg._node_vectors(F2, 3, 1)
+    pts, vec, D, T = built
+    assert type(built) is type(pts) is type(vec) is tuple
+    assert pts == tuple(all_points(F2, 3)) and (len(vec), D, T) == (8, 7, 4)
+    assert furstenberg._node_vectors(F2, 3, 1) is built
+
+
+# every frozen K, by ambient space: (p, e, n, k) -> {m: K}
+SPACES = {}
+for (p, e, n, k, m), w in FROZEN_WITNESS.items():
+    SPACES.setdefault((p, e, n, k), {})[m] = len(w.split(", "))
+for (q, n, k, m), K in {**FROZEN_K, **FROZEN_K_PAST_LIMIT}.items():
+    SPACES.setdefault((q, 1, n, k), {})[m] = K
+
+
+@pytest.mark.parametrize("space", sorted(SPACES))
+def test_search_is_the_same_cold_and_warm(limit_32, space):
+    # each m of a space, ascending and descending from a cold cache, then
+    # again warm: the vectors one call caches change no later result
+    p, e, n, k = space
+    F = field_build(p, e)
+
+    def sweep(ms):
+        return {m: search_extremal(inst(F, n, k, m)) for m in ms}
+
+    ms = sorted(SPACES[space])
+    runs = []
+    for order in (ms, ms[::-1]):
+        furstenberg._node_vectors.cache_clear()
+        runs += [sweep(order), sweep(order)]
+    assert all(run == runs[0] for run in runs)
+    assert {m: r.exact for m, r in runs[0].items()} == SPACES[space]
+
+
+def test_search_refuses_128_points_before_caching(F2, monkeypatch):
+    # the byte slots hold counts below 128: nothing is built or kept
+    monkeypatch.setattr(furstenberg, "EXACT_SEARCH_LIMIT", 128)
+    before = furstenberg._node_vectors.cache_info().currsize
+    with pytest.raises(FlabError, match="^128 points overflow the byte "):
+        search_extremal(inst(F2, 7, 6, 1))
+    assert furstenberg._node_vectors.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
@@ -317,10 +368,13 @@ def test_furstenberg_sets_span_the_search_floor(q, n):
 
 
 def test_search_budget_is_checked_up_front(F2):
-    # work = qbinomial(4, 2, 2) * 2^2 = 35 * 4
-    with pytest.raises(BudgetExceeded,
-                       match="140 flats exceed budget 10"):
-        search_extremal(inst(F2, 4, 2, 3), budget=10)
+    # work = qbinomial(4, 2, 2) * 2^2 = 35 * 4, charged cold and warm
+    furstenberg._node_vectors.cache_clear()
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded,
+                           match="^140 flats exceed budget 139$"):
+            search_extremal(inst(F2, 4, 2, 3), budget=139)
+        search_extremal(inst(F2, 4, 2, 1))
 
 
 def test_trivial_construction_budget(F2):

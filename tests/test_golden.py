@@ -32,6 +32,10 @@ flats, bound-table bits, construction points and nodes (the counts
 test_search_node_counts_are_budget_edges pins); entropy bound and
 recursion flats; the poor and becks censuses' flats; subflat pairs; and
 polycert interpolation entries and audit pairs.
+The whole corpus also replays in reverse order in one process, so that
+state one run leaves for the next, such as the exact search's vectors
+kept per (field, n, k), cannot change a byte: budgets.json then runs on
+the vectors search_bounds.json left.
 scripts/refreeze_golden.py checks or rewrites these files.
 """
 
@@ -67,3 +71,12 @@ def test_golden_outputs_replay(path, monkeypatch):
     changed = [argv for argv, want in frozen.items()
                if replay(argv.split())[0] != want]
     assert not changed, f"{len(changed)} of {len(frozen)} changed: {changed}"
+
+
+def test_golden_corpus_replays_in_reverse_order(monkeypatch):
+    monkeypatch.delenv("FLAB_BUDGET", raising=False)
+    monkeypatch.chdir(GOLDEN[0].parent)
+    runs = [run for path in reversed(GOLDEN)
+            for run in reversed(json.loads(path.read_text()).items())]
+    changed = [argv for argv, want in runs if replay(argv.split())[0] != want]
+    assert not changed, f"{len(changed)} of {len(runs)} changed: {changed}"

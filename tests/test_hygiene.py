@@ -202,24 +202,42 @@ INPUTS = {
     "d.dist": "2 1 2\n0 | 0 | 1\n1 | 0 | 2\n0 | 1 | 1\n",
     "l.flats": "2 1 2\n1 | 0 ; 0 | 0\n1 | 1 ; 0 | 1\n",
     "p.poly": "1 : 1 0\n2 : 0 2\n",
+    "k.family": "2 1 3\n" + "".join(f"{d} ; 0 | 0 | 0\n" for d in [
+        "0 | 1 | 0 , 0 | 0 | 1", "1 | 0 | 0 , 0 | 0 | 1",
+        "1 | 0 | 0 , 0 | 1 | 0", "1 | 0 | 0 , 0 | 1 | 1",
+        "1 | 0 | 1 , 0 | 1 | 0", "1 | 0 | 1 , 0 | 1 | 1",
+        "1 | 1 | 0 , 0 | 0 | 1"]),
 }
 FIELD = ["--p", "2", "--n", "2", "--k", "1", "--m", "2"]
 
 
-# polycert makes no Fraction, so it never loads fractions (nor the decimal
-# and numbers modules that fractions imports)
+INCIDENCE = ["incidence", "--points", "@s.pts", "--flats", "@l.flats"]
+
+
+# polycert, verify and incidence --check count make no Fraction, so they
+# never load fractions (nor the decimal and numbers modules that fractions
+# imports); of the incidence checks, only haemers (sqrt_up) and subflats
+# (the exact search) load furstenberg
 @pytest.mark.parametrize("argv, added", [
     (["verify", "--points", "@s.pts", "--k", "1", "--m", "2"],
-     {"flab.furstenberg", "fractions"}),
+     {"flab.furstenberg"}),
     (["search", *FIELD], {"flab.furstenberg", "fractions"}),
     (["bounds", *FIELD], {"flab.furstenberg", "fractions"}),
     (["entropy", "--dist", "@d.dist"], {"flab.entropy", "fractions"}),
     (["polycert", "--p", "3", "--n", "2", "--poly", "@p.poly"],
      {"flab.polymethod"}),
-    (["incidence", "--points", "@s.pts", "--flats", "@l.flats",
-      "--check", "count"],
+    ([*INCIDENCE, "--check", "count"], {"flab.incidence"}),
+    ([*INCIDENCE, "--check", "haemers"],
      {"flab.incidence", "flab.furstenberg", "fractions"}),
-], ids=["verify", "search", "bounds", "entropy", "polycert", "incidence"])
+    (["incidence", "--points", "@s.pts", "--check", "poor", "--l", "1"],
+     {"flab.incidence", "fractions"}),
+    (["incidence", "--points", "@s.pts", "--check", "becks", "--k", "1"],
+     {"flab.incidence", "fractions"}),
+    (["incidence", "--flats", "@k.family", "--check", "subflats", "--l",
+      "1"], {"flab.incidence", "flab.furstenberg", "fractions"}),
+], ids=["verify", "search", "bounds", "entropy", "polycert", "incidence",
+        "incidence-haemers", "incidence-poor", "incidence-becks",
+        "incidence-subflats"])
 def test_each_command_loads_only_its_own_module(tmp_path, argv, added):
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
