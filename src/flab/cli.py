@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 
 from . import formats
@@ -105,13 +106,25 @@ def emit_report(report: dict, fmt: str) -> str:
     raise FlabError(f"unknown format {fmt!r}")
 
 
+# a trailing decimal exponent, which Fraction() expands into a power of ten:
+# a flag of a dozen characters could otherwise spell ten million digits
+_EXPONENT = r"[eE][-+]?(\d[\d_]*)\s*\Z"
+
+
 def _fraction(text: str, flag: str):
-    """The exact rational a flag spells, or a user error."""
+    """The exact rational a flag spells, or a user error.  A number of more
+    than DIGIT_CAP digits, or an exponent past DIGIT_CAP in magnitude, is
+    refused before Fraction() reads the flag, whether or not the rest of the
+    flag is one Fraction() reads."""
     digits = formats._digits_past_cap(text)
     if digits:
         raise FlabError(f"{flag} must be an exact rational of at most "
                         f"{DIGIT_CAP} digits per number, got a number of "
                         f"{digits} digits")
+    exponent = re.search(_EXPONENT, text)
+    if exponent and int(exponent[1].replace("_", "")) > DIGIT_CAP:
+        raise FlabError(f"{flag} must be an exact rational with an exponent "
+                        f"of at most {DIGIT_CAP} in magnitude")
     from fractions import Fraction
     try:
         return Fraction(text)

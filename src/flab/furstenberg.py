@@ -293,18 +293,44 @@ def search_extremal(instance: FurstenbergInstance,
     max(0, k + w - n) < c has every coset meet W in at most q^max(0, k+w-n) < m points.  So a
     Furstenberg set holds d + 1 affinely independent points, and AGL(n,q),
     which maps flats to flats and permutes the directions, maps them to the
-    origin, e_n, e_{n-1}, ..., e_{n-d+1}, lex points 0, 1, q, ..., q^(d-1).
-    Each size from the larger of d + 1 and the bound table's lower bound is
-    ruled out over the sets that hold those points (d = 0 when m = 1, where
-    K = 1).  At the first size left, the plain search from {0} returns the
+    frame B: the origin, e_n, e_{n-1}, ..., e_{n-d+1}, lex points 0, 1, q,
+    ..., q^(d-1).  Each size from the larger of d + 1 and the bound table's
+    lower bound is ruled out over the sets that hold B (d = 0 when m = 1,
+    where K = 1).
+
+    A size past d + 1 is ruled out once per orbit of the group G of affine
+    maps that map B onto B, split on the set's least point x off B, and
+    within a branch on its second point y off B.  Only an x least in its
+    G-orbit is tried, with every other point of the set above x and of
+    orbit-min at least x; then only a y least in its orbit under the
+    stabiliser G_x of x, with every later point of G_x-orbit-min at least
+    y.  Proof: map a set S that holds B by a g in G that minimises the
+    least point x of g(S) off B, and among those, the second, y.  g(S)
+    holds B, and were h(z) < x for some h in G and some point z of g(S) off
+    B (z = x included), h(g(S)) would hold B and a point off B below x.
+    An h in G_x keeps B, x and each G-orbit-min, so it maps the points of
+    g(S) off B other than x above x; were h(z) < y for such a point z
+    (z = y included), h(g(S)) would have least point x and a second below
+    y.  The orbits need no group elements (_frame_orbit_mins): G restricted
+    to the frame's flat W, lex points below q^d, is every permutation of
+    B, so the orbit of a point of W is the multiset of its barycentric
+    coordinates, and the maps that fix W pointwise make the points off W
+    one orbit.  G_x is the same for B with labels: for x in W, each frame
+    point labelled with x's barycentric coordinate there, which G_x must
+    keep; for x off W, x = q^d, the larger frame B + {x} with x labelled
+    apart.  Each branch is the one walk over its allowed points, with the
+    others closed from the start or once y is chosen.
+
+    At the first size left, the plain search from {0} returns the
     lex-first set that holds the origin as the witness; its node test
     packs a byte count per coset of every direction into one int, for
     q^n < 128.  Those slot vectors depend only on (field, n, k), not on m
     or the budget, so _node_vectors builds them once per process, and a
-    sweep over m pays for its direction scan once.  Every call charges the
-    same work in the same order, cached or not: the scan's flats and basis
-    entries, then the bound table's largest number, q^((k+1)n), in bits
-    before it is built, then the search nodes.
+    sweep over m pays for its direction scan once; the branches depend
+    only on (field, n, d).  Every call charges the same work in the same
+    order, cached or not: the scan's flats and basis entries, then the
+    bound table's largest number, q^((k+1)n), in bits before it is built,
+    then the search nodes.
     """
     F, n, k, m = instance.field, instance.n, instance.k, instance.m
     q = F.q
@@ -325,8 +351,9 @@ def search_extremal(instance: FurstenbergInstance,
     first = _first_completion(vec, D, T, m, budget)
     d = _span_floor(q, n, k, m)
     basis = 1 | sum(1 << q ** j for j in range(d))   # lex 0, 1, q, ...
+    branches = _frame_branches(F, n, d)
     for size in range(max(lower, d + 1), m * q ** (n - k) + 1):
-        if first(basis, 1, size - d - 1):
+        if _frame_completes(first, basis, branches, size - d - 1):
             mask = first(1, 1, size - 1)
             S = PointSet.of(F, n, (p for i, p in enumerate(pts)
                                    if mask >> i & 1))
@@ -345,6 +372,75 @@ def _span_floor(q: int, n: int, k: int, m: int) -> int:
     while q ** c < m:
         c += 1
     return min(n, n - k + c)
+
+
+def _frame_completes(first, basis: int, branches: tuple, r: int) -> bool:
+    """Whether the frame basis and r more points make a set that passes
+    first's node test, split on the set's least points off the frame as
+    search_extremal proves, one walk per branch of _frame_branches."""
+    if not r:
+        return bool(first(basis, 1, 0))
+    return any(first(basis | 1 << x, x + 1, r - 1, shut, seconds)
+               for x, shut, seconds in branches)
+
+
+def _barycentric(F, n: int, d: int, p: Point) -> tuple[int, ...]:
+    """The coordinates of p over the frame of d + 1 points, lex 0, 1, q,
+    ..., q^(d-1): 1 - sum(c), then c, c_j the coordinate of frame point j,
+    e_(n+1-j), for a p in the frame's flat, whose other coordinates are 0."""
+    c = tuple(p[n - j] for j in range(1, d + 1))
+    return (F.sub(1, functools.reduce(F.add, c, 0)),) + c
+
+
+def _frame_orbit_mins(F, n: int, labels: tuple[int, ...]) -> tuple[int, ...]:
+    """The least lex index in each point's orbit under the affine maps that
+    map the frame of len(labels) = d + 1 points onto itself, each frame
+    point to one of the same label.  On the frame's flat, lex indices below
+    q^d, such a map permutes barycentric coordinates within each label, so
+    a point's orbit is every point with the same multiset of (label,
+    coordinate) pairs; the maps that fix the flat pointwise make the points
+    off it one orbit, least point q^d."""
+    d = len(labels) - 1
+    W = F.q ** d
+    least: dict[tuple, int] = {}
+    mins = []
+    for i, p in enumerate(itertools.islice(all_points(F, n), W)):
+        key = tuple(sorted(zip(labels, _barycentric(F, n, d, p))))
+        mins.append(least.setdefault(key, i))
+    return tuple(mins) + (W,) * (F.q ** n - W)
+
+
+@functools.cache
+def _frame_branches(F, n: int, d: int) -> tuple:
+    """(x, shut, seconds) per branch of search_extremal's split, x
+    ascending.  x is off the frame and least in its orbit; shut holds the
+    points above x off the frame whose orbit-min is below x.  seconds[y]
+    is None unless y may be the set's second point off the frame: above x,
+    not in shut, and least in its orbit under x's stabiliser; then it holds
+    the points above y, off the frame and not in shut, whose orbit-min
+    under that stabiliser is below y.  Built once per (field, n, d) in a
+    process, as tuples of ints and None."""
+    N, W = F.q ** n, F.q ** d
+    pts = all_points(F, n)
+    least = _frame_orbit_mins(F, n, (0,) * (d + 1))
+    frame = {0, *(F.q ** j for j in range(d))}
+    branches = []
+    for x in range(N):
+        if least[x] != x or x in frame:
+            continue
+        shut = sum(1 << y for y in range(x + 1, N)
+                   if least[y] < x and y not in frame)
+        stab = _frame_orbit_mins(F, n, _barycentric(F, n, d, pts[x])
+                                 if x < W else (0,) * (d + 1) + (1,))
+        later = [y for y in range(x + 1, N)
+                 if y not in frame and not shut >> y & 1]
+        seconds = [None] * N
+        for y in later:
+            if stab[y] == y:
+                seconds[y] = sum(1 << z for z in later
+                                 if z > y and stab[z] < y)
+        branches.append((x, shut, tuple(seconds)))
+    return tuple(branches)
 
 
 @functools.cache
@@ -390,8 +486,16 @@ def _first_completion(vec: tuple[int, ...], D: int, T: int, m: int,
     A node stands for every completion from index i on, so a pruned node
     ends its later siblings too.  Pruning drops only nodes with no
     completion, so the sets are met in the order that
-    itertools.combinations gives them.  Nodes are counted over every
-    call, and charged once past the budget.
+    itertools.combinations gives them.  Nodes are counted over every call,
+    and charged once past the budget.
+
+    first(mask, i, r, shut, seconds) walks the same way over fewer sets,
+    and its nonzero answer may also hold closed points.  The points of
+    shut, none in mask, are closed from the start: the walk steps over
+    them as over mask, and they count as closed.  The first point of R is
+    only a y with seconds[y] not None, and choosing it closes the points
+    of seconds[y].  over() sums vec over a set of points once per call of
+    _first_completion, so each branch's entry sums are shared by every size.
 
     The test takes every direction at once, on the slot vectors of
     _node_vectors (N = len(vec) points); what depends on m is built here,
@@ -408,8 +512,15 @@ def _first_completion(vec: tuple[int, ...], D: int, T: int, m: int,
     bar = [high - rep * (m - r) for r in range(m)]
     folds = [8 * D * -(-T >> s) for s in range(1, (T - 1).bit_length() + 1)]
     nodes = 0
+    sums: dict[int, int] = {}   # vec summed over a set of points
 
-    def walk(mask: int, i: int, r: int, cnt: int, closed: int) -> int:
+    def over(points: int) -> int:
+        if points not in sums:
+            sums[points] = sum(v for j, v in enumerate(vec) if points >> j & 1)
+        return sums[points]
+
+    def walk(mask: int, i: int, r: int, cnt: int, closed: int,
+             seconds=None) -> int:
         nonlocal nodes
         while N - i >= r:
             if mask >> i & 1:
@@ -427,17 +538,23 @@ def _first_completion(vec: tuple[int, ...], D: int, T: int, m: int,
                 return 0
             if not r:
                 return mask
-            hit = walk(mask | 1 << i, i + 1, r - 1, cnt + vec[i], closed)
+            if seconds is None:
+                hit = walk(mask | 1 << i, i + 1, r - 1, cnt + vec[i], closed)
+            elif seconds[i] is None:
+                hit = 0
+            else:
+                hit = walk(mask | 1 << i | seconds[i], i + 1, r - 1,
+                           cnt + vec[i], closed + over(seconds[i]))
             if hit:
                 return hit
             closed += vec[i]
             i += 1
         return 0
 
-    def first(mask: int, i: int, r: int) -> int:
-        return walk(mask, i, r,
-                    sum(v for j, v in enumerate(vec) if mask >> j & 1),
-                    sum(v for j, v in enumerate(vec[:i]) if not mask >> j & 1))
+    def first(mask: int, i: int, r: int, shut: int = 0,
+              seconds: tuple | None = None) -> int:
+        return walk(mask | shut, i, r, over(mask),
+                    over(shut | ~mask & (1 << i) - 1), seconds)
 
     return first
 

@@ -608,14 +608,61 @@ def test_digit_cap_counts_digits_not_underscores(capsys, tmp_path):
     assert out.startswith(f"n = 2\nq = 2\ntotal = 1{'0' * 4298}1\n")
 
 
+POOR = ["incidence", "--check", "poor", "--l", "1", "--points", "@s"]
+THREE_POINTS = "2 1 2\n0 | 0\n0 | 1\n1 | 0\n"
+BOUNDS_EPSILON = ["bounds", "--p", "3", "--n", "3", "--k", "2", "--m", "5"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (POOR, "--delta"), (BOUNDS_EPSILON, "--epsilon")])
+@pytest.mark.parametrize("value", [
+    "1e-4301", "1E+4301", "1e-10000000", " -.5e1_0000 ", "2.e-0000004301",
+    "1/2e4301"])
+def test_digit_cap_refuses_a_long_exponent_before_expanding_it(
+        capsys, tmp_path, monkeypatch, argv, flag, value):
+    # Fraction() would expand the exponent into a power of ten; it is
+    # never called, so a flag it would refuse (1/2e4301) is refused alike
+    import fractions
+
+    def refused(*args):
+        raise AssertionError("Fraction() called")
+
+    monkeypatch.setattr(fractions, "Fraction", refused)
+    (tmp_path / "s").write_text(THREE_POINTS)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    code, out, err = run(capsys, argv + [flag, value])
+    assert (code, out, err) == (2, "", f"error: {flag} must be an exact "
+                                "rational with an exponent of at most 4300 "
+                                "in magnitude\n")
+
+
+@pytest.mark.parametrize("argv, flag, key", [
+    (POOR, "--delta", "bound"), (BOUNDS_EPSILON, "--epsilon", "rows")])
+def test_digit_cap_reads_an_exponent_within_it_as_before(
+        capsys, tmp_path, argv, flag, key):
+    # an exponent of at most 4300 reads as the rational it spells; at 4300
+    # the report's number is refused as the same number written out is, and
+    # a flag Fraction() refuses keeps its message
+    (tmp_path / "s").write_text(THREE_POINTS)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    for spelled, value in [("25E-2", "1/4"), ("0.15e+0", "3/20"),
+                           ("1e-4299", "1/1" + "0" * 4299)]:
+        assert run(capsys, argv + [flag, spelled]) == \
+            run(capsys, argv + [flag, value]), spelled
+    assert run(capsys, argv + [flag, "1e-4300"]) == \
+        (2, "", f"error: {key} has a number of more than 4300 digits\n")
+    assert run(capsys, argv + [flag, "1/2e5"]) == \
+        (2, "", f"error: {flag} must be an exact rational, got '1/2e5'\n")
+
+
 def test_search_charges_its_nodes(capsys):
-    # K(2,4,2,3) = 9 visits 380 search nodes
-    argv = ["search", "--p", "2", "--n", "4", "--k", "2", "--m", "3"]
-    code, out, err = run(capsys, argv + ["--budget", "379"])
+    # K(2,4,2,4) = 13 visits 368 search nodes
+    argv = ["search", "--p", "2", "--n", "4", "--k", "2", "--m", "4"]
+    code, out, err = run(capsys, argv + ["--budget", "367"])
     assert code == 2 and out == ""
-    assert "380 search nodes exceed budget 379" in err
-    code, out, _ = run(capsys, argv + ["--budget", "380"])
-    assert code == 0 and "exact = 9" in out
+    assert "368 search nodes exceed budget 367" in err
+    code, out, _ = run(capsys, argv + ["--budget", "368"])
+    assert code == 0 and "exact = 13" in out
 
 
 def test_search_trivial_construction_respects_budget(capsys):

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +13,8 @@ from flab.furstenberg import (BoundRow, FurstenbergInstance, bound_table,
                               coverage_over_directions, iroot, is_furstenberg,
                               lift_construction, lifted_direction_subspaces,
                               search_extremal, sqrt_up, trivial_construction)
-from flab.geometry import PointSet, Subspace, all_points, coset_histogram
+from flab.geometry import (DEFAULT_BUDGET, PointSet, Subspace, all_points,
+                           coset_histogram)
 from flab.gf import ExtensionField, field_build
 from reference import (coset_tables, first_completion, flat_contains,
                        pruned_walk, search_report, span)
@@ -246,19 +249,24 @@ def test_search_frozen_values_past_the_limit(limit_32, q, n, k, m):
 
 
 def test_search_charges_its_nodes(F2):
-    # K(2,4,2,3) visits 380 search nodes, after its 140 flats
-    I = inst(F2, 4, 2, 3)
+    # K(2,4,2,4) visits 368 search nodes, after its 140 flats
+    I = inst(F2, 4, 2, 4)
     with pytest.raises(BudgetExceeded,
-                       match="^380 search nodes exceed budget 379$"):
-        search_extremal(I, budget=379)
-    assert search_extremal(I, budget=380).exact == 9
+                       match="^368 search nodes exceed budget 367$"):
+        search_extremal(I, budget=367)
+    assert search_extremal(I, budget=368).exact == 13
+
+
+def clear_search_caches():
+    furstenberg._node_vectors.cache_clear()
+    furstenberg._frame_branches.cache_clear()
 
 
 # the nodes search_extremal visits: a budget of that many passes and one
 # less is refused at the last node, so the node test prunes the same nodes
 NODE_COUNTS = {
-    (2, 1, 4, 2, 4): 908, (2, 2, 2, 1, 3): 824, (2, 1, 4, 3, 4): 239,
-    (2, 1, 4, 1, 2): 183, (3, 1, 2, 1, 3): 57,
+    (2, 1, 4, 2, 4): 368, (2, 2, 2, 1, 3): 686, (2, 1, 4, 3, 4): 190,
+    (2, 1, 4, 1, 2): 163, (3, 1, 2, 1, 3): 35,
 }
 
 
@@ -268,7 +276,7 @@ def test_search_node_counts_are_budget_edges(key):
     # charge is made against the budget of the call
     p, e, n, k, m = key
     I, count = inst(field_build(p, e), n, k, m), NODE_COUNTS[key]
-    furstenberg._node_vectors.cache_clear()
+    clear_search_caches()
     for _ in range(2):
         with pytest.raises(BudgetExceeded, match=f"^{count} search nodes "
                            f"exceed budget {count - 1}$"):
@@ -334,7 +342,7 @@ def test_search_is_the_same_cold_and_warm(limit_32, space):
     ms = sorted(SPACES[space])
     runs = []
     for order in (ms, ms[::-1]):
-        furstenberg._node_vectors.cache_clear()
+        clear_search_caches()
         runs += [sweep(order), sweep(order)]
     assert all(run == runs[0] for run in runs)
     assert {m: r.exact for m, r in runs[0].items()} == SPACES[space]
@@ -367,9 +375,83 @@ def test_furstenberg_sets_span_the_search_floor(q, n):
                         (S, k, m)
 
 
+def _affine_maps(F, n):
+    """Every x -> A x + b of F_q^n with A invertible, as the list of the
+    images of the points in lex order."""
+    pts = all_points(F, n)
+    for rows in itertools.product(pts, repeat=n):
+        for b in pts:
+            images = [tuple(functools.reduce(F.add, map(F.mul, row, x), bi)
+                            for row, bi in zip(rows, b)) for x in pts]
+            if len(set(images)) == len(pts):
+                yield images
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 2), (2, 1, 3), (3, 1, 2),
+                                   (2, 2, 2)])
+def test_frame_orbits_are_the_orbits_of_its_affine_maps(p, e, n):
+    # brute force over every affine map that maps the frame onto itself:
+    # each point's least orbit point is the one the barycentric rule gives,
+    # and each branch of the split is read off the orbits of the group and
+    # of the stabiliser of its x
+    F = field_build(p, e)
+    index = {x: i for i, x in enumerate(all_points(F, n))}
+    N = len(index)
+    maps = [[index[y] for y in images] for images in _affine_maps(F, n)]
+    for d in range(n + 1):
+        frame = {0, *(F.q ** j for j in range(d))}
+        group = [g for g in maps if {g[b] for b in frame} == frame]
+        assert len(group) % math.factorial(d + 1) == 0
+        least = [min(g[i] for g in group) for i in range(N)]
+        assert furstenberg._frame_orbit_mins(F, n, (0,) * (d + 1)) == \
+            tuple(least), d
+        branches = furstenberg._frame_branches(F, n, d)
+        assert furstenberg._frame_branches(F, n, d) is branches
+        off = [y for y in range(N) if y not in frame]
+        assert [x for x, _, _ in branches] == \
+            [x for x in off if least[x] == x], d
+        for x, shut, seconds in branches:
+            stab = [min(g[i] for g in group if g[x] == x) for i in range(N)]
+            later = [y for y in off if y > x and least[y] >= x]
+            assert shut == sum(1 << y for y in off
+                               if y > x and least[y] < x), (d, x)
+            assert seconds == tuple(
+                sum(1 << z for z in later if z > y and stab[z] < y)
+                if y in later and stab[y] == y else None
+                for y in range(N)), (d, x)
+
+
+# every instance with m >= 2 that the exact search reaches at limit 16
+SPLIT_CASES = [(p, e, n, k, m) for p, e, n in [
+    (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (2, 2, 2)]
+    for k in range(1, n) for m in range(2, (p ** e) ** k + 1)]
+
+
+@pytest.mark.parametrize("key", SPLIT_CASES)
+def test_frame_split_agrees_with_the_plain_frame_walk(key):
+    # at each size the search rules out or finds, the split on the least
+    # points off the frame and the walk over every set holding the frame
+    # give the same answer, found only at K
+    p, e, n, k, m = key
+    F = field_build(p, e)
+    I = inst(F, n, k, m)
+    K = search_extremal(I).exact
+    _, vec, D, T = furstenberg._node_vectors(F, n, k)
+    d = furstenberg._span_floor(F.q, n, k, m)
+    basis = 1 | sum(1 << F.q ** j for j in range(d))
+    branches = furstenberg._frame_branches(F, n, d)
+    lower = bound_table(I, printable=False).best_integer_lower()
+    for size in range(max(lower, d + 1), K + 1):
+        first = furstenberg._first_completion(vec, D, T, m, DEFAULT_BUDGET)
+        split = furstenberg._frame_completes(first, basis, branches,
+                                             size - d - 1)
+        plain = first(basis, 1, size - d - 1)
+        assert split == bool(plain) == (size == K), size
+
+
 def test_search_budget_is_checked_up_front(F2):
     # work = qbinomial(4, 2, 2) * 2^2 = 35 * 4, charged cold and warm
-    furstenberg._node_vectors.cache_clear()
+    clear_search_caches()
     for _ in range(2):
         with pytest.raises(BudgetExceeded,
                            match="^140 flats exceed budget 139$"):
