@@ -4,7 +4,9 @@ Subcommands: verify, search, bounds, entropy, polycert, incidence, selftest.
 Each handler imports the one algorithm module it runs and returns its report
 dict; ``main`` renders it once and writes it to ``--output`` or stdout.
 The parser is built once per process for each ``FLAB_BUDGET`` value, so a
-sweep that calls ``main`` many times pays for building argparse once.
+sweep that calls ``main`` many times pays for building argparse once.  An
+argv that starts with a subcommand's name is parsed by that subcommand's
+parser alone, in one pass: argparse's top-level pass would only hand it on.
 Output is deterministic byte-for-byte for identical inputs and flags.
 JSON renders in one pass of json.dumps, whose hook prints a Fraction as
 "num/den".  A Fraction is found by its denominator, not its class, so a
@@ -304,12 +306,13 @@ def _cmd_incidence(args) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     """The parser for the current FLAB_BUDGET, built the first time that
     value is seen in this process."""
-    return _parser(os.environ.get("FLAB_BUDGET", str(DEFAULT_BUDGET)))
+    return _parser(os.environ.get("FLAB_BUDGET", str(DEFAULT_BUDGET)))[0]
 
 
-# it depends only on the FLAB_BUDGET string, and a process sees few values
+# the parser and its map of subcommand name to parser: they depend only on
+# the FLAB_BUDGET string, and a process sees few values
 @functools.lru_cache(maxsize=8)
-def _parser(budget: str) -> argparse.ArgumentParser:
+def _parser(budget: str) -> tuple[argparse.ArgumentParser, dict]:
     ap = argparse.ArgumentParser(prog="flab",
                                  description="Exact finite-geometry lab: "
                                  "Furstenberg sets, entropy, incidences.")
@@ -378,13 +381,22 @@ def _parser(budget: str) -> argparse.ArgumentParser:
     p.add_argument("--delta", default="1/2", action=_Given)
 
     sub.add_parser("selftest", help="run the invariant battery")
-    return ap
+    return ap, sub.choices
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap, commands = _parser(os.environ.get("FLAB_BUDGET", str(DEFAULT_BUDGET)))
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(argv)
+        if argv and argv[0] in commands:
+            # the top-level pass would hand the rest to this parser and
+            # refuse its leftovers in these words: skip that pass
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+            if extra:
+                ap.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
+        else:
+            args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

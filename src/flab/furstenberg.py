@@ -91,8 +91,10 @@ def is_furstenberg(S: PointSet, k: int, m: int,
 class BoundRow(NamedTuple):
     """One bound: t >= (or <=) (rhs_num/rhs_den)^(1/root) - sqrt(rad).
 
-    rhs_num and rhs_den are kept unreduced, as the bound table prints them.
-    Only lower rows carry a radicand.
+    The bound table prints rhs_num and rhs_den as bound_table builds them:
+    thm_general_recursive, thm_divisible and kakeya_poly_method unreduced
+    over their power of 2, the other rows in lowest terms.  Only lower rows
+    carry a radicand.
     """
 
     source: str
@@ -216,13 +218,12 @@ def bound_table(instance: FurstenbergInstance,
     # pure incidence regime: K >= (1 - q^{n-2k} - sqrt(q^{n-k}/m)) m q^{n-k}
     appl13 = (2 * k > n) and (k < n) and (q ** (n - k) < m)
     base = m * q ** (n - k)
-    one_minus = Fraction(1) - Fraction(q ** n, q ** (2 * k))
-    A = one_minus * base
-    B = Fraction(q ** (n - k), m) * base * base
+    num, den = (q ** (2 * k) - q ** n) * base, q ** (2 * k)
+    g = math.gcd(num, den)
     rows.append(BoundRow(
-        source="thm_pure_incidence", kind="lower",
-        rhs_num=A.numerator, rhs_den=A.denominator,
-        exponent_note="minus sqrt(radicand)", applicable=appl13, rad=B))
+        source="thm_pure_incidence", kind="lower", rhs_num=num // g,
+        rhs_den=den // g, exponent_note="minus sqrt(radicand)",
+        applicable=appl13, rad=Fraction(q ** (n - k) * base * base, m)))
 
     # divisible case: K >= 2^{-n/k} m^{n/k}
     rows.append(BoundRow(
@@ -236,18 +237,20 @@ def bound_table(instance: FurstenbergInstance,
         rhs_num=q ** n, rhs_den=2 ** n,
         exponent_note="", applicable=(k == 1 and m == q)))
 
-    # full-flat lower bound: K(q,n,k,q^k) >= (q^{k+1}/(q^k+q-1))^n
-    v = Fraction(q ** (k + 1), q ** k + q - 1) ** n
+    # full-flat lower bound: K(q,n,k,q^k) >= (q^{k+1}/(q^k+q-1))^n, in
+    # lowest terms as q^k + q - 1 = -1 (mod p)
     rows.append(BoundRow(
         source="full_flat_lower", kind="lower",
-        rhs_num=v.numerator, rhs_den=v.denominator,
+        rhs_num=q ** ((k + 1) * n), rhs_den=(q ** k + q - 1) ** n,
         exponent_note="", applicable=(m == q ** k)))
 
     # full-flat construction: K(q,n,k,q^k) <= (1-(q-3)/(2q^k))^{floor(n/(k+1))} q^n
-    u = (Fraction(1) - Fraction(q - 3, 2 * q ** k)) ** (n // (k + 1)) * q ** n
+    j = n // (k + 1)
+    num, den = (2 * q ** k - q + 3) ** j * q ** n, (2 * q ** k) ** j
+    g = math.gcd(num, den)
     rows.append(BoundRow(
         source="full_flat_construction", kind="upper",
-        rhs_num=u.numerator, rhs_den=u.denominator,
+        rhs_num=num // g, rhs_den=den // g,
         exponent_note="", applicable=(m == q ** k)))
 
     # algebraic-geometry bound: constant never made explicit, so the row is

@@ -29,6 +29,12 @@ compare the two without sharing code.
 - JSON rendering: a walk that turns Fractions into "num/den", tuples into
   lists and keys into str before json.dumps, against the one-pass
   json.dumps hook of cli.emit_report.
+- The thm_pure_incidence, full_flat_lower and full_flat_construction
+  bound rows in Fraction arithmetic, against bound_table's plain ints.
+- The CLI through argparse's two-pass parse_args, against cli.main's one
+  pass through the subcommand's own parser.  Run as a script, this module
+  compares the two on PARSE_CORPUS with no test runner:
+  ``PYTHONPATH=src python tests/reference.py``.
 
 A name that anything outside the tests imports stays in src/flab, even
 when only tests check it: poly_mul and gf.coeffs, which the benchmark
@@ -37,11 +43,16 @@ claims that the acceptance suite checks (lift_construction,
 heavy_flats_lower_bound, ab_constants and the like).
 """
 
+import contextlib
+import io
 import itertools
 import json
 import math
+import os
+import sys
 from fractions import Fraction
 
+from flab.cli import build_parser, check_printable, emit_report
 from flab.errors import FlabError
 from flab.furstenberg import bound_table
 from flab.geometry import (Flat, Subspace, all_points, enumerate_flats,
@@ -415,3 +426,98 @@ def _jsonable(v):
 def json_report(report: dict) -> str:
     """A report as --format json prints it, rendered from the walked copy."""
     return json.dumps(_jsonable(report), indent=2) + "\n"
+
+
+def fraction_bound_rows(q: int, n: int, k: int, m: int) -> dict:
+    """source -> (rhs_num, rhs_den, rad) of the three bound rows whose
+    numbers bound_table builds from plain ints, here by Fraction
+    arithmetic."""
+    base = m * q ** (n - k)
+    A = (Fraction(1) - Fraction(q ** n, q ** (2 * k))) * base
+    v = Fraction(q ** (k + 1), q ** k + q - 1) ** n
+    u = (Fraction(1) - Fraction(q - 3, 2 * q ** k)) ** (n // (k + 1)) * q ** n
+    return {"thm_pure_incidence": (A.numerator, A.denominator,
+                                   Fraction(q ** (n - k), m) * base * base),
+            "full_flat_lower": (v.numerator, v.denominator, 0),
+            "full_flat_construction": (u.numerator, u.denominator, 0)}
+
+
+def parse_args_main(argv) -> int:
+    """cli.main with argparse's whole parse_args, top-level pass included,
+    then the same handler, check and render."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    try:
+        if args.command == "selftest":
+            from flab.selftest import run_selftest
+            return 0 if run_selftest(sys.stdout) else 1
+        report = args.fn(args)
+        check_printable(report)
+        text = emit_report(report, args.format)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
+    except (FlabError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # noqa: BLE001 - CLI boundary
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 1
+
+
+def run_cli(main, argv) -> tuple:
+    """(exit code, stdout, stderr) of main(argv), argparse's help wrapped
+    at 80 columns whatever the terminal."""
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+_SEARCH = ["search", "--p", "2", "--n", "4", "--k", "3", "--m", "1"]
+_BOUNDS = ["bounds", "--p", "3", "--n", "4", "--k", "2", "--m", "5"]
+_POLYCERT = ["polycert", "--p", "2", "--n", "2"]
+
+# usage, help and error argvs, and a few valid ones: cli.main must give the
+# bytes and exit code of parse_args_main on each
+PARSE_CORPUS = [
+    [], ["-h"], ["--help"], ["--he"], ["-x"], ["nope"], ["nope", "-h"],
+    ["--help", "search"], ["--", "search"],
+    *([c, "-h"] for c in ["bounds", "verify", "search", "entropy",
+                          "polycert", "incidence", "selftest"]),
+    ["search"], _SEARCH[:-2], _SEARCH[:-1],
+    ["search", "--p", "x", *_SEARCH[3:]],
+    _BOUNDS + ["--format", "xml"], _BOUNDS + ["--form", "json"],
+    _BOUNDS + ["--format", "json"], _BOUNDS + ["--epsilon", "1/10"],
+    _SEARCH + ["--bogus"], _SEARCH + ["extra"], _SEARCH + ["extra", "-y"],
+    _SEARCH + ["--format", "json"], ["search", "--p=2", *_SEARCH[3:]],
+    ["search", "--", *_SEARCH[1:]], _SEARCH + ["--"], _SEARCH + ["--", "x"],
+    _SEARCH + ["--p", "3"], _SEARCH + ["--m", "2", "--m", "1"],
+    _POLYCERT + ["--poly", "a", "--targets", "b"], _POLYCERT,
+    ["selftest", "--x"], ["selftest", "x"], ["search", "-h", "--bogus"],
+    _SEARCH + ["-h"], _SEARCH + ["--budget", "x"],
+    ["verify", "--points", "no-such-file", "--k", "1", "--m", "1"],
+]
+
+
+if __name__ == "__main__":
+    from flab.cli import main
+    differ = [argv for argv in PARSE_CORPUS
+              if run_cli(main, argv) != run_cli(parse_args_main, argv)]
+    for argv in differ:
+        print("differs:", argv)
+    print(f"{len(PARSE_CORPUS)} argvs, {len(differ)} differ")
+    sys.exit(1 if differ else 0)

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flab import cli, formats
 from flab.cli import build_parser, emit_report, main
@@ -12,6 +13,7 @@ from flab.errors import FlabError
 from flab.geometry import PointSet, all_points
 from flab.gf import field_build
 from flab.polymethod import Polynomial
+from reference import PARSE_CORPUS, parse_args_main, run_cli
 
 
 @pytest.fixture
@@ -362,6 +364,45 @@ def test_polycert_sources_do_not_carry_between_parses():
         args = ap.parse_args(field + ["--targets", "t", "--degree", "1"])
         assert (args.poly, args.targets, args.given) == \
             (None, "t", {"degree"})
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_one_pass_parse_prints_what_parse_args_prints(argv):
+    # argparse's wording differs between Python versions, so the check is
+    # against argparse itself, not against frozen text
+    assert run_cli(main, argv) == run_cli(parse_args_main, argv)
+
+
+# every option string but --output, so no draw writes a file, and junk
+ARG_TOKENS = sorted({s for p in SUBPARSERS.values()
+                     for s in p._option_string_actions} - {"-o", "--output"})
+ARG_TOKENS += ["1", "2", "3", "-1", "x", "1/2", "json", "csv", "bound",
+               "none", "count", "--", "-", "", "--bogus", "-x", "--p=2",
+               "--form", "--he", "--che=none"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SUBPARSERS) + ["nope", "-h", "--", "-x"]),
+       st.lists(st.sampled_from(ARG_TOKENS), max_size=10))
+def test_one_pass_parse_on_drawn_argvs(command, tokens):
+    argv = [command, *tokens]
+    assert run_cli(main, argv) == run_cli(parse_args_main, argv)
+
+
+def test_a_search_argv_skips_the_top_level_pass(capsys, monkeypatch):
+    ap = build_parser()
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = ap.parse_known_args
+    monkeypatch.setattr(ap, "parse_known_args", spy)
+    code, out, _ = run(capsys, ["search", "--p", "2", "--n", "4", "--k", "3",
+                                "--m", "1", "--format", "json"])
+    assert code == 0 and json.loads(out)["exact"] == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv, text", [

@@ -17,7 +17,7 @@ from flab.geometry import (DEFAULT_BUDGET, PointSet, Subspace, all_points,
                            coset_histogram)
 from flab.gf import ExtensionField, field_build
 from reference import (coset_tables, first_completion, flat_contains,
-                       pruned_walk, search_report, span)
+                       fraction_bound_rows, pruned_walk, search_report, span)
 
 
 def inst(F, n, k, m):
@@ -528,6 +528,41 @@ def test_bound_table_full_flat_rows(F2):
     # q = 2 makes (q-3) negative, so the construction value degenerates
     # above q^n: (1 + 1/4) * 4 = 5, a vacuous but formula-faithful upper
     assert Fraction(upper.rhs_num, upper.rhs_den) == 5
+
+
+def test_integer_bound_rows_match_their_fraction_formulas():
+    # every field of q <= 16 that a desk sweep reaches, every k below n <= 8,
+    # and m at its ends and either side of q^(n-k) and q^k
+    signs = set()
+    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                 (2, 4)]:
+        F = field_build(p, e)
+        q = F.q
+        for n in range(2, 9):
+            for k in range(1, n):
+                for m in {1, 2, q ** (n - k) + 1, q ** k - 1, q ** k}:
+                    if not 1 <= m <= q ** k:
+                        continue
+                    report = bound_table(inst(F, n, k, m))
+                    rows = {r.source: r for r in report.rows}
+                    refs = fraction_bound_rows(q, n, k, m)
+                    swapped = []
+                    for source, (num, den, rad) in refs.items():
+                        ref = rows[source]._replace(rhs_num=num, rhs_den=den,
+                                                    rad=rad)
+                        # repr tells an int 0 from a Fraction 0 as well
+                        assert repr(rows[source]) == repr(ref), (q, n, k, m)
+                        assert rows[source].value() == ref.value()
+                        swapped.append(ref)
+                    others = [r for r in report.rows if r.source not in refs]
+                    assert report.best_integer_lower() == report._replace(
+                        rows=tuple(others + swapped)).best_integer_lower()
+                    # the pure-incidence numerator has the sign of 2k - n
+                    num = rows["thm_pure_incidence"].rhs_num
+                    sign = (num > 0) - (num < 0)
+                    assert sign == (2 * k > n) - (2 * k < n)
+                    signs.add(sign)
+    assert signs == {-1, 0, 1}
 
 
 def test_bound_table_lower_not_above_upper_small():
