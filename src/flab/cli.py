@@ -8,9 +8,10 @@ sweep that calls ``main`` many times pays for building argparse once.  An
 argv that starts with a subcommand's name is parsed by that subcommand's
 parser alone, in one pass: argparse's top-level pass would only hand it on.
 Output is deterministic byte-for-byte for identical inputs and flags.
-JSON renders in one pass of json.dumps, whose hook prints a Fraction as
-"num/den".  A Fraction is found by its denominator, not its class, so a
-command that makes none (polycert) never loads ``fractions``.
+JSON renders in one direct recursive pass, to the bytes of
+``json.dumps(report, indent=2)`` with a Fraction printed as "num/den".  A
+Fraction is found by its denominator, not its class, so a command that
+makes none (polycert) never loads ``fractions``.
 Exit codes: 0 success; 2 for a FlabError (BudgetExceeded and
 check_printable's refusals included), an OSError or a flag argparse
 rejects; 1 for anything else (a bug) or a failed selftest.
@@ -35,9 +36,39 @@ _DIGIT_LIMIT = 10 ** DIGIT_CAP
 
 
 def _ratio(v) -> str:
-    """A Fraction as "num/den": json.dumps calls it for what it cannot
-    encode, and reports hold no other such value."""
+    """A Fraction as "num/den"."""
     return f"{v.numerator}/{v.denominator}"
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(v, indent: str) -> str:
+    """v as json.dumps(v, indent=2, default=_ratio) spells it at the given
+    indent, in one direct pass: with an indent, json.dumps runs its
+    pure-Python generator encoder."""
+    if isinstance(v, str):
+        return _quote(v)
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    inner = indent + "  "
+    if isinstance(v, dict):
+        # a key that is not a str is spelt as json spells the value, quoted
+        items = [_quote(k if isinstance(k, str) else json.dumps(k)) + ": "
+                 + _json(x, inner) for k, x in v.items()]
+        ends = "{}"
+    elif isinstance(v, (list, tuple)):
+        items, ends = [_json(x, inner) for x in v], "[]"
+    elif hasattr(v, "denominator"):
+        return _quote(_ratio(v))
+    else:
+        return json.dumps(v)    # a float; reports hold none
+    if not items:
+        return ends
+    sep = ",\n" + inner
+    return f"{ends[0]}\n{inner}{sep.join(items)}\n{indent}{ends[1]}"
 
 
 def _jsonable(v):
@@ -81,7 +112,7 @@ def _is_table(v) -> bool:
 def emit_report(report: dict, fmt: str) -> str:
     """Render a report dict; CSV renders its one table (list of dicts)."""
     if fmt == "json":
-        return json.dumps(report, indent=2, default=_ratio) + "\n"
+        return _json(report, "") + "\n"
     if fmt == "csv":
         import csv
         tables = [v for v in report.values() if _is_table(v)]
@@ -326,9 +357,22 @@ def _parser(budget: str) -> tuple[argparse.ArgumentParser, dict]:
                        default="text")
         p.add_argument("--output", "-o", default=None)
         if budgeted:
-            # a string default goes through type=int at parse time, so a
-            # malformed FLAB_BUDGET is a usage error naming --budget
-            p.add_argument("--budget", type=int, default=budget,
+            def count(text: str) -> int:
+                """--budget's type: a usage error naming --budget for a
+                malformed int, in argparse's words for type=int, or for a
+                negative one."""
+                try:
+                    value = int(text)
+                except ValueError:
+                    p.error(f"argument --budget: invalid int value: {text!r}")
+                if value < 0:
+                    p.error(f"argument --budget: must be at least 0, "
+                            f"got {value}")
+                return value
+
+            # a string default goes through the type at parse time, so a
+            # malformed or negative FLAB_BUDGET is a usage error too
+            p.add_argument("--budget", type=count, default=budget,
                            action=_Given)
         if field:
             p.add_argument("--p", type=int, required=True)

@@ -333,7 +333,10 @@ def search_extremal(instance: FurstenbergInstance,
     only on (field, n, d).  Every call charges the same work in the same
     order, cached or not: the scan's flats and basis entries, then the
     bound table's largest number, q^((k+1)n), in bits before it is built,
-    then the search nodes.
+    then the search nodes.  At m = 1, K = 1 with the origin as the witness
+    and as the bound table's best lower bound, so that call charges the
+    scan and the table's bits, refuses q^n >= 128 as the walk would, and
+    builds nothing.
     """
     F, n, k, m = instance.field, instance.n, instance.k, instance.m
     q = F.q
@@ -344,6 +347,13 @@ def search_extremal(instance: FurstenbergInstance,
         # cached: the scan over no items is charged and never run
         scan_directions(F, n, k, (), budget)
     charge((k + 1) * n * (q - 1).bit_length(), "bound-table bits", budget)
+    if exact and m == 1:
+        # the origin meets a flat of every direction, and no lower row
+        # without a radicand passes 1; the walk's 2 nodes never pass a
+        # budget that its flats, at least 3, are within
+        _byte_slots(q ** n)
+        return SearchResult(exact=1, lower=1, upper=1,
+                            witness=PointSet.of(F, n, [(0,) * n]))
     # search prints no row, so its table need not print
     lower = bound_table(instance, printable=False).best_integer_lower()
     if not exact:
@@ -446,6 +456,12 @@ def _frame_branches(F, n: int, d: int) -> tuple:
     return tuple(branches)
 
 
+def _byte_slots(N: int) -> None:
+    """Refuse N >= 128 points, past the node test's byte slots."""
+    if N >= 128:
+        raise FlabError(f"{N} points overflow the byte slots of the search")
+
+
 @functools.cache
 def _node_vectors(F, n: int, k: int
                   ) -> tuple[tuple[Point, ...], tuple[int, ...], int, int]:
@@ -463,8 +479,7 @@ def _node_vectors(F, n: int, k: int
     on a budget.
     """
     N = F.q ** n
-    if N >= 128:
-        raise FlabError(f"{N} points overflow the byte slots of the search")
+    _byte_slots(N)
     pts = all_points(F, n)
     tables = [tuple(hist.values()) for _, hist in scan_directions(
         F, n, k, [(p, 1 << i) for i, p in enumerate(pts)], DEFAULT_BUDGET)]

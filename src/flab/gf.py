@@ -8,6 +8,7 @@ are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Sequence
 
@@ -302,8 +303,8 @@ class ExtensionField:
         for i, a in enumerate(cycle):
             log[a] = i
         log[0] = 2 * n
-        self._exp = cycle + cycle + [0] * (2 * n + 1)
-        self._log = log
+        self._exp = tuple(cycle + cycle + [0] * (2 * n + 1))
+        self._log = tuple(log)
         if self.p == 2:
             self._half = 0
             self._zech = None
@@ -315,7 +316,7 @@ class ExtensionField:
             # 1 + a changes only digit 0 of a; log[0] is the zero sentinel
             d0 = a % Q
             zech[i] = log[a - d0 + self.base.add(d0, 1)]
-        self._zech = zech + zech
+        self._zech = tuple(zech + zech)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExtensionField)
@@ -379,8 +380,13 @@ def _smallest_irreducible(base, degree: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+@functools.cache
 def field_build(p: int, e: int):
-    """Deterministic F_p, or F_p[x] modulo the least monic irreducible."""
+    """Deterministic F_p, or F_p[x] modulo the least monic irreducible.
+
+    Built once per (p, e) in a process and shared: a field's tables are
+    tuples, so no caller can change what the next one reads.  The keys
+    that build are finite, q <= MAX_FIELD_SIZE; a refusal is not kept."""
     if e < 1:
         raise FlabError(f"extension degree {e} < 1")
     # size checks first: trial division of a huge p, or p ** e for a huge

@@ -326,6 +326,29 @@ def test_malformed_flab_budget_is_a_usage_error(capsys, monkeypatch):
     assert code == 0 and "trivial_pigeonhole" in out
 
 
+@pytest.mark.parametrize("command", [
+    ["search", "--p", "2", "--n", "2", "--k", "1", "--m", "1"],
+    ["verify", "--points", "absent.pts", "--k", "1", "--m", "1"],
+    ["entropy", "--dist", "absent.dist", "--check", "none"],
+    ["polycert", "--p", "2", "--n", "1", "--poly", "absent.poly"],
+    ["incidence", "--check", "count", "--points", "a", "--flats", "b"]],
+    ids=lambda argv: argv[0])
+def test_negative_budget_is_a_usage_error(capsys, monkeypatch, command):
+    # refused by the parser, before any file is read or work is charged,
+    # from the flag and from FLAB_BUDGET alike
+    for budget in ("-1", "-10", " -7 "):
+        code, out, err = run(capsys, command + ["--budget", budget])
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: argument --budget: must be at least 0, "
+                            f"got {int(budget)}\n")
+    # 0 passes the parser: whatever refuses it is the command's own check
+    assert run(capsys, command + ["--budget", "0"])[2].startswith("error: ")
+    monkeypatch.setenv("FLAB_BUDGET", "-5")
+    code, out, err = run(capsys, command)
+    assert code == 2 and out == ""
+    assert err.endswith("argument --budget: must be at least 0, got -5\n")
+
+
 def test_build_parser_is_shared_per_flab_budget(monkeypatch):
     monkeypatch.setenv("FLAB_BUDGET", "10")
     ten = build_parser()

@@ -2,7 +2,8 @@
 valid point sets verify as a per-point reference says, and the incidence
 (subflats too), polycert --poly, polycert --targets, entropy and exact
 search reports of valid input match a brute-force recount, and drawn
-nested reports render to the JSON bytes of a walk-then-dump reference.
+nested reports render to the JSON bytes of a walk-then-dump reference and
+of json.dumps itself.
 
 Half the fuzz cases are malformed: every input is small (q <= 5, n <= 2,
 multiplicities and degrees below 8), so no case starts a large
@@ -30,11 +31,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import pointwise_histogram
 from flab import formats
-from flab.cli import emit_report, main
+from flab.cli import _ratio, emit_report, main
 from flab.entropy import RationalDistribution
 from flab.furstenberg import FurstenbergInstance
-from flab.geometry import (Flat, PointSet, all_points, enumerate_flats,
-                           enumerate_subspaces, flat_points)
+from flab.geometry import (DIGIT_CAP, Flat, PointSet, all_points,
+                           enumerate_flats, enumerate_subspaces, flat_points)
 from flab.gf import field_build
 from flab.incidence import FlatFamily
 from flab.polymethod import Polynomial, poly_mul, vanishing_hypothesis_holds
@@ -617,3 +618,34 @@ reports = _dicts(st.recursive(leaves, lambda inner: st.one_of(
 @settings(max_examples=100, deadline=None)
 def test_json_report_matches_walked_reference(report):
     assert emit_report(report, "json") == json_report(report)
+
+
+# ints of 1 to DIGIT_CAP digits, the longest a report prints; text with
+# non-ASCII and control characters, which json escapes
+long_ints = st.tuples(st.integers(1, DIGIT_CAP), st.booleans()).flatmap(
+    lambda ds: st.integers(10 ** (ds[0] - 1), 10 ** ds[0] - 1).map(
+        lambda v: -v if ds[1] else v))
+strange = st.one_of(st.text(max_size=6), st.sampled_from(
+    ["", "\x00\x1f\x7f", "\"\\\n\t", "\u00e9\u2200", "\U0001f600\ud7ff"]))
+all_leaves = st.one_of(st.booleans(), st.none(), strange, long_ints,
+                       st.integers(-99, 99),
+                       st.tuples(long_ints, long_ints.map(abs)).map(
+                           lambda nd: Fraction(*nd)))
+any_keys = st.one_of(strange, st.integers(-99, 99))
+any_reports = st.dictionaries(any_keys, st.recursive(
+    all_leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+        st.tuples(inner, inner).map(lambda lr: _Pair(*lr)),
+        st.dictionaries(any_keys, inner, max_size=3)),
+    max_leaves=12), max_size=4)
+
+
+@given(any_reports)
+@example({"": [], 0: {}, "\x00\u00e9": (), "p": _Pair(None, (True, [{}])),
+          -1: Fraction(-10 ** (DIGIT_CAP - 1), 3), "n": 10 ** DIGIT_CAP - 1})
+@settings(max_examples=150, deadline=None)
+def test_json_render_is_the_bytes_of_json_dumps(report):
+    # emit_report renders JSON itself, to the bytes json.dumps gives with
+    # its indent and a Fraction as "num/den"
+    assert emit_report(report, "json") == json.dumps(
+        report, indent=2, default=_ratio) + "\n"

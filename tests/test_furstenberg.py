@@ -357,6 +357,40 @@ def test_search_refuses_128_points_before_caching(F2, monkeypatch):
     assert furstenberg._node_vectors.cache_info().currsize == before
 
 
+def test_bound_table_best_lower_is_1_at_m_1():
+    # the oracle for search_extremal's m = 1 answer, which builds no table:
+    # no applicable lower row without a radicand passes 1 there
+    fields = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+              (11, 1), (2, 4)]
+    cases = [(field_build(p, e), n, k) for p, e in fields
+             for n in range(2, 9) for k in range(1, n)]
+    assert len(cases) == 252
+    for F, n, k in cases:
+        table = bound_table(inst(F, n, k, 1), printable=False)
+        assert table.best_integer_lower() == 1, (F, n, k)
+
+
+# every exact space: q^n <= EXACT_SEARCH_LIMIT = 16
+@pytest.mark.parametrize("p,e,n", [(2, 1, 2), (2, 1, 3), (2, 1, 4),
+                                   (3, 1, 2), (2, 2, 2)])
+def test_search_at_m_1_is_the_walks_answer(p, e, n):
+    # K = 1 with the origin as witness, as the walk from {0} finds it; a
+    # budget below the walk's 2 nodes, which the m = 1 answer no longer
+    # charges, is refused at the flats first
+    F = field_build(p, e)
+    for k in range(1, n):
+        I = inst(F, n, k, 1)
+        pts, vec, D, T = furstenberg._node_vectors(F, n, k)
+        mask = furstenberg._first_completion(vec, D, T, 1, 2)(1, 1, 0)
+        walked = PointSet.of(F, n, (x for i, x in enumerate(pts)
+                                    if mask >> i & 1))
+        res = search_extremal(I)
+        assert res == furstenberg.SearchResult(1, 1, 1, walked)
+        assert res.witness.sorted() == [pts[0]]
+        with pytest.raises(BudgetExceeded, match=" flats exceed budget 1$"):
+            search_extremal(I, budget=1)
+
+
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
 def test_furstenberg_sets_span_the_search_floor(q, n):
     # every (k,m)-Furstenberg subset of F_q^n spans a flat of dimension at

@@ -83,6 +83,17 @@ def test_build_is_deterministic():
     assert a == b
 
 
+def test_build_is_shared_and_its_tables_are_tuples():
+    # one field per (p, e) in a process: a table a caller could change in
+    # place would change every later field_build(p, e)
+    for p, e in [(2, 1), (5, 1), (2, 2), (3, 2), (2, 8), (3, 7)]:
+        F = field_build(p, e)
+        assert field_build(p, e) is F
+        if e > 1:
+            assert type(F._exp) is type(F._log) is tuple
+            assert F._zech is None if p == 2 else type(F._zech) is tuple
+
+
 def test_build_errors():
     with pytest.raises(FlabError, match="^p = 4 is not prime$"):
         field_build(4, 1)

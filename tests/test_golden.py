@@ -31,7 +31,12 @@ at --budget work, past it: verify flats and basis entries (k = n); search
 flats, bound-table bits, construction points and nodes (the counts
 test_search_node_counts_are_budget_edges pins); entropy bound and
 recursion flats; the poor and becks censuses' flats; subflat pairs; and
-polycert interpolation entries and audit pairs.
+polycert interpolation entries and audit pairs.  refusals.json holds a
+fixed sample of the CLI fuzz's refusals (test_cli_fuzz's invocations,
+drawn once): one run per message shape, exit 2 with one line of stderr in
+flab's own words, on the files under golden/refusals.  argparse's usage
+errors are left out, as their wording changes between Python versions;
+test_cli checks them against argparse's own parse_args instead.
 The whole corpus also replays in reverse order in one process, so that
 state one run leaves for the next, such as the exact search's vectors
 kept per (field, n, k), cannot change a byte: budgets.json then runs on
